@@ -1,5 +1,6 @@
 """Tests for canonical forms and the model enumerator."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from cigroupoids.core import (
     CayleyTable,
     check_identity,
     check_property,
+    format_alg,
     load_fixture,
     parse_identity,
 )
@@ -127,6 +129,60 @@ def test_stream_sorted_and_canonical():
         assert check_property(g, "commutative")
         assert check_property(g, "idempotent")
         assert check_identity(g, decode(bm("C15")))
+
+
+# Golden streams: (variety, n, commutative, idempotent, count, sha256 of the
+# concatenated format_alg stream), recorded before the enumerator's partial
+# table changed representation. Any change to the order, the content or the
+# number of emitted models fails here. C at n=5 is the full CI n=5 search
+# and too slow to pin.
+GOLDEN_STREAMS = [
+    ("CI", 1, True, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("CI", 2, True, True, 1, "55bc6ea841574879ce514f4e6c9761c42c1158c536a10c6cbb625d85d2de1afc"),
+    ("CI", 3, True, True, 7, "3c8bd638b9447afc9d4964a682f5d7214a869c8e042267fcf5076312290b0c95"),
+    ("CI", 4, True, True, 192, "ccb9e0c1df0c77df1bab984d108dbc89ac0ecb20c3131a505d2815609452e105"),
+    ("C", 1, True, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("C", 2, True, True, 1, "55bc6ea841574879ce514f4e6c9761c42c1158c536a10c6cbb625d85d2de1afc"),
+    ("C", 3, True, True, 7, "3c8bd638b9447afc9d4964a682f5d7214a869c8e042267fcf5076312290b0c95"),
+    ("C", 4, True, True, 192, "ccb9e0c1df0c77df1bab984d108dbc89ac0ecb20c3131a505d2815609452e105"),
+    ("2SL", 5, True, True, 119, "3f2154fe0b9c42cf0e783dc058a655c5ddd0bcabf2827557a7ac4a2c544e8255"),
+    ("X", 5, True, True, 28, "088d54eed40adb63f2e128cde5ac0012dec7231b51abbc0f672b4d44e8edf497"),
+    ("SL", 5, True, True, 15, "395a7148d19fe5f4fad6517dee21a9fabb4d7f82cac4cfa62407164590fd46de"),
+    ("T2", 5, True, True, 21, "79816bfc783fd80c86c43fbd029de35548ae9d3cc2c2afee32f093b409a72c9c"),
+    ("T1", 5, True, True, 21, "79816bfc783fd80c86c43fbd029de35548ae9d3cc2c2afee32f093b409a72c9c"),
+    ("S2", 5, True, True, 52, "e4cfa6550538f153fbd5028b04bbd9a71847119268af66c46baf9f42a4d5168d"),
+    ("S1", 5, True, True, 33, "55874d4aa964cc3cf5b9750b17417d0a83834cc34c2a54c4558c5f565c753a61"),
+    ("squag", 5, True, True, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("CID", 5, True, True, 22, "3edb82d9c686d82ee7a912430aa4e5dba536d73905fb550aee0b0b3fe558a234"),
+    ("CIE", 5, True, True, 22, "3edb82d9c686d82ee7a912430aa4e5dba536d73905fb550aee0b0b3fe558a234"),
+    ("associative", 5, True, True, 15, "395a7148d19fe5f4fad6517dee21a9fabb4d7f82cac4cfa62407164590fd46de"),
+    ("T1", 6, True, True, 75, "761f852307c0a7f052a57af6afde44b4ec284685e8a58fcc174ddae753e68db0"),
+    ("T2", 6, True, True, 76, "c9f1c384cfc4f758acc7e9ca3e5a6e108d574d5561b416ace118a13a8019ce8b"),
+    ("CI", 1, False, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("CI", 2, False, True, 3, "3ed4a642113cf42947a03faf5b936d1901a2ebd6782abb62ef33249e8983adf0"),
+    ("CI", 3, False, True, 138, "746e05f1267e4cfc913f29c978d797aa7e37756376be741615d096a39cc5dd36"),
+    ("CI", 3, True, False, 129, "ee015eb0b359ba4a7fef6a80624b28e5a60649480fdb83c5ac7572a2d53926c3"),
+]
+
+
+@pytest.mark.parametrize(
+    "variety, n, commutative, idempotent, count, digest",
+    GOLDEN_STREAMS,
+    ids=[f"{v}-n{n}-c{int(c)}-i{int(i)}" for v, n, c, i, _, _ in GOLDEN_STREAMS],
+)
+def test_golden_stream(variety, n, commutative, idempotent, count, digest):
+    spec = SearchSpec(
+        n=n,
+        require=variety_identities(variety),
+        commutative=commutative,
+        idempotent=idempotent,
+    )
+    h = hashlib.sha256()
+    got = 0
+    for g in enumerate_models(spec):
+        h.update(format_alg(g).encode())
+        got += 1
+    assert (got, h.hexdigest()) == (count, digest)
 
 
 def test_determinism():
