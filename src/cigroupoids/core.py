@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class UnboundVariable(Exception):
@@ -52,26 +52,38 @@ class Prod:
     right: "Term"
 
     def __str__(self) -> str:
-        return f"({self.left} {self.right})"
+        out: list[str] = []
+        for u in postorder(self):
+            if isinstance(u, Var):
+                out.append(u.name)
+            else:
+                right = out.pop()
+                out[-1] = f"({out[-1]} {right})"
+        return out[0]
 
 
 Term = Var | Prod
 
 
+def postorder(t: Term) -> Iterator[Term]:
+    """The nodes of t, children before parents and left before right.
+
+    An explicit stack rather than recursion, so terms of any depth work.
+    """
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if expanded or isinstance(u, Var):
+            yield u
+        else:
+            stack.append((u, True))
+            stack.append((u.right, False))
+            stack.append((u.left, False))
+
+
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names of t in order of first occurrence."""
-    seen: list[str] = []
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.append(u.name)
-        else:
-            walk(u.left)
-            walk(u.right)
-
-    walk(t)
-    return tuple(seen)
+    return tuple(dict.fromkeys(u.name for u in postorder(t) if isinstance(u, Var)))
 
 
 def parse_term(text: str) -> Term:
@@ -269,44 +281,40 @@ Assignment = Mapping[str, int]
 
 
 def eval_term(t: Term, a: Assignment, g: CayleyTable) -> int:
-    """Bottom-up evaluation of t under the assignment a."""
-    if isinstance(t, Var):
-        try:
-            return a[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-    return g.rows[eval_term(t.left, a, g)][eval_term(t.right, a, g)]
+    """The value of t under the assignment a."""
+    names = tuple(a)
+    return eval_postfix(compile_term(t, names), tuple(a[v] for v in names), g.rows)
 
 
-def compile_term(t: Term, order: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
-    """Flatten t to postfix ops: (-1, var_index) pushes, (-2, 0) multiplies."""
-    ops: list[tuple[int, int]] = []
+def compile_term(t: Term, order: tuple[str, ...]) -> tuple[int, ...]:
+    """Flatten t to postfix ops: i >= 0 pushes variable order[i], -1 multiplies.
 
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
+    This is the only route to evaluation: every term the package evaluates
+    is compiled here and run by eval_postfix.
+    """
+    ops: list[int] = []
+    for u in postorder(t):
+        if isinstance(u, Prod):
+            ops.append(-1)
+        else:
             try:
-                ops.append((-1, order.index(u.name)))
+                ops.append(order.index(u.name))
             except ValueError:
                 raise UnboundVariable(u.name) from None
-        else:
-            walk(u.left)
-            walk(u.right)
-            ops.append((-2, 0))
-
-    walk(t)
     return tuple(ops)
 
 
-def _eval_postfix(ops: tuple[tuple[int, int], ...], asg: tuple[int, ...], rows) -> int:
+def eval_postfix(ops: tuple[int, ...], asg: Sequence[int], rows) -> int:
+    """Run compiled ops with variable i bound to asg[i]; products are rows[a][b]."""
     stack: list[int] = []
     push = stack.append
-    for kind, arg in ops:
-        if kind == -1:
-            push(asg[arg])
+    pop = stack.pop
+    for op in ops:
+        if op < 0:
+            b = pop()
+            push(rows[pop()][b])
         else:
-            b = stack.pop()
-            a = stack.pop()
-            push(rows[a][b])
+            push(asg[op])
     return stack[0]
 
 
@@ -322,7 +330,7 @@ def check_identity_witness(g: CayleyTable, ident: Identity) -> dict[str, int] | 
     rhs = compile_term(ident.rhs, names)
     rows = g.rows
     for asg in itertools.product(range(g.n), repeat=len(names)):
-        if _eval_postfix(lhs, asg, rows) != _eval_postfix(rhs, asg, rows):
+        if eval_postfix(lhs, asg, rows) != eval_postfix(rhs, asg, rows):
             return dict(zip(names, asg))
     return None
 
@@ -387,18 +395,6 @@ def power_term(j: int) -> Term:
     return t
 
 
-def _as_function(g: CayleyTable, t: Term, arity: int, order: tuple[str, ...] | None):
-    names = positional_variables(t) if order is None else tuple(order)
-    if len(names) != arity:
-        raise ArityMismatch(f"term has {len(names)} variables, need {arity}")
-    ops = compile_term(t, names)
-
-    def f(*args: int) -> int:
-        return _eval_postfix(ops, args, g.rows)
-
-    return f
-
-
 def term_condition(
     g: CayleyTable,
     t: Term,
@@ -414,45 +410,57 @@ def term_condition(
     x, y, z, u unless an explicit order is given.
     """
     kind = kind.lower()
-    n = g.n
-    rng = range(n)
     if kind == "maltsev":
-        q = _as_function(g, t, 3, order)
-        return all(q(x, y, y) == x and q(y, y, x) == x for x in rng for y in rng)
-    if kind in ("wnu", "nu"):
+        arity = 3
+    elif kind in ("wnu", "nu"):
         if k is None or k < 2:
             raise ArityMismatch("wnu/nu need an arity k >= 2")
-        f = _as_function(g, t, k, order)
-        for x in rng:
-            if f(*([x] * k)) != x:
-                return False
-        for x in rng:
-            for y in rng:
-                vals = []
-                for pos in range(k):
-                    args = [x] * k
-                    args[pos] = y
-                    vals.append(f(*args))
-                if any(v != vals[0] for v in vals[1:]):
-                    return False
-                if kind == "nu" and vals[0] != x:
-                    return False
-        return True
-    if kind == "edge":
+        arity = k
+    elif kind == "edge":
         if k is None or k < 2:
             raise ArityMismatch("edge needs k >= 2")
-        f = _as_function(g, t, k + 1, order)
-        patterns = [(0, 1), (0, 2)] + [(p,) for p in range(3, k + 1)]
+        arity = k + 1
+    else:
+        raise ValueError(f"unknown term condition kind {kind!r}")
+    names = positional_variables(t) if order is None else tuple(order)
+    if len(names) != arity:
+        raise ArityMismatch(f"term has {len(names)} variables, need {arity}")
+    ops = compile_term(t, names)
+    rows = g.rows
+    rng = range(g.n)
+    if kind == "maltsev":
+        return all(
+            eval_postfix(ops, (x, y, y), rows) == x
+            and eval_postfix(ops, (y, y, x), rows) == x
+            for x in rng
+            for y in rng
+        )
+    if kind == "edge":
+        patterns = [(0, 1), (0, 2)] + [(p,) for p in range(3, arity)]
         for x in rng:
             for y in rng:
                 for xs in patterns:
-                    args = [y] * (k + 1)
+                    args = [y] * arity
                     for p in xs:
                         args[p] = x
-                    if f(*args) != y:
+                    if eval_postfix(ops, args, rows) != y:
                         return False
         return True
-    raise ValueError(f"unknown term condition kind {kind!r}")
+    for x in rng:
+        if eval_postfix(ops, [x] * arity, rows) != x:
+            return False
+    for x in rng:
+        for y in rng:
+            vals = []
+            for pos in range(arity):
+                args = [x] * arity
+                args[pos] = y
+                vals.append(eval_postfix(ops, args, rows))
+            if any(v != vals[0] for v in vals[1:]):
+                return False
+            if kind == "nu" and vals[0] != x:
+                return False
+    return True
 
 
 class QuasigroupExpansion(NamedTuple):

@@ -37,10 +37,10 @@ from cigroupoids.core import (
     Term,
     Var,
     check_property,
-    eval_term,
+    compile_term,
+    eval_postfix,
     format_alg,
     parse_alg,
-    power_term,
     variables,
 )
 
@@ -72,10 +72,9 @@ def join_matrix(g: CayleyTable, join: Term) -> list[list[int]]:
     names = set(variables(join))
     if not names <= {"x", "y"}:
         raise ValueError(f"join term must use variables x, y only, got {sorted(names)}")
-    return [
-        [eval_term(join, {"x": a, "y": b}, g) for b in range(g.n)]
-        for a in range(g.n)
-    ]
+    ops = compile_term(join, ("x", "y"))
+    rows = g.rows
+    return [[eval_postfix(ops, (a, b), rows) for b in range(g.n)] for a in range(g.n)]
 
 
 @dataclass(frozen=True)
@@ -379,11 +378,6 @@ def cid_exponent(g: CayleyTable) -> int:
             return e
         jm = [[g.rows[jm[x][y]][y] for y in range(n)] for x in range(n)]
     raise NoExponent(f"no exponent up to {limit}")
-
-
-def power_join(e: int) -> Term:
-    """The join term x·y^e used by cid_exponent."""
-    return power_term(e)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,13 @@
 The enumerator fills upper-triangle cells in row-major order (full rows when
 commutativity is off), propagating idempotence and commutativity eagerly and
 testing required identities on every assignment whose value is already
-determined by the partial table. Leaves are emitted only when they equal
-their own canonical form, which makes the output stream duplicate-free and
-lexicographically sorted without any post-hoc merge.
+determined by the partial table. That table has one extra element, n, for
+"unknown": unfilled cells hold n and row n and column n are all n, so the
+ordinary term evaluator carries an unknown operand through every later
+product and returns n exactly when a value is not yet determined. Leaves
+are emitted only when they equal their own canonical form, which makes the
+output stream duplicate-free and lexicographically sorted without any
+post-hoc merge.
 
 Tables here are small (n <= 6), so isomorphism rejection by brute-force
 minimization over all n! relabelings is affordable and simple.
@@ -28,6 +32,7 @@ from cigroupoids.core import (
     Identity,
     check_identity,
     compile_term,
+    eval_postfix,
     variables,
 )
 from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode
@@ -72,7 +77,7 @@ class SearchSpec:
 
 
 class _Constraint:
-    """A required identity compiled against a flat partial table."""
+    """A required identity compiled, with the assignments still to check."""
 
     __slots__ = ("lhs", "rhs", "assignments")
 
@@ -81,23 +86,6 @@ class _Constraint:
         self.lhs = compile_term(ident.lhs, names)
         self.rhs = compile_term(ident.rhs, names)
         self.assignments = list(itertools.product(range(n), repeat=len(names)))
-
-
-def _eval_partial(ops, asg, flat, n) -> int:
-    """Postfix evaluation over a flat table; -1 when any entry is unknown."""
-    stack: list[int] = []
-    push = stack.append
-    for kind, arg in ops:
-        if kind == -1:
-            push(asg[arg])
-        else:
-            b = stack.pop()
-            a = stack.pop()
-            if a < 0 or b < 0:
-                push(-1)
-            else:
-                push(flat[a * n + b])
-    return stack[0]
 
 
 def _free_cells(n: int, commutative: bool, idempotent: bool) -> list[tuple[int, int]]:
@@ -119,10 +107,10 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds the supported bound {bound}")
 
-    flat = [-1] * (n * n)
+    rows = [[n] * (n + 1) for _ in range(n + 1)]
     if spec.idempotent:
         for i in range(n):
-            flat[i * n + i] = i
+            rows[i][i] = i
     cells = _free_cells(n, spec.commutative, spec.idempotent)
     constraints = [_Constraint(ident, n) for ident in spec.require]
     constraints.sort(key=lambda c: len(c.assignments))
@@ -141,14 +129,14 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
         # same non-minimal first difference.
         for perm in transpositions:
             for i in range(n):
-                pi = perm[i]
-                row = i * n
+                row = rows[i]
+                image = rows[perm[i]]
                 for j in range(n):
-                    v = flat[row + j]
-                    if v < 0:
+                    v = row[j]
+                    if v == n:
                         break
-                    w = flat[pi * n + perm[j]]
-                    if w < 0:
+                    w = image[perm[j]]
+                    if w == n:
                         break
                     w = perm[w]
                     if v != w:
@@ -163,24 +151,24 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     def descend(depth: int, pendings: list[list[tuple[int, ...]]]) -> Iterator[CayleyTable]:
         if depth == len(cells):
             if all(not p for p in pendings):
-                g = CayleyTable([flat[i * n : (i + 1) * n] for i in range(n)])
+                g = CayleyTable(r[:n] for r in rows[:n])
                 if g == canonical_form(g):
                     if all(not check_identity(g, f) for f in spec.forbid):
                         yield g
             return
         i, j = cells[depth]
         for v in range(n):
-            flat[i * n + j] = v
+            rows[i][j] = v
             if spec.commutative:
-                flat[j * n + i] = v
+                rows[j][i] = v
             ok = True
             new_pendings: list[list[tuple[int, ...]]] = []
             for c, pending in zip(constraints, pendings):
                 keep: list[tuple[int, ...]] = []
                 for asg in pending:
-                    a = _eval_partial(c.lhs, asg, flat, n)
-                    b = _eval_partial(c.rhs, asg, flat, n)
-                    if a < 0 or b < 0:
+                    a = eval_postfix(c.lhs, asg, rows)
+                    b = eval_postfix(c.rhs, asg, rows)
+                    if a == n or b == n:
                         keep.append(asg)
                     elif a != b:
                         ok = False
@@ -190,9 +178,9 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
                 new_pendings.append(keep)
             if ok and not not_minimal_prefix():
                 yield from descend(depth + 1, new_pendings)
-        flat[i * n + j] = -1
+        rows[i][j] = n
         if spec.commutative:
-            flat[j * n + i] = -1
+            rows[j][i] = n
 
     if n == 1:
         g = CayleyTable([[0]])

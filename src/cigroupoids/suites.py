@@ -36,6 +36,7 @@ from cigroupoids.core import (
     load_fixture,
     parse_identity,
     parse_term,
+    power_term,
     term_condition,
 )
 from cigroupoids.csp import gen_instance, reduce_instance, solve_brute
@@ -49,7 +50,6 @@ from cigroupoids.plonka import (
     join_matrix,
     make_system,
     plonka_sum,
-    power_join,
     sigma,
 )
 from cigroupoids.search import (
@@ -647,7 +647,7 @@ def _suite_cid() -> list[CheckResult]:
             count += 1
             e = cid_exponent(g)
             max_e = max(max_e, e)
-            fibers = decompose(g, power_join(e)).fibers
+            fibers = decompose(g, power_term(e)).fibers
             if not all(is_latin_square(f) for f in fibers):
                 bad = g
     checks.append(

@@ -55,6 +55,25 @@ def test_check_latin_square(capsys):
     assert run(capsys, "alg", "check", "latin-square", "fig1")[0] == 1
 
 
+@pytest.mark.parametrize("depth", [5000, 5001])
+def test_deep_star_chain_terms(capsys, depth):
+    # x*y*...*y nests `depth` products to the left, deeper than the default
+    # recursion limit. On the squag fig4a, (xy)y = x, so the chain equals x
+    # for even depth and xy for odd depth.
+    assert depth > sys.getrecursionlimit()
+    chain = "x" + "*y" * depth
+    rc, out, _ = run(capsys, "alg", "check", f"{chain} = x", "fig4a")
+    if depth % 2 == 0:
+        assert (rc, out) == (0, "satisfied\n")
+    else:
+        shown = "(" * depth + "x" + " y)" * depth
+        assert (rc, out) == (1, f"fails {shown} ≈ x at x=0, y=1\n")
+    rc, out, _ = run(capsys, "plonka", "check", "--join", chain, "fig4a")
+    short = "x" if depth % 2 == 0 else "x*y"
+    assert (rc, out) == run(capsys, "plonka", "check", "--join", short, "fig4a")[:2]
+    assert out.startswith("P1 ")
+
+
 def test_check_bad_identity_is_usage_error(capsys):
     rc, _, err = run(capsys, "alg", "check", "Z99", "fig4a")
     assert rc == 2

@@ -96,20 +96,33 @@ def test_eval_unbound():
 # --- identity checking, with an independent naive oracle -----------------
 
 
+def naive_eval(g, t, env):
+    """Recursive reference evaluation, no compilation."""
+    if isinstance(t, Var):
+        return env[t.name]
+    return g.rows[naive_eval(g, t.left, env)][naive_eval(g, t.right, env)]
+
+
 def naive_check(g, ident):
     """Straight double loop, no compilation, no early exit machinery."""
-
-    def ev(t, env):
-        if isinstance(t, Var):
-            return env[t.name]
-        return g.rows[ev(t.left, env)][ev(t.right, env)]
-
     names = sorted(set(variables(ident.lhs)) | set(variables(ident.rhs)))
     for vals in itertools.product(range(g.n), repeat=len(names)):
         env = dict(zip(names, vals))
-        if ev(ident.lhs, env) != ev(ident.rhs, env):
+        if naive_eval(g, ident.lhs, env) != naive_eval(g, ident.rhs, env):
             return False
     return True
+
+
+def terms(depth):
+    """Terms over x, y, z of depth at most `depth`."""
+    leaf = st.sampled_from(["x", "y", "z"]).map(Var)
+    if depth == 0:
+        return leaf
+    sub = terms(depth - 1)
+    return st.one_of(leaf, st.builds(Prod, sub, sub))
+
+
+TERMS = terms(6)
 
 
 FIXTURE_TABLES = [load_fixture(n) for n in ("fig1", "fig2a", "fig2b", "fig4a", "fig4c", "leftzero")]
@@ -142,6 +155,11 @@ def test_check_identity_matches_oracle_random(data):
     )
     g = CayleyTable(rows)
     ident = data.draw(st.sampled_from(SOME_IDENTITIES))
+    assert check_identity(g, ident) == naive_check(g, ident)
+    t = data.draw(TERMS)
+    env = {v: data.draw(st.integers(0, n - 1)) for v in ("x", "y", "z")}
+    assert eval_term(t, env, g) == naive_eval(g, t, env)
+    ident = Identity(t, data.draw(TERMS))
     assert check_identity(g, ident) == naive_check(g, ident)
 
 

@@ -12,6 +12,7 @@ from cigroupoids.core import (
     load_fixture,
     parse_identity,
     parse_term,
+    power_term,
 )
 from cigroupoids.plonka import (
     STANDARD_JOIN,
@@ -31,7 +32,6 @@ from cigroupoids.plonka import (
     make_system,
     parse_system,
     plonka_sum,
-    power_join,
     sigma,
 )
 
@@ -323,7 +323,7 @@ def test_exponent_semilattice():
 
 def test_exponent_ainf():
     e = cid_exponent(AINF)
-    sys = decompose(AINF, power_join(e))
+    sys = decompose(AINF, power_term(e))
     for fiber in sys.fibers:
         assert check_property(fiber, "latin-square")
     assert sys.globals == ((0, 1, 2), (3,))
@@ -340,6 +340,6 @@ def test_exponent_matches_term_route():
     # dual route: the matrix iteration must agree with evaluating the term
     for g in (SQUAG, MEET2, AINF, cie_cyclic(5)):
         e = cid_exponent(g)
-        assert check_pseudopartition(g, power_join(e)).pseudopartition
+        assert check_pseudopartition(g, power_term(e)).pseudopartition
         for smaller in range(1, e):
-            assert not check_pseudopartition(g, power_join(smaller)).pseudopartition
+            assert not check_pseudopartition(g, power_term(smaller)).pseudopartition
