@@ -158,6 +158,9 @@ GOLDEN_STREAMS = [
     ("associative", 5, True, True, 15, "395a7148d19fe5f4fad6517dee21a9fabb4d7f82cac4cfa62407164590fd46de"),
     ("T1", 6, True, True, 75, "761f852307c0a7f052a57af6afde44b4ec284685e8a58fcc174ddae753e68db0"),
     ("T2", 6, True, True, 76, "c9f1c384cfc4f758acc7e9ca3e5a6e108d574d5561b416ace118a13a8019ce8b"),
+    ("X", 6, True, True, 249, "24d3db8e4aeee69fe5f84effee40144f00e7f6513858644a2d1a9e5def93589a"),
+    ("S1", 6, True, True, 148, "bdd2ba4f7bc03afe4b664ce770c1ca30c1cc882e36e95f272b8b91f10e02a333"),
+    ("S2", 6, True, True, 358, "bfd955f8137db51200dedf7087e2fd1e9e00c71c0558464cd2ac17a0e637f551"),
     ("CI", 1, False, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
     ("CI", 2, False, True, 3, "3ed4a642113cf42947a03faf5b936d1901a2ebd6782abb62ef33249e8983adf0"),
     ("CI", 3, False, True, 138, "746e05f1267e4cfc913f29c978d797aa7e37756376be741615d096a39cc5dd36"),
