@@ -46,10 +46,21 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prod:
     left: "Term"
     right: "Term"
+
+    # Equality and hashing go through the postfix signature rather than the
+    # recursive dataclass defaults, so terms of any depth can be compared
+    # and used as cache keys.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Prod):
+            return NotImplemented
+        return self is other or _signature(self) == _signature(other)
+
+    def __hash__(self) -> int:
+        return hash(_signature(self))
 
     def __str__(self) -> str:
         out: list[str] = []
@@ -81,6 +92,15 @@ def postorder(t: Term) -> Iterator[Term]:
             stack.append((u.left, False))
 
 
+def _signature(t: Term) -> tuple[str | None, ...]:
+    """Postfix listing of t: variable names, None for each product.
+
+    Postfix notation is unambiguous for binary trees, so two terms are equal
+    exactly when their signatures are.
+    """
+    return tuple(u.name if isinstance(u, Var) else None for u in postorder(t))
+
+
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names of t in order of first occurrence."""
     return tuple(dict.fromkeys(u.name for u in postorder(t) if isinstance(u, Var)))
@@ -93,42 +113,48 @@ def parse_term(text: str) -> Term:
     like 'a*b*c' associate to the left.
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def parse_expr() -> Term:
-        nonlocal pos
-        t = parse_primary()
-        while pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            t = Prod(t, parse_primary())
-        return t
-
-    def parse_primary() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"unexpected end of term: {text!r}")
-        tok = tokens[pos]
-        if tok == "(":
-            pos += 1
-            left = parse_expr()
-            if pos < len(tokens) and tokens[pos] == ")":
-                # grouping parens around a single (star) expression
-                pos += 1
-                return left
-            right = parse_expr()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValueError(f"missing ')' in term: {text!r}")
-            pos += 1
-            return Prod(left, right)
-        if tok in (")", "*"):
-            raise ValueError(f"unexpected {tok!r} in term: {text!r}")
-        pos += 1
-        return Var(tok)
-
-    result = parse_expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in term: {text!r}")
-    return result
+    # One frame for the whole text and one per open '(': the finished first
+    # operand inside the parentheses, if any, the star chain being built,
+    # and whether a '*' still waits for its right operand. An explicit stack
+    # rather than recursion, so nesting of any depth parses.
+    frames: list[list] = [[None, None, False]]
+    for tok in tokens:
+        frame = frames[-1]
+        first, cur, star = frame
+        if tok == "*":
+            if cur is None or star:
+                raise ValueError(f"unexpected '*' in term: {text!r}")
+            frame[2] = True
+            continue
+        if tok == ")":
+            if cur is None or star:
+                raise ValueError(f"unexpected ')' in term: {text!r}")
+            if len(frames) == 1:
+                raise ValueError(f"trailing tokens in term: {text!r}")
+            frames.pop()
+            # '(a b)' is a product, '(a)' just groups
+            t = cur if first is None else Prod(first, cur)
+        else:
+            if cur is not None and not star:
+                # a second operand starts inside '(...)'
+                if len(frames) == 1:
+                    raise ValueError(f"trailing tokens in term: {text!r}")
+                if first is not None:
+                    raise ValueError(f"missing ')' in term: {text!r}")
+                frame[0], frame[1] = cur, None
+            if tok == "(":
+                frames.append([None, None, False])
+                continue
+            t = Var(tok)
+        frame = frames[-1]
+        frame[1] = Prod(frame[1], t) if frame[2] else t
+        frame[2] = False
+    first, cur, star = frames[-1]
+    if cur is None or star or (len(frames) > 1 and first is None):
+        raise ValueError(f"unexpected end of term: {text!r}")
+    if len(frames) > 1:
+        raise ValueError(f"missing ')' in term: {text!r}")
+    return cur
 
 
 def _tokenize(text: str) -> list[str]:

@@ -1,25 +1,36 @@
 """Exhaustive enumeration of small groupoids up to isomorphism.
 
 The enumerator fills upper-triangle cells in row-major order (full rows when
-commutativity is off), propagating idempotence and commutativity eagerly and
-testing required identities on every assignment whose value is already
-determined by the partial table. That table has one extra element, n, for
-"unknown": unfilled cells hold n and row n and column n are all n, so the
-ordinary term evaluator carries an unknown operand through every later
-product and returns n exactly when a value is not yet determined. Leaves
-are emitted only when they equal their own canonical form, which makes the
-output stream duplicate-free and lexicographically sorted without any
-post-hoc merge.
+commutativity is off), propagating idempotence and commutativity eagerly.
+Its partial table has one extra element per free cell: unfilled cell k
+holds the sentinel n+k, row u >= n is all u, and column u >= n of the rows
+below n is u. The ordinary term evaluator therefore returns a value below n
+when a term's value is determined, and otherwise the sentinel of the first
+unfilled cell the evaluation needed.
 
-Tables here are small (n <= 6), so isomorphism rejection by brute-force
-minimization over all n! relabelings is affordable and simple.
+Required identities are ground once, over every assignment, and each
+instance sits on the watch list of a cell it is blocked on, all of them on
+cell 0 at the start. Filling a cell re-evaluates only that cell's watchers
+(the scheme of Mace4 and SEM): an instance whose two sides are known and
+differ prunes the branch, one whose sides agree is dropped, and one still
+undecided moves to the watch list of a later cell it is blocked on. A
+trail undoes the moves on backtrack. Every instance is thus checked at the
+first node where both sides are determined, as if all pending instances
+were re-evaluated after each cell.
+
+Leaves are emitted only when they equal their own canonical form, which
+makes the output stream duplicate-free and lexicographically sorted without
+any post-hoc merge. The canonical form is the exact lexicographically least
+relabeling, found by branch and bound over relabelings: labels are placed
+one at a time and a branch is cut as soon as the known prefix of its
+image's first row exceeds the best image found so far.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from cigroupoids.core import (
@@ -41,22 +52,60 @@ MAX_N_CONSTRAINED = 6
 MAX_N_UNCONSTRAINED = 5
 
 
-def _relabel(rows: Sequence[Sequence[int]], perm: Sequence[int]) -> tuple[int, ...]:
-    """Flat row-major image of the table under the carrier permutation."""
-    n = len(rows)
-    inv = [0] * n
-    for a, pa in enumerate(perm):
-        inv[pa] = a
-    return tuple(
-        perm[rows[inv[i]][inv[j]]] for i in range(n) for j in range(n)
-    )
-
-
 def canonical_form(g: CayleyTable) -> CayleyTable:
-    """Lexicographically least relabeling; equal iff isomorphic."""
+    """Lexicographically least relabeling; equal iff isomorphic.
+
+    Branch and bound over relabelings: new labels 0, 1, ... are handed out
+    to old elements one at a time. With k labels placed, entry j < k of row
+    0 of the image is known exactly when the old element it names is
+    placed, and is at least k otherwise. A branch whose known prefix is
+    already larger than the best image found so far is cut; full images
+    are compared only at the leaves.
+    """
     n = g.n
-    best = min(_relabel(g.rows, perm) for perm in itertools.permutations(range(n)))
-    return CayleyTable([best[i * n : (i + 1) * n] for i in range(n)])
+    rows = g.rows
+    best = [list(row) for row in rows]
+    label = [-1] * n  # old element -> new label, -1 while unplaced
+    order: list[int] = []  # new label -> old element
+
+    def prefix_larger(k: int) -> bool:
+        top = rows[order[0]]
+        first = best[0]
+        for j in range(k):
+            v = label[top[order[j]]]
+            b = first[j]
+            if v < 0:
+                return b < k
+            if v != b:
+                return v > b
+        return False
+
+    def leaf() -> None:
+        for i in range(n):
+            row = rows[order[i]]
+            image = [label[row[c]] for c in order]
+            if image != best[i]:
+                if image < best[i]:
+                    best[i:] = [image] + [
+                        [label[rows[a][c]] for c in order] for a in order[i + 1 :]
+                    ]
+                return
+
+    def place(k: int) -> None:
+        if k == n:
+            leaf()
+            return
+        for e in range(n):
+            if label[e] < 0:
+                label[e] = k
+                order.append(e)
+                if not prefix_larger(k + 1):
+                    place(k + 1)
+                order.pop()
+                label[e] = -1
+
+    place(0)
+    return CayleyTable(best)
 
 
 @dataclass(frozen=True)
@@ -74,18 +123,6 @@ class SearchSpec:
         forb = {(i.lhs, i.rhs) for i in self.forbid}
         if req & forb:
             raise ValueError("require and forbid overlap")
-
-
-class _Constraint:
-    """A required identity compiled, with the assignments still to check."""
-
-    __slots__ = ("lhs", "rhs", "assignments")
-
-    def __init__(self, ident: Identity, n: int):
-        names = tuple(sorted(set(variables(ident.lhs)) | set(variables(ident.rhs))))
-        self.lhs = compile_term(ident.lhs, names)
-        self.rhs = compile_term(ident.rhs, names)
-        self.assignments = list(itertools.product(range(n), repeat=len(names)))
 
 
 def _free_cells(n: int, commutative: bool, idempotent: bool) -> list[tuple[int, int]]:
@@ -107,14 +144,36 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds the supported bound {bound}")
 
-    rows = [[n] * (n + 1) for _ in range(n + 1)]
+    if n == 1:
+        g = CayleyTable([[0]])
+        if all(check_identity(g, r) for r in spec.require) and all(
+            not check_identity(g, f) for f in spec.forbid
+        ):
+            yield g
+        return
+
+    cells = _free_cells(n, spec.commutative, spec.idempotent)
+    size = n + len(cells)
+    rows = [list(range(size)) for _ in range(n)]
+    rows += [[u] * size for u in range(n, size)]
     if spec.idempotent:
         for i in range(n):
             rows[i][i] = i
-    cells = _free_cells(n, spec.commutative, spec.idempotent)
-    constraints = [_Constraint(ident, n) for ident in spec.require]
-    constraints.sort(key=lambda c: len(c.assignments))
-    pendings = [c.assignments for c in constraints]
+    for k, (i, j) in enumerate(cells):
+        rows[i][j] = n + k
+        if spec.commutative:
+            rows[j][i] = n + k
+
+    # watch[k] holds the ground instances (lhs, rhs, assignment) blocked on
+    # cell k; all start on cell 0 and move forward as cells are filled.
+    watch: list[list[tuple]] = [[] for _ in cells]
+    for ident in spec.require:
+        names = tuple(sorted(set(variables(ident.lhs)) | set(variables(ident.rhs))))
+        lhs = compile_term(ident.lhs, names)
+        rhs = compile_term(ident.rhs, names)
+        watch[0].extend(
+            (lhs, rhs, asg) for asg in itertools.product(range(n), repeat=len(names))
+        )
 
     transpositions = []
     for a in range(n):
@@ -133,10 +192,10 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
                 image = rows[perm[i]]
                 for j in range(n):
                     v = row[j]
-                    if v == n:
+                    if v >= n:
                         break
                     w = image[perm[j]]
-                    if w == n:
+                    if w >= n:
                         break
                     w = perm[w]
                     if v != w:
@@ -148,48 +207,44 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
                 break
         return False
 
-    def descend(depth: int, pendings: list[list[tuple[int, ...]]]) -> Iterator[CayleyTable]:
+    def descend(depth: int) -> Iterator[CayleyTable]:
         if depth == len(cells):
-            if all(not p for p in pendings):
-                g = CayleyTable(r[:n] for r in rows[:n])
-                if g == canonical_form(g):
-                    if all(not check_identity(g, f) for f in spec.forbid):
-                        yield g
+            g = CayleyTable(r[:n] for r in rows[:n])
+            if g == canonical_form(g):
+                if all(not check_identity(g, f) for f in spec.forbid):
+                    yield g
             return
         i, j = cells[depth]
+        watchers = watch[depth]
         for v in range(n):
             rows[i][j] = v
             if spec.commutative:
                 rows[j][i] = v
+            # every watcher is either decided now or blocked on a later
+            # cell; the trail records the moves so they can be undone
+            trail: list[list[tuple]] = []
             ok = True
-            new_pendings: list[list[tuple[int, ...]]] = []
-            for c, pending in zip(constraints, pendings):
-                keep: list[tuple[int, ...]] = []
-                for asg in pending:
-                    a = eval_postfix(c.lhs, asg, rows)
-                    b = eval_postfix(c.rhs, asg, rows)
-                    if a == n or b == n:
-                        keep.append(asg)
-                    elif a != b:
-                        ok = False
-                        break
-                if not ok:
+            for inst in watchers:
+                lhs, rhs, asg = inst
+                a = eval_postfix(lhs, asg, rows)
+                b = eval_postfix(rhs, asg, rows)
+                blocked = a if a > b else b
+                if blocked >= n:
+                    later = watch[blocked - n]
+                    later.append(inst)
+                    trail.append(later)
+                elif a != b:
+                    ok = False
                     break
-                new_pendings.append(keep)
             if ok and not not_minimal_prefix():
-                yield from descend(depth + 1, new_pendings)
-        rows[i][j] = n
+                yield from descend(depth + 1)
+            for later in trail:
+                later.pop()
+        rows[i][j] = n + depth
         if spec.commutative:
-            rows[j][i] = n
+            rows[j][i] = n + depth
 
-    if n == 1:
-        g = CayleyTable([[0]])
-        if all(check_identity(g, r) for r in spec.require) and all(
-            not check_identity(g, f) for f in spec.forbid
-        ):
-            yield g
-        return
-    yield from descend(0, pendings)
+    yield from descend(0)
 
 
 @functools.lru_cache(maxsize=1024)

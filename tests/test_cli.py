@@ -74,6 +74,30 @@ def test_deep_star_chain_terms(capsys, depth):
     assert out.startswith("P1 ")
 
 
+@pytest.mark.parametrize("depth", [5000, 5001])
+def test_deep_parenthesised_terms(capsys, depth):
+    # ((...(x y) y)...) nests `depth` parentheses; it is the same term as the
+    # star chain x*y*...*y, so the output must match the chain's exactly.
+    assert depth > sys.getrecursionlimit()
+    nested = "(" * depth + "x" + " y)" * depth
+    chain = "x" + "*y" * depth
+    got = run(capsys, "alg", "check", f"{nested} = x", "fig4a")
+    assert got == run(capsys, "alg", "check", f"{chain} = x", "fig4a")
+    assert got[0] == (0 if depth % 2 == 0 else 1)
+
+
+@pytest.mark.parametrize("depth, short", [(5000, "x*y*y"), (5001, "x*y")])
+def test_deep_required_identity_in_enumerate(capsys, depth, short):
+    # At n=3 a right translation x -> xy that is a bijection fixes y (y*y = y),
+    # so its order is 1 or 2. Hence x*y^5000 = x holds exactly when
+    # x*y^2 = x does, and x*y^5001 = x exactly when x*y = x does.
+    assert depth > sys.getrecursionlimit()
+    chain = "x" + "*y" * depth
+    got = run(capsys, "alg", "enumerate", "-n", "3", "--require", f"{chain} = x")
+    assert got == run(capsys, "alg", "enumerate", "-n", "3", "--require", f"{short} = x")
+    assert got[0] == 0
+
+
 def test_check_bad_identity_is_usage_error(capsys):
     rc, _, err = run(capsys, "alg", "check", "Z99", "fig4a")
     assert rc == 2

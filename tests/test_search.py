@@ -2,13 +2,16 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from cigroupoids.bolmoufang import bm, decode
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
+    DISTRIBUTIVE_LAW,
     SQUAG_LAW,
+    TWO_SEMILATTICE_LAW,
     BoundExceeded,
     CayleyTable,
     check_identity,
@@ -60,6 +63,80 @@ def test_fig2a_fig4a_not_isomorphic():
     assert canonical_form(load_fixture("fig2a")) != canonical_form(SQUAG)
 
 
+def naive_canonical(g):
+    """Lexicographically least relabeling, minimized over all n! permutations."""
+    n = g.n
+
+    def image(perm):
+        inv = [0] * n
+        for a, pa in enumerate(perm):
+            inv[pa] = a
+        return tuple(perm[g.rows[inv[i]][inv[j]]] for i in range(n) for j in range(n))
+
+    best = min(image(perm) for perm in itertools.permutations(range(n)))
+    return CayleyTable([best[i * n : (i + 1) * n] for i in range(n)])
+
+
+def random_table(rng, n, commutative, idempotent):
+    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if commutative:
+                rows[i][j] = rows[j][i]
+        if idempotent:
+            rows[i][i] = i
+    return CayleyTable(rows)
+
+
+def tie_heavy_table(rng, n):
+    """Tables with large automorphism groups or many equal entries."""
+    kind = rng.choice(["semilattice", "near-semilattice", "left-zero", "constant-rows"])
+    if kind == "left-zero":
+        rows = [[i] * n for i in range(n)]
+    elif kind == "constant-rows":
+        rows = [[rng.randrange(n)] * n for _ in range(n)]
+    else:
+        # meet in a random rooted tree: nearest common ancestor
+        parent = [0] + [rng.randrange(i) for i in range(1, n)]
+
+        def ancestors(a):
+            out = [a]
+            while a:
+                a = parent[a]
+                out.append(a)
+            return out
+
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            up = ancestors(a)
+            for b in range(n):
+                rows[a][b] = max(set(up) & set(ancestors(b)))
+        if kind == "near-semilattice" and n > 1:
+            a, b = rng.sample(range(n), 2)
+            rows[a][b] = rows[b][a] = rng.randrange(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permute(CayleyTable(rows), perm)
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("idempotent", [True, False])
+def test_canonical_matches_naive_oracle_random(commutative, idempotent):
+    rng = random.Random(20150101 + 2 * commutative + idempotent)
+    for n in range(1, 7):
+        for _ in range(150 if n < 6 else 60):
+            g = random_table(rng, n, commutative, idempotent)
+            assert canonical_form(g) == naive_canonical(g), g
+
+
+def test_canonical_matches_naive_oracle_tie_heavy():
+    rng = random.Random(1995)
+    for n in range(1, 7):
+        for _ in range(150 if n < 6 else 100):
+            g = tie_heavy_table(rng, n)
+            assert canonical_form(g) == naive_canonical(g), g
+
+
 # --- enumeration ---------------------------------------------------------
 
 
@@ -85,22 +162,26 @@ def test_single_2_element_ci_groupoid():
     assert check_property(models[0], "semilattice")
 
 
-def naive_enumerate(n, require=(), forbid=()):
-    """Generate every CI table outright, filter, and dedup by canonical form."""
-    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+def naive_enumerate(n, require=(), forbid=(), commutative=True, idempotent=True):
+    """Generate every table outright, filter, and dedup by the naive canonical form."""
+    cells = [
+        (i, j)
+        for i in range(n)
+        for j in range(i if commutative else 0, n)
+        if not (idempotent and i == j)
+    ]
     seen = set()
     for vals in itertools.product(range(n), repeat=len(cells)):
-        rows = [[i if i == j else -1 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            rows[i][i] = i
+        rows = [[i] * n for i in range(n)]
         for (i, j), v in zip(cells, vals):
             rows[i][j] = v
-            rows[j][i] = v
+            if commutative:
+                rows[j][i] = v
         g = CayleyTable(rows)
         if all(check_identity(g, r) for r in require) and all(
             not check_identity(g, f) for f in forbid
         ):
-            seen.add(canonical_form(g))
+            seen.add(naive_canonical(g))
     return sorted(seen, key=lambda t: t.rows)
 
 
@@ -119,6 +200,33 @@ def test_matches_naive_oracle_constrained():
     fast = list(enumerate_models(SearchSpec(n=3, forbid=(ASSOCIATIVE_LAW,))))
     slow = naive_enumerate(3, forbid=(ASSOCIATIVE_LAW,))
     assert fast == slow
+
+
+# Required identities whose ground instances move between watch lists as
+# cells are filled: the golden streams only see their combined effect.
+@pytest.mark.parametrize(
+    "n, require, commutative, idempotent",
+    [
+        (4, (decode(bm("C15")),), True, True),
+        (4, (decode(bm("A14")),), True, True),
+        (4, (TWO_SEMILATTICE_LAW, DISTRIBUTIVE_LAW), True, True),
+        (3, (decode(bm("C15")),), False, True),
+        (3, (DISTRIBUTIVE_LAW,), False, True),
+        (3, (ASSOCIATIVE_LAW,), True, False),
+    ],
+    ids=["C15-n4", "A14-n4", "2SL+CID-n4", "C15-n3-noncomm", "CID-n3-noncomm",
+         "assoc-n3-nonidem"],
+)
+def test_watch_lists_match_naive_oracle(n, require, commutative, idempotent):
+    spec = SearchSpec(
+        n=n, require=require, commutative=commutative, idempotent=idempotent
+    )
+    fast = list(enumerate_models(spec))
+    slow = naive_enumerate(
+        n, require=require, commutative=commutative, idempotent=idempotent
+    )
+    assert fast == slow
+    assert fast
 
 
 def test_stream_sorted_and_canonical():
