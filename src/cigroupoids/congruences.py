@@ -2,9 +2,34 @@
 
 A congruence is stored as a block-id array: block_of[x] is the id of the
 class containing x, with ids normalized so that they appear in increasing
-order of least element. The congruence lattice is generated from principal
-congruences, which suffices because every congruence is the join of the
-principal ones it contains.
+order of least element. Equivalences are generated through one union-find,
+`_find` with path halving, shared by `from_pairs`, `principal_congruence`
+and `join`.
+
+The lattice is built from the distinct principal congruences Cg(a, b),
+following Freese, "Computing congruences efficiently" (Algebra Universalis,
+2008). Every congruence is the join of the principal ones it contains, so a
+worklist reaches them all: each element found is joined once with each
+principal congruence, never with the other elements, which takes O(L*P)
+joins for L congruences and P principal ones.
+
+Meet-semidistributivity, SD(∧), says x∧y = x∧z implies x∧(y∨z) = x∧y.
+`is_sd_meet` groups, for each x, the elements z by the meet x∧z and checks
+that x meets the join of each group G in the group's key m. The two agree:
+if SD(∧) holds, G is closed under binary joins, so ∨G lies in G.
+Conversely, if x∧(∨G) = m, then for y, z in G, m = x∧y ≤ x∧(y∨z) ≤
+x∧(∨G) = m. It suffices to take x join-irreducible: if SD(∧) fails at x,
+y, z with x∧y = x∧z = m, let j be minimal among the join-irreducibles
+below x∧(y∨z) but not below m. The join-irreducibles below its lower cover
+j_* are below m, so j_* ≤ m; and j ≰ y, z, or else j ≤ x∧y = m. So
+j∧y = j∧z = j_* while j∧(y∨z) = j. Join-irreducible congruences are principal, so x runs
+over the principal congruences only: O(P*L) meets and joins instead of the
+O(L^3) of the triple definition.
+
+The order facts come from the principal congruences too. Every cover f ≺ e
+has the form e = f∨p for a principal p, so `height` is a longest path over
+the edges f -> f∨p, walked finest first. Every atom is principal (it is
+Cg(a, b) for any pair it identifies), so `atoms` are the minimal ones.
 """
 
 from __future__ import annotations
@@ -26,14 +51,18 @@ class NotACongruence(Exception):
         self.witness = witness
 
 
-def _normalize(block_of: list[int]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for b in block_of:
-        if b not in relabel:
-            relabel[b] = len(relabel)
-        out.append(relabel[b])
-    return tuple(out)
+def _normalize(labels) -> tuple[int, ...]:
+    """Relabel hashable labels 0, 1, ... in order of first occurrence."""
+    relabel: dict = {}
+    return tuple([relabel.setdefault(b, len(relabel)) for b in labels])
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -78,18 +107,11 @@ def full_congruence(n: int) -> PartitionCongruence:
 def from_pairs(n: int, pairs) -> PartitionCongruence:
     """Equivalence generated by the pairs (no compatibility check)."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
-    return PartitionCongruence(n, _normalize([find(x) for x in range(n)]))
+    return PartitionCongruence(n, _normalize([_find(parent, x) for x in range(n)]))
 
 
 def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tuple | None]:
@@ -113,18 +135,12 @@ def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
     transitivity for free.
     """
     n = g.n
+    rows = g.rows
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     work: list[tuple[int, int]] = []
 
     def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx != ry:
             parent[rx] = ry
             work.append((x, y))
@@ -136,29 +152,27 @@ def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
     while work:
         x, y = work.pop()
         for c in range(n):
-            union(g.rows[x][c], g.rows[y][c])
-            union(g.rows[c][x], g.rows[c][y])
-    return PartitionCongruence(n, _normalize([find(x) for x in range(n)]))
+            union(rows[x][c], rows[y][c])
+            union(rows[c][x], rows[c][y])
+    return PartitionCongruence(n, _normalize([_find(parent, x) for x in range(n)]))
 
 
 def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
-    """Transitive closure of the union."""
-    pairs = []
-    for part in (p, q):
-        for blk in part.blocks():
-            pairs.extend(zip(blk, blk[1:]))
-    return from_pairs(p.n, pairs)
+    """Transitive closure of the union: p's blocks merged along q's blocks."""
+    p_of = p.block_of
+    parent = list(range(p.n))  # over p's block ids
+    first: dict[int, int] = {}  # q-block -> p-block of its least element
+    for a, b in zip(p_of, q.block_of):
+        r = first.setdefault(b, a)
+        if r != a:
+            ra, rb = _find(parent, r), _find(parent, a)
+            if ra != rb:
+                parent[ra] = rb
+    return PartitionCongruence(p.n, _normalize([_find(parent, a) for a in p_of]))
 
 
 def meet(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
-    keyed = [(p.block_of[x], q.block_of[x]) for x in range(p.n)]
-    ids: dict[tuple[int, int], int] = {}
-    out = []
-    for k in keyed:
-        if k not in ids:
-            ids[k] = len(ids)
-        out.append(ids[k])
-    return PartitionCongruence(p.n, _normalize(out))
+    return PartitionCongruence(p.n, _normalize(zip(p.block_of, q.block_of)))
 
 
 def leq(p: PartitionCongruence, q: PartitionCongruence) -> bool:
@@ -166,32 +180,41 @@ def leq(p: PartitionCongruence, q: PartitionCongruence) -> bool:
     return meet(p, q) == p
 
 
+def _lattice_order(e: PartitionCongruence) -> tuple:
+    """Sort key, reversed: most blocks (finest) first, so f < e puts f before e."""
+    return (e.num_blocks, e.block_of)
+
+
 @dataclass(frozen=True)
 class CongruenceLattice:
+    """All congruences, finest first, and the distinct nontrivial principal
+    congruences among them, in the same order."""
+
     n: int
     elements: tuple[PartitionCongruence, ...]
+    principals: tuple[PartitionCongruence, ...]
 
     def height(self) -> int:
-        """Length (edge count) of the longest chain."""
-        order = sorted(self.elements, key=lambda e: e.num_blocks, reverse=True)
-        depth = {e: 0 for e in order}
-        for i, e in enumerate(order):
-            for f in order[:i]:
-                if f != e and leq(f, e):
-                    depth[e] = max(depth[e], depth[f] + 1)
+        """Length (edge count) of the longest chain.
+
+        A longest path over the edges f -> f∨p; the stored order lists each
+        element after everything below it, so one forward walk settles it.
+        """
+        depth = dict.fromkeys(self.elements, 0)
+        for f in self.elements:
+            for p in self.principals:
+                e = join(f, p)
+                if e != f and depth[e] <= depth[f]:
+                    depth[e] = depth[f] + 1
         return max(depth.values())
 
     def atoms(self) -> list[PartitionCongruence]:
-        delta = identity_congruence(self.n)
-        out = []
-        for e in self.elements:
-            if e == delta:
-                continue
-            if not any(
-                f != delta and f != e and leq(f, e) for f in self.elements
-            ):
-                out.append(e)
-        return out
+        """The minimal nontrivial principal congruences, in lattice order."""
+        return [
+            e
+            for e in self.principals
+            if not any(f != e and leq(f, e) for f in self.principals)
+        ]
 
 
 def all_congruences(g: CayleyTable) -> CongruenceLattice:
@@ -199,29 +222,37 @@ def all_congruences(g: CayleyTable) -> CongruenceLattice:
     n = g.n
     if n > MAX_N_CONGRUENCES:
         raise BoundExceeded(f"n={n} exceeds the congruence bound {MAX_N_CONGRUENCES}")
-    found = {identity_congruence(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.add(principal_congruence(g, a, b))
-    changed = True
-    while changed:
-        changed = False
-        current = list(found)
-        for p, q in itertools.combinations(current, 2):
-            j = join(p, q)
-            if j not in found:
-                found.add(j)
-                changed = True
-    ordered = sorted(found, key=lambda e: (e.num_blocks, e.block_of), reverse=True)
-    return CongruenceLattice(n, tuple(ordered))
+    principals = list(
+        dict.fromkeys(
+            principal_congruence(g, a, b) for a in range(n) for b in range(a + 1, n)
+        )
+    )
+    found = {identity_congruence(n), *principals}
+    work = list(principals)
+    while work:
+        f = work.pop()
+        for p in principals:
+            e = join(f, p)
+            if e not in found:
+                found.add(e)
+                work.append(e)
+    return CongruenceLattice(
+        n,
+        tuple(sorted(found, key=_lattice_order, reverse=True)),
+        tuple(sorted(principals, key=_lattice_order, reverse=True)),
+    )
 
 
 def is_sd_meet(lat: CongruenceLattice) -> bool:
-    """Meet-semidistributivity, checked over all element triples."""
-    for x, y, z in itertools.product(lat.elements, repeat=3):
-        if meet(x, y) == meet(x, z):
-            if meet(x, join(y, z)) != meet(x, y):
-                return False
+    """Meet-semidistributivity: for each principal x, join the classes of z under x∧z."""
+    for x in lat.principals:
+        joins: dict[PartitionCongruence, PartitionCongruence] = {}
+        for z in lat.elements:
+            m = meet(x, z)
+            j = joins.get(m)
+            joins[m] = z if j is None else join(j, z)
+        if any(meet(x, j) != m for m, j in joins.items()):
+            return False
     return True
 
 

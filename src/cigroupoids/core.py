@@ -63,14 +63,14 @@ class Prod:
         return hash(_signature(self))
 
     def __str__(self) -> str:
-        out: list[str] = []
-        for u in postorder(self):
-            if isinstance(u, Var):
-                out.append(u.name)
-            else:
-                right = out.pop()
-                out[-1] = f"({out[-1]} {right})"
-        return out[0]
+        return _render(self, lambda v: v.name, "({} {})".format)
+
+    # The dataclass repr and pickling recurse; these do not.
+    def __repr__(self) -> str:
+        return _render(self, repr, "Prod(left={}, right={})".format)
+
+    def __reduce__(self):
+        return _from_signature, (_signature(self),)
 
 
 Term = Var | Prod
@@ -99,6 +99,30 @@ def _signature(t: Term) -> tuple[str | None, ...]:
     exactly when their signatures are.
     """
     return tuple(u.name if isinstance(u, Var) else None for u in postorder(t))
+
+
+def _from_signature(sig: tuple[str | None, ...]) -> Term:
+    """The term whose postfix signature is sig; inverse of `_signature`."""
+    stack: list[Term] = []
+    for name in sig:
+        if name is None:
+            right = stack.pop()
+            stack[-1] = Prod(stack[-1], right)
+        else:
+            stack.append(Var(name))
+    return stack[0]
+
+
+def _render(t: Term, leaf, node) -> str:
+    """Fold t into a string bottom up: leaf(v) for a variable, node(l, r) for a product."""
+    out: list[str] = []
+    for u in postorder(t):
+        if isinstance(u, Var):
+            out.append(leaf(u))
+        else:
+            right = out.pop()
+            out[-1] = node(out[-1], right)
+    return out[0]
 
 
 def variables(t: Term) -> tuple[str, ...]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from cigroupoids.cli import build_parser, entry, main
-from cigroupoids.core import format_alg, load_fixture, parse_alg
+from cigroupoids.core import CayleyTable, format_alg, load_fixture, parse_alg
 from cigroupoids.csp import parse_csp, solve_brute
 from cigroupoids.plonka import adjoin_infinity
 
@@ -168,6 +168,23 @@ def test_congruences_summary(capsys):
     assert got == {
         "elements": "4", "atoms": "1", "height": "3", "sd-meet": "true",
     }
+
+
+def test_congruences_fixture_tsv(capsys):
+    rc, out, _ = run(capsys, "--format", "tsv", "alg", "congruences", "fig3a")
+    assert rc == 0
+    assert out == "elements\t5\natoms\t1\nheight\t3\nsd-meet\ttrue\n"
+
+
+def test_congruences_chain4_x_chain3(capsys, tmp_path):
+    # The semilattice 4-chain x 3-chain: 12 elements, inside the n <= 12
+    # bound, with 533 congruences.
+    rows = [[max(x // 3, y // 3) * 3 + max(x % 3, y % 3) for y in range(12)] for x in range(12)]
+    path = tmp_path / "chain4x3.alg"
+    path.write_text(format_alg(CayleyTable(rows)))
+    rc, out, _ = run(capsys, "alg", "congruences", str(path))
+    assert rc == 0
+    assert out == "elements 533\natoms 5\nheight 11\nsd-meet true\n"
 
 
 def test_table_from_stdin(capsys, monkeypatch):

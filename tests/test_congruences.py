@@ -1,6 +1,13 @@
-"""Tests for congruence computation and the lattice predicates."""
+"""Tests for congruence computation and the lattice predicates.
+
+The fast lattice code is checked against the slow definitions it replaced,
+kept here as oracles: the all-pairs join closure, the filter of all set
+partitions by compatibility, SD(∧) over every triple, and the height and
+atoms read off the refinement order.
+"""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,8 +27,15 @@ from cigroupoids.congruences import (
     principal_congruence,
     quotient_table,
 )
-from cigroupoids.core import BoundExceeded, CayleyTable, load_fixture, product_algebra
+from cigroupoids.core import (
+    FIXTURE_NAMES,
+    BoundExceeded,
+    CayleyTable,
+    load_fixture,
+    product_algebra,
+)
 from cigroupoids.plonka import adjoin_infinity
+from cigroupoids.suites import reduction_templates
 
 SQUAG = load_fixture("fig4a")
 MEET2 = CayleyTable([[0, 0], [0, 1]])
@@ -156,3 +170,199 @@ def test_partition_normalization_enforced():
         PartitionCongruence(3, (1, 0, 0))
     with pytest.raises(ValueError):
         PartitionCongruence(3, (0, 1))
+
+
+# --- oracles: the definitions the lattice code replaced ------------------
+
+
+def chain(n):
+    return CayleyTable([[max(a, b) for b in range(n)] for a in range(n)])
+
+
+def left_zero(n):
+    return CayleyTable([[a] * n for a in range(n)])
+
+
+def naive_join(p, q):
+    """Equivalence generated by both partitions' blocks."""
+    pairs = [pr for part in (p, q) for blk in part.blocks() for pr in zip(blk, blk[1:])]
+    return from_pairs(p.n, pairs)
+
+
+def naive_meet(p, q):
+    pairs = [
+        (x, y)
+        for x, y in itertools.combinations(range(p.n), 2)
+        if p.related(x, y) and q.related(x, y)
+    ]
+    return from_pairs(p.n, pairs)
+
+
+def naive_leq(p, q):
+    return all(
+        q.related(x, y)
+        for x, y in itertools.combinations(range(p.n), 2)
+        if p.related(x, y)
+    )
+
+
+def naive_all_congruences(g):
+    """Principal congruences, then every pair re-joined until nothing is new."""
+    n = g.n
+    found = {identity_congruence(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            found.add(principal_congruence(g, a, b))
+    changed = True
+    while changed:
+        changed = False
+        for p, q in itertools.combinations(list(found), 2):
+            j = naive_join(p, q)
+            if j not in found:
+                found.add(j)
+                changed = True
+    return tuple(sorted(found, key=lambda e: (e.num_blocks, e.block_of), reverse=True))
+
+
+def set_partitions(n):
+    """Every partition of range(n), as a normalized block array."""
+    def grow(prefix, top):
+        if len(prefix) == n:
+            yield PartitionCongruence(n, tuple(prefix))
+            return
+        for b in range(top + 2):
+            yield from grow(prefix + [b], max(top, b))
+
+    yield from grow([0], 0)
+
+
+def filtered_partitions(g):
+    return {p for p in set_partitions(g.n) if is_compatible(g, p)[0]}
+
+
+def naive_height(elements):
+    order = sorted(elements, key=lambda e: e.num_blocks, reverse=True)
+    depth = {e: 0 for e in order}
+    for i, e in enumerate(order):
+        for f in order[:i]:
+            if f != e and naive_leq(f, e):
+                depth[e] = max(depth[e], depth[f] + 1)
+    return max(depth.values())
+
+
+def naive_atoms(elements):
+    delta = identity_congruence(elements[0].n)
+    return [
+        e
+        for e in elements
+        if e != delta
+        and not any(f != delta and f != e and naive_leq(f, e) for f in elements)
+    ]
+
+
+def naive_sd_meet(elements):
+    """x∧y = x∧z implies x∧(y∨z) = x∧y, over every triple (operations tabulated)."""
+    index = {e: i for i, e in enumerate(elements)}
+    m = [[index[naive_meet(p, q)] for q in elements] for p in elements]
+    j = [[index[naive_join(p, q)] for q in elements] for p in elements]
+    r = range(len(elements))
+    return all(
+        m[x][y] != m[x][z] or m[x][j[y][z]] == m[x][y]
+        for x in r
+        for y in r
+        for z in r
+    )
+
+
+def random_ci(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = a
+        for b in range(a + 1, n):
+            rows[a][b] = rows[b][a] = rng.randrange(n)
+    return CayleyTable(rows)
+
+
+def oracle_tables():
+    """Named tables whose lattices have at most 64 elements."""
+    rng = random.Random(2008)
+    out = [(name, load_fixture(name)) for name in FIXTURE_NAMES]
+    out += [(f"chain{n}", chain(n)) for n in range(1, 8)]
+    out += [(f"leftzero{n}", left_zero(n)) for n in range(1, 6)]
+    out += [
+        ("squag^2", product_algebra(SQUAG, SQUAG)),
+        ("squag x chain2", product_algebra(SQUAG, chain(2))),
+        ("squag x chain3", product_algebra(SQUAG, chain(3))),
+        ("squag x leftzero2", product_algebra(SQUAG, left_zero(2))),
+        ("leftzero3 x squag", product_algebra(left_zero(3), SQUAG)),
+        ("chain3 x leftzero2", product_algebra(chain(3), left_zero(2))),
+        ("t1-sum-6 x chain2", product_algebra(reduction_templates()["t1-sum-6"], chain(2))),
+        # SD(∧) fails at some principal congruences but not at the finest
+        # or the coarsest one
+        ("leftzero3 + 2 infinities", adjoin_infinity(adjoin_infinity(left_zero(3)))),
+        ("chain2 x (leftzero3 + infinity)", product_algebra(chain(2), adjoin_infinity(left_zero(3)))),
+    ]
+    out += [(f"random CI n={n} #{k}", random_ci(rng, n)) for n in range(2, 7) for k in range(8)]
+    out += [
+        (f"random CI {a}x{b} #{k}", product_algebra(random_ci(rng, a), random_ci(rng, b)))
+        for a, b in ((2, 2), (2, 3), (3, 3))
+        for k in range(3)
+    ]
+    return out
+
+
+ORACLE_TABLES = oracle_tables()
+ORACLE_IDS = [name for name, _ in ORACLE_TABLES]
+ORACLE_GS = [g for _, g in ORACLE_TABLES]
+
+
+@pytest.mark.parametrize("g", ORACLE_GS, ids=ORACLE_IDS)
+def test_lattice_matches_oracles(g):
+    lat = all_congruences(g)
+    elements = naive_all_congruences(g)
+    assert len(elements) <= 64
+    assert lat.elements == elements
+    if g.n <= 6:
+        assert set(elements) == filtered_partitions(g)
+    assert lat.height() == naive_height(elements)
+    assert lat.atoms() == naive_atoms(elements)
+    assert is_sd_meet(lat) == naive_sd_meet(elements)
+
+
+def test_principals_are_the_distinct_nontrivial_principal_congruences():
+    for g in ORACLE_GS:
+        lat = all_congruences(g)
+        expected = {principal_congruence(g, a, b) for a, b in itertools.combinations(range(g.n), 2)}
+        assert set(lat.principals) == expected
+        assert len(lat.principals) == len(expected)
+        assert list(lat.principals) == [e for e in lat.elements if e in expected]
+
+
+def test_join_and_meet_match_oracles():
+    rng = random.Random(4)
+    for n in range(1, 9):
+        parts = list(itertools.islice(set_partitions(n), 300))
+        for _ in range(200):
+            p, q = rng.choice(parts), rng.choice(parts)
+            assert join(p, q) == naive_join(p, q)
+            assert meet(p, q) == naive_meet(p, q)
+            assert leq(p, q) == naive_leq(p, q)
+
+
+# --- lattices past the old code's reach ----------------------------------
+# (the 4-chain x 3-chain, 533 congruences, is pinned through the CLI in
+# tests/test_cli.py)
+
+
+def test_chain8_sd_meet():
+    lat = all_congruences(chain(8))
+    assert len(lat.elements) == 2**7
+    assert (lat.height(), len(lat.atoms())) == (7, 7)
+    assert is_sd_meet(lat)
+
+
+def test_leftzero7_bell():
+    lat = all_congruences(left_zero(7))
+    assert len(lat.elements) == 877  # Bell(7): every partition is a congruence
+    assert (lat.height(), len(lat.atoms())) == (6, 21)
+    assert not is_sd_meet(lat)

@@ -1,6 +1,9 @@
 """Tests for tables, terms, evaluation, and the named predicates."""
 
+import copy
 import itertools
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,45 @@ def test_parse_identity_both_separators():
     assert i1 == i2
     assert is_regular(parse_identity("(x y) = (y x)"))
     assert not is_regular(parse_identity("(x (x y)) = y"))
+
+
+def naive_repr(t):
+    """The dataclass form of a term, written out recursively."""
+    if isinstance(t, Var):
+        return f"Var(name={t.name!r})"
+    return f"Prod(left={naive_repr(t.left)}, right={naive_repr(t.right)})"
+
+
+def test_repr_and_pickle_match_dataclass_form():
+    t = parse_term("((x y) (z x))")
+    assert repr(t) == (
+        "Prod(left=Prod(left=Var(name='x'), right=Var(name='y')), "
+        "right=Prod(left=Var(name='z'), right=Var(name='x')))"
+    )
+    shallow = [Var("x"), Var("y")]  # every term of depth <= 2 over x, y
+    for _ in range(2):
+        shallow += [Prod(a, b) for a in shallow for b in shallow]
+    for t in shallow:
+        assert repr(t) == naive_repr(t)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and repr(back) == repr(t)
+        assert type(back) is type(t)
+
+
+@pytest.mark.parametrize("depth", [5000, 5001])
+def test_deep_term_repr_and_pickle(depth):
+    # x*y*...*y nests `depth` products to the left, deeper than the default
+    # recursion limit.
+    assert depth > sys.getrecursionlimit()
+    ident = parse_identity("x" + "*y" * depth + " = x")
+    text = repr(ident)
+    assert text == (
+        "Identity(lhs=" + "Prod(left=" * depth + "Var(name='x')"
+        + ", right=Var(name='y'))" * depth + ", rhs=Var(name='x'))"
+    )
+    for back in (pickle.loads(pickle.dumps(ident)), copy.deepcopy(ident)):
+        assert back == ident
+        assert repr(back) == text
 
 
 # --- evaluation ----------------------------------------------------------
