@@ -2,9 +2,20 @@
 fiber-collapse reduction.
 
 Instances may be single-sorted (one carrier) or many-sorted (one carrier
-per sort, each variable assigned a sort by the domain function). Solvers
-are complete searches; the consistency solver prunes with (2,3)-consistency
-first but never trades away correctness.
+per sort, each variable assigned a sort by the domain function).
+
+Both solvers share one search, `_backtrack`: variables in index order, each
+taking the least value left in its candidate mask (an int, bit a for value
+a), with each constraint checked at its last variable. `solve_consistency`
+first runs `_propagate`: arc consistency on the constraints and PC-2 path
+consistency (Mackworth 1977) on pair relations, rows[(u, v)][a] being the
+mask of values of v allowed with u = a, kept with its transpose. A pair no
+constraint narrows is absent and means the full product of the domains. A
+worklist starts from the narrowed pairs; each pair (u, v) that shrinks
+revises R(u, w) through v and R(v, w) through u. A constraint is filtered
+again only when a domain or pair relation in its scope shrinks.
+Propagation removes no value or pair that a solution uses, so both solvers
+return the same lexicographically least solution.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
@@ -15,13 +26,19 @@ exactly when the original is.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 import random
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from cigroupoids.congruences import PartitionCongruence
-from cigroupoids.core import BoundExceeded, CayleyTable, Term, check_property
+from cigroupoids.core import (
+    BoundExceeded, CayleyTable, Term, check_property, product_algebra
+)
 from cigroupoids.plonka import (
     STANDARD_JOIN,
     NotPseudopartition,
@@ -225,168 +242,180 @@ def polymorphisms(
 # Solvers
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _backtrack(inst: CSPInstance, base: Sequence[int], rows: Mapping) -> Solution | None:
+    """The least solution inside the domain masks `base` and the pair
+    relations `rows`, trying each variable's candidates in ascending order."""
+    positions = {v: i for i, v in enumerate(inst.variables)}
+    # by_last[pos]: (getter of the earlier values, table from them to a mask)
+    by_last: list[list[tuple[Callable, dict]]] = [[] for _ in base]
+    for scope, rel in inst.constraints:
+        idxs = [positions[v] for v in scope]
+        last = max(idxs)
+        first = {u: idxs.index(u) for u in idxs}
+        earlier = [u for u in first if u < last]
+        get = operator.itemgetter(*earlier) if earlier else lambda _: ()
+        key_of = operator.itemgetter(*(first[u] for u in earlier)) if earlier else get
+        same = [(p, first[u]) for p, u in enumerate(idxs) if p != first[u]]
+        table: dict = {}
+        for t in rel.tuples:
+            if not same or all(t[p] == t[q] for p, q in same):
+                key = key_of(t)
+                table[key] = table.get(key, 0) | 1 << t[first[last]]
+        by_last[last].append((get, table))
+    for (u, v), row in rows.items():
+        if u < v:
+            by_last[v].append((operator.itemgetter(u), dict(enumerate(row))))
+
+    if not base:
+        return {}
+    assign = [0] * len(base)
+    left = [0] * len(base)  # candidates not tried yet, per variable
+    pos = 0
+    while True:
+        mask = base[pos]
+        for get, table in by_last[pos]:
+            mask &= table.get(get(assign), 0)
+        while not mask:
+            pos -= 1
+            if pos < 0:
+                return None
+            mask = left[pos]
+        low = mask & -mask
+        left[pos] = mask ^ low
+        assign[pos] = low.bit_length() - 1
+        pos += 1
+        if pos == len(base):
+            return dict(zip(inst.variables, assign))
+
+
 def solve_brute(inst: CSPInstance) -> Solution | None:
     """Exhaustive lexicographic search; the ground-truth oracle."""
     if inst.search_space() > BRUTE_LIMIT:
         raise BoundExceeded(f"search space exceeds {BRUTE_LIMIT}")
-    n_vars = len(inst.variables)
+    return _backtrack(inst, [(1 << inst.sorts[s].n) - 1 for s in inst.domain], {})
+
+
+def _propagate(inst: CSPInstance) -> tuple[list[int], dict] | None:
+    """Domain masks and pair relations at the fixpoint of arc and path
+    consistency, or None on a wipe-out."""
     positions = {v: i for i, v in enumerate(inst.variables)}
-    # check a constraint as soon as its last scope variable is assigned
-    by_last: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in range(n_vars)]
-    for scope, rel in inst.constraints:
-        idxs = tuple(positions[v] for v in scope)
-        by_last[max(idxs)].append((idxs, rel.tuples))
     sizes = [inst.sorts[s].n for s in inst.domain]
-    assign = [-1] * n_vars
+    full = [(1 << k) - 1 for k in sizes]
+    dom = list(full)
+    rows: dict[tuple[int, int], list[int]] = {}
+    nbrs: list[set[int]] = [set() for _ in sizes]
+    cons = []  # scope positions, first positions, repeats, tuples still consistent
+    woken_by = defaultdict(list)  # variable, or pair u < v -> constraints
+    for k, (scope, rel) in enumerate(inst.constraints):
+        idxs = tuple(positions[v] for v in scope)
+        first = {u: idxs.index(u) for u in idxs}
+        same = [(p, first[u]) for p, u in enumerate(idxs) if p != first[u]]
+        cons.append((idxs, sorted(first.values()), same, list(rel.tuples)))
+        for key in [*first, *itertools.combinations(sorted(first), 2)]:
+            woken_by[key].append(k)
+    drops: list[tuple[int, int]] = []  # (variable, values to remove)
+    queue: deque = deque(range(len(cons)))  # constraints to filter, pairs that shrank
+    queued = set(queue)
 
-    def descend(pos: int) -> bool:
-        if pos == n_vars:
-            return True
-        for v in range(sizes[pos]):
-            assign[pos] = v
-            if all(
-                tuple(assign[i] for i in idxs) in tuples
-                for idxs, tuples in by_last[pos]
-            ):
-                if descend(pos + 1):
-                    return True
-        assign[pos] = -1
-        return False
+    def push(item) -> None:
+        if item not in queued:
+            queued.add(item)
+            queue.append(item)
 
-    if descend(0):
-        return dict(zip(inst.variables, assign))
-    return None
+    def narrow(u: int, v: int, keep: list[int]) -> None:
+        """rows[(u, v)][a] &= keep[a] for every a, and the transpose too."""
+        row = rows.get((u, v)) or [dom[v] if dom[u] >> a & 1 else 0 for a in range(sizes[u])]
+        col = rows.get((v, u)) or [dom[u] if dom[v] >> b & 1 else 0 for b in range(sizes[v])]
+        changed = False
+        for a in _bits(dom[u]):
+            cut = row[a] & ~keep[a]
+            if cut:
+                changed = True
+                row[a] ^= cut
+                for b in _bits(cut):
+                    col[b] ^= 1 << a
+        if changed:
+            rows[(u, v)], rows[(v, u)] = row, col
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            key = (u, v) if u < v else (v, u)
+            push(key)
+            for k in woken_by[key]:
+                push(k)
+            drops.append((u, sum(1 << a for a in _bits(dom[u]) if not row[a])))
+            drops.append((v, sum(1 << b for b in _bits(dom[v]) if not col[b])))
 
+    def revise(k: int) -> bool:
+        """Drop the tuples that leave the domains or pair relations, then
+        narrow those to what the remaining tuples support."""
+        idxs, firsts, same, keep = cons[k]
+        pairs = list(itertools.combinations(firsts, 2))
+        checks = [(p, q, rows[(idxs[p], idxs[q])]) for p, q in pairs if (idxs[p], idxs[q]) in rows]
+        narrowed = [(p, dom[u]) for p, u in enumerate(idxs) if dom[u] != full[u]]
+        if narrowed or same or checks:
+            keep[:] = [
+                t
+                for t in keep
+                if all(m >> t[p] & 1 for p, m in narrowed)
+                and all(t[p] == t[q] for p, q in same)
+                and all(row[t[p]] >> t[q] & 1 for p, q, row in checks)
+            ]
+        supports = {p: sum({1 << t[p] for t in keep}) for p in firsts}
+        drops.extend((idxs[p], ~mask) for p, mask in supports.items())
+        for p, q in pairs:
+            # cut only pairs of values that stay in their domains
+            support = [
+                ~supports[q] if supports[p] >> a & 1 else -1 for a in range(sizes[idxs[p]])
+            ]
+            for t in keep:
+                support[t[p]] |= 1 << t[q]
+            narrow(idxs[p], idxs[q], support)
+        return bool(keep)
 
-def _pair_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+    while drops or queue:
+        if drops:
+            u, removed = drops.pop()
+            if removed & dom[u]:
+                dom[u] &= ~removed
+                if not dom[u]:
+                    return None
+                for k in woken_by[u]:
+                    push(k)
+                for v in nbrs[u]:
+                    narrow(v, u, [dom[u]] * sizes[v])
+            continue
+        item = queue.popleft()
+        queued.discard(item)
+        if isinstance(item, int):
+            if not revise(item):
+                return None
+            continue
+        # R(u, w) through v, and R(v, w) through u
+        u, v = item
+        for x, y in ((u, v), (v, u)):
+            through = rows[(x, y)]
+            for w in list(nbrs[y] - {x}):
+                onward = rows[(y, w)]
+                keep = [0] * sizes[x]
+                for a in _bits(dom[x]):
+                    for b in _bits(through[a]):
+                        keep[a] |= onward[b]
+                narrow(x, w, keep)
+    return dom, rows
 
 
 def solve_consistency(inst: CSPInstance) -> Solution | None:
-    """(2,3)-consistency propagation, then complete backtracking.
-
-    The propagation phase only prunes; the final search is exhaustive over
-    what remains, so the verdict is always correct.
-    """
-    n_vars = len(inst.variables)
-    positions = {v: i for i, v in enumerate(inst.variables)}
-    doms: list[set[int]] = [set(range(inst.sorts[s].n)) for s in inst.domain]
-    cons = [
-        (tuple(positions[v] for v in scope), set(rel.tuples))
-        for scope, rel in inst.constraints
-    ]
-    pair_rel: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for u, v in itertools.combinations(range(n_vars), 2):
-        pair_rel[(u, v)] = {(a, b) for a in doms[u] for b in doms[v]}
-
-    def allowed(u: int, a: int, v: int, b: int) -> bool:
-        if u == v:
-            return a == b
-        if u < v:
-            return (a, b) in pair_rel[(u, v)]
-        return (b, a) in pair_rel[(v, u)]
-
-    changed = True
-    while changed:
-        changed = False
-        # filter constraint tuples against domains and pair relations
-        for idxs, tuples in cons:
-            keep = set()
-            for t in tuples:
-                if all(t[p] in doms[idxs[p]] for p in range(len(idxs))) and all(
-                    allowed(idxs[p], t[p], idxs[q], t[q])
-                    for p in range(len(idxs))
-                    for q in range(p + 1, len(idxs))
-                ):
-                    keep.add(t)
-            if len(keep) != len(tuples):
-                tuples.intersection_update(keep)
-                changed = True
-            if not tuples:
-                return None
-            # re-project: domains and in-scope pair relations shrink to
-            # what the surviving tuples support
-            for p, u in enumerate(idxs):
-                support = {t[p] for t in tuples}
-                if doms[u] - support:
-                    doms[u] &= support
-                    changed = True
-                if not doms[u]:
-                    return None
-            for p in range(len(idxs)):
-                for q in range(p + 1, len(idxs)):
-                    u, v = idxs[p], idxs[q]
-                    if u == v:
-                        continue
-                    support = (
-                        {(t[p], t[q]) for t in tuples}
-                        if u < v
-                        else {(t[q], t[p]) for t in tuples}
-                    )
-                    key = _pair_key(u, v)
-                    if pair_rel[key] - support:
-                        pair_rel[key] &= support
-                        changed = True
-                        if not pair_rel[key]:
-                            return None
-        # path consistency through every third variable
-        for u, v in itertools.combinations(range(n_vars), 2):
-            rel_uv = pair_rel[(u, v)]
-            for w in range(n_vars):
-                if w == u or w == v:
-                    continue
-                keep = {
-                    (a, b)
-                    for a, b in rel_uv
-                    if any(
-                        allowed(u, a, w, c) and allowed(w, c, v, b)
-                        for c in doms[w]
-                    )
-                }
-                if len(keep) != len(rel_uv):
-                    rel_uv.intersection_update(keep)
-                    changed = True
-                    if not rel_uv:
-                        return None
-        # domains from pair relations
-        for (u, v), rel_uv in pair_rel.items():
-            du = {a for a, _ in rel_uv}
-            dv = {b for _, b in rel_uv}
-            if doms[u] - du:
-                doms[u] &= du
-                changed = True
-            if doms[v] - dv:
-                doms[v] &= dv
-                changed = True
-            if not doms[u] or not doms[v]:
-                return None
-
-    by_last: list[list[tuple[tuple[int, ...], set]]] = [[] for _ in range(n_vars)]
-    for idxs, tuples in cons:
-        by_last[max(idxs)].append((idxs, tuples))
-    assign = [-1] * n_vars
-
-    def descend(pos: int) -> bool:
-        if pos == n_vars:
-            return True
-        for v in sorted(doms[pos]):
-            if not all(
-                allowed(u, assign[u], pos, v) for u in range(pos)
-            ):
-                continue
-            assign[pos] = v
-            if all(
-                tuple(assign[i] for i in idxs) in tuples
-                for idxs, tuples in by_last[pos]
-            ):
-                if descend(pos + 1):
-                    return True
-        assign[pos] = -1
-        return False
-
-    if descend(0):
-        return dict(zip(inst.variables, assign))
-    return None
+    """Arc and path consistency on bitmasks, then the search of `solve_brute`
+    over what is left; so the same lexicographically least solution, or None."""
+    state = _propagate(inst)
+    return None if state is None else _backtrack(inst, *state)
 
 
 # ---------------------------------------------------------------------------
@@ -535,36 +564,12 @@ def reduce_instance(
 
 
 def product_table(tables: Sequence[CayleyTable]) -> CayleyTable:
-    """Componentwise operation on the product carrier, mixed-radix encoded."""
-    sizes = [t.n for t in tables]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > BRUTE_LIMIT:
+    """Componentwise operation on the product carrier: the left fold of
+    `product_algebra`, so (a_1, ..., a_k) is encoded in mixed radix as
+    (...(a_1*n_2 + a_2)*n_3 + ...)*n_k + a_k."""
+    if math.prod(t.n for t in tables) > BRUTE_LIMIT:
         raise BoundExceeded("product carrier too large")
-
-    def unpack(e: int) -> list[int]:
-        out = []
-        for s in reversed(sizes):
-            out.append(e % s)
-            e //= s
-        return out[::-1]
-
-    def pack(coords: Sequence[int]) -> int:
-        e = 0
-        for c, s in zip(coords, sizes):
-            e = e * s + c
-        return e
-
-    rows = []
-    for x in range(total):
-        xs = unpack(x)
-        row = []
-        for y in range(total):
-            ys = unpack(y)
-            row.append(pack([t.rows[a][b] for t, a, b in zip(tables, xs, ys)]))
-        rows.append(row)
-    return CayleyTable(rows)
+    return functools.reduce(product_algebra, tables, CayleyTable([[0]]))
 
 
 def multisorted_to_product(inst: CSPInstance) -> CSPInstance:
@@ -578,12 +583,7 @@ def multisorted_to_product(inst: CSPInstance) -> CSPInstance:
         return inst
     sizes = [t.n for t in inst.sorts]
     prod = product_table(inst.sorts)
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides = strides[::-1]
+    strides = [math.prod(sizes[s + 1 :]) for s in range(len(sizes))]
 
     def coordinate(e: int, sort: int) -> int:
         return (e // strides[sort]) % sizes[sort]

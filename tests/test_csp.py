@@ -2,17 +2,19 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cigroupoids.core import BoundExceeded, CayleyTable, load_fixture
+from cigroupoids.core import FIXTURE_NAMES, BoundExceeded, CayleyTable, load_fixture
 from cigroupoids.csp import (
     CSPInstance,
     NotInvariant,
     Relation,
     SortMismatch,
+    _propagate,
     close_under,
     fold_join,
     format_csp,
@@ -31,9 +33,11 @@ from cigroupoids.plonka import (
     STANDARD_JOIN,
     NotPseudopartition,
     adjoin_infinity,
+    cie_cyclic,
     join_matrix,
     sigma,
 )
+from cigroupoids.suites import reduction_templates
 
 SQUAG = load_fixture("fig4a")
 AINF = adjoin_infinity(SQUAG)
@@ -321,6 +325,248 @@ def test_consistency_repeated_scope_variable():
     inst = CSPInstance(("x",), (SQUAG,), (0,), ((("x", "x"), rel),))
     assert solve_brute(inst) == {"x": 1}
     assert solve_consistency(inst) == {"x": 1}
+
+
+def test_path_consistency_removes_what_arc_consistency_keeps():
+    # x=0 forces w=0 through y and w=1 through z; each constraint alone is
+    # arc consistent, so only the pair relation of (x, w) removes x=0
+    def forcing(a, b):
+        return {(a, b)} | {(c, d) for c in range(3) for d in range(3) if c != a}
+
+    inst = single_sorted_instance(
+        SQUAG,
+        ["x", "y", "z", "w"],
+        [(["x", "y"], forcing(0, 0)), (["y", "w"], forcing(0, 0)),
+         (["x", "z"], forcing(0, 1)), (["z", "w"], forcing(1, 1))],
+    )
+    dom, rows = _propagate(inst)
+    assert dom == [0b110, 0b111, 0b111, 0b111]
+    assert rows[(0, 3)] == [0, 0b111, 0b111]
+    assert solve_consistency(inst) == solve_brute(inst) == {"x": 1, "y": 0, "z": 0, "w": 0}
+
+
+def test_pair_change_refilters_constraints():
+    # x + y + z is even: every pair projection is full. x != y then removes
+    # two pairs but no value, and only the parity constraint, filtered
+    # again, can tell that z = 0 is gone
+    inst = single_sorted_instance(
+        MEET2,
+        ["x", "y", "z"],
+        [(["x", "y", "z"], {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}),
+         (["x", "y"], {(0, 1), (1, 0)})],
+    )
+    dom, rows = _propagate(inst)
+    assert dom == [0b11, 0b11, 0b10]
+    assert rows == {(0, 1): [0b10, 0b01], (1, 0): [0b10, 0b01]}
+    assert solve_consistency(inst) == {"x": 0, "y": 1, "z": 1}
+
+
+def random_relation_instance(rng: random.Random, template: CayleyTable, num_vars: int):
+    """Arbitrary relations, not invariant in general: unary, empty, full and
+    sparse ones, and scopes that repeat a variable."""
+    names = [f"v{i}" for i in range(num_vars)]
+    cons = []
+    for _ in range(rng.randint(0, 6)):
+        arity = rng.randint(1, 3)
+        scope = [rng.choice(names) for _ in range(arity)]
+        density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        tuples = {
+            t
+            for t in itertools.product(range(template.n), repeat=arity)
+            if rng.random() < density
+        }
+        cons.append((scope, tuples))
+    return single_sorted_instance(template, names, cons)
+
+
+def random_binary_network(rng: random.Random, template: CayleyTable, num_vars: int):
+    """Dense random binary relations on most pairs of variables, so that
+    path consistency has triangles to narrow."""
+    names = [f"v{i}" for i in range(num_vars)]
+    density, coverage = rng.uniform(0.55, 0.9), rng.uniform(0.4, 0.9)
+    cons = [
+        (
+            [names[u], names[v]],
+            {t for t in itertools.product(range(template.n), repeat=2) if rng.random() < density},
+        )
+        for u, v in itertools.combinations(range(num_vars), 2)
+        if rng.random() < coverage
+    ]
+    return single_sorted_instance(template, names, cons)
+
+
+def gf3_solvable(n: int, equations) -> bool:
+    """Gaussian elimination over GF(3) on the rows (coefficients, constant)."""
+    rows = [[0] * n + [d] for _, _, d in equations]
+    for row, (scope, coeffs, _) in zip(rows, equations):
+        for v, c in zip(scope, coeffs):
+            row[v] = (row[v] + c) % 3
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [x * rows[rank][col] % 3 for x in rows[rank]]  # c*c = 1 mod 3
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % 3 for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return all(any(row[:n]) or row[n] == 0 for row in rows)
+
+
+def planted_3lin(rng: random.Random, n: int, sat: bool):
+    """Random 3-LIN mod 3 over cie_cyclic(3), every relation invariant:
+    1.5n equations satisfied by a planted assignment, or, if not sat, with
+    one constant flipped."""
+    planted = [rng.randrange(3) for _ in range(n)]
+    equations = []
+    for _ in range(3 * n // 2):
+        scope = rng.sample(range(n), 3)
+        coeffs = [rng.choice((1, 2)) for _ in scope]
+        equations.append((scope, coeffs, sum(c * planted[v] for c, v in zip(coeffs, scope)) % 3))
+    if not sat:
+        scope, coeffs, d = equations[0]
+        equations[0] = (scope, coeffs, (d + 1) % 3)
+    names = [f"v{i}" for i in range(n)]
+    cons = [
+        (
+            [names[v] for v in scope],
+            {
+                t
+                for t in itertools.product(range(3), repeat=3)
+                if sum(c * e for c, e in zip(coeffs, t)) % 3 == d
+            },
+        )
+        for scope, coeffs, d in equations
+    ]
+    return single_sorted_instance(cie_cyclic(3), names, cons), equations
+
+
+GENERATED_TEMPLATES = [load_fixture(name) for name in FIXTURE_NAMES] + [MEET2]
+REDUCTION_TEMPLATES = list(reduction_templates().values())
+
+
+def mixed_instances(count: int, seed: int, max_vars: int):
+    """gen_instance over every fixture and MEET2, arbitrary relations, dense
+    binary networks, 3-LIN mod 3 with binary relations on top (whose pair
+    projections tell nothing) and many-sorted reduced instances, in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        num_vars = rng.randint(2, max_vars)
+        family, turn = k % 5, k // 5
+        if family == 0:
+            template = GENERATED_TEMPLATES[turn % len(GENERATED_TEMPLATES)]
+            yield gen_instance(
+                rng.randrange(10**6), template, num_vars, rng.randint(1, 2 * num_vars)
+            )
+        elif family == 1:
+            yield random_relation_instance(rng, rng.choice(GENERATED_TEMPLATES), num_vars)
+        elif family == 2:
+            yield random_binary_network(rng, rng.choice(GENERATED_TEMPLATES), num_vars)
+        elif family == 3:
+            lin, _ = planted_3lin(rng, max(num_vars, 3), sat=rng.random() < 0.5)
+            extra = random_binary_network(rng, lin.sorts[0], len(lin.variables))
+            yield replace(lin, constraints=lin.constraints + extra.constraints)
+        else:
+            template = REDUCTION_TEMPLATES[turn % len(REDUCTION_TEMPLATES)]
+            inst = gen_instance(rng.randrange(10**6), template, num_vars, rng.randint(1, num_vars))
+            yield reduce_instance(inst).reduced
+
+
+def test_consistency_matches_brute_random():
+    verdicts = set()
+    for k, inst in enumerate(mixed_instances(2000, seed=11, max_vars=8)):
+        expected = solve_brute(inst)
+        assert solve_consistency(inst) == expected, k
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+    rng = random.Random(12)
+    for k in range(12):
+        inst, equations = planted_3lin(rng, 12 + k % 2, sat=k % 3 != 0)
+        found = solve_consistency(inst)
+        assert found == solve_brute(inst), k
+        assert (found is not None) == gf3_solvable(len(inst.variables), equations), k
+
+
+def assert_closed(inst, dom, rows):
+    """The state is arc and path consistent and every constraint is
+    filtered against it."""
+
+    def allowed(u, a, v, b):
+        if u == v:
+            return a == b
+        if (u, v) in rows:
+            return bool(rows[(u, v)][a] >> b & 1)
+        return bool(dom[u] >> a & 1 and dom[v] >> b & 1)
+
+    sizes = [inst.sorts[s].n for s in inst.domain]
+    values = [[a for a in range(k) if dom[u] >> a & 1] for u, k in enumerate(sizes)]
+    assert all(values)
+    for (u, v), row in rows.items():
+        assert u != v and len(row) == sizes[u]
+        for a in range(sizes[u]):
+            assert (row[a] != 0) == (a in values[u])
+            assert row[a] & ~dom[v] == 0
+            for b in range(sizes[v]):
+                assert (row[a] >> b & 1) == (rows[(v, u)][b] >> a & 1)
+    positions = {v: i for i, v in enumerate(inst.variables)}
+    for scope, rel in inst.constraints:
+        idxs = [positions[v] for v in scope]
+        kept = [
+            t
+            for t in rel.tuples
+            if all(dom[u] >> e & 1 for u, e in zip(idxs, t))
+            and all(
+                allowed(idxs[p], t[p], idxs[q], t[q])
+                for p, q in itertools.combinations(range(len(t)), 2)
+            )
+        ]
+        for p, u in enumerate(idxs):
+            assert {t[p] for t in kept} == set(values[u])
+        for p, q in itertools.combinations(range(len(idxs)), 2):
+            u, v = idxs[p], idxs[q]
+            if u != v:
+                assert {(t[p], t[q]) for t in kept} == {
+                    (a, b) for a in values[u] for b in values[v] if allowed(u, a, v, b)
+                }
+    for u, v, w in itertools.permutations(range(len(sizes)), 3):
+        for a in values[u]:
+            for b in values[v]:
+                if allowed(u, a, v, b):
+                    assert any(
+                        allowed(u, a, w, c) and allowed(w, c, v, b) for c in values[w]
+                    ), (u, a, v, b, w)
+
+
+def test_propagate_is_sound_and_closed():
+    wiped = closed = 0
+    for k, inst in enumerate(mixed_instances(900, seed=21, max_vars=6)):
+        positions = {v: i for i, v in enumerate(inst.variables)}
+        cons = [([positions[v] for v in scope], rel.tuples) for scope, rel in inst.constraints]
+        solutions = [
+            vals
+            for vals in itertools.product(*(range(inst.sorts[s].n) for s in inst.domain))
+            if all(tuple(map(vals.__getitem__, idxs)) in tuples for idxs, tuples in cons)
+        ]
+        # itertools.product runs in lexicographic order: an oracle for the
+        # search that solve_brute and solve_consistency share
+        least = dict(zip(inst.variables, solutions[0])) if solutions else None
+        assert solve_brute(inst) == least, k
+        state = _propagate(inst)
+        if state is None:
+            wiped += 1
+            assert not solutions, k
+            continue
+        closed += 1
+        dom, rows = state
+        for vals in solutions:
+            assert all(dom[u] >> a & 1 for u, a in enumerate(vals)), k
+            for (u, v), row in rows.items():
+                assert row[vals[u]] >> vals[v] & 1, k
+        assert_closed(inst, dom, rows)
+    assert wiped and closed
 
 
 # ---------------------------------------------------------------------------
