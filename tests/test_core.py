@@ -1,6 +1,7 @@
 """Tests for tables, terms, evaluation, and the named predicates."""
 
 import copy
+import hashlib
 import itertools
 import pickle
 import sys
@@ -212,6 +213,27 @@ def test_witness_on_squag_two_semilattice():
     assert SQUAG.prod(x, SQUAG.prod(x, y)) != SQUAG.prod(x, y)
     # the first failing assignment in scan order is x=0, y=1
     assert w == {"x": 0, "y": 1}
+
+
+def test_witnesses_golden():
+    # Pinned before identity checking moved from one assignment at a time
+    # to blocks of assignments: every witness (or None) on the nine fixtures
+    # and every CI model with n <= 4, against the sixty Bol-Moufang
+    # identities and every PROPERTY_LAWS law.
+    from cigroupoids.bolmoufang import enumerate_bm
+    from cigroupoids.core import FIXTURE_NAMES, PROPERTY_LAWS
+    from cigroupoids.search import all_models
+
+    laws = dict.fromkeys(law for group in PROPERTY_LAWS.values() for law in group)
+    idents = [ident for _, ident in enumerate_bm()] + list(laws)
+    tables = [load_fixture(name) for name in FIXTURE_NAMES]
+    tables += [g for n in range(1, 5) for g in all_models(n, ())]
+    assert (len(idents), len(tables)) == (67, 210)
+    out = [check_identity_witness(g, ident) for g in tables for ident in idents]
+    assert sum(w is None for w in out) == 1846
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "d3f55674cd003f09e69867162b660f116979d6627dea2cef2ed64619961c2fd0"
+    )
 
 
 def test_singleton_satisfies_everything():
