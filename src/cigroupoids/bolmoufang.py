@@ -72,8 +72,13 @@ def bracketed(word: str, shape: int) -> Term:
     return BRACKETINGS[shape](*leaves)
 
 
+@functools.cache
 def decode(b: BMIdentity) -> Identity:
-    """The actual two-sided identity named by b."""
+    """The actual two-sided identity named by b.
+
+    Memoized, so every caller shares one Identity per name, and with it the
+    identity's compiled form.
+    """
     word = ORDERINGS[b.letter]
     return Identity(bracketed(word, b.i), bracketed(word, b.j))
 

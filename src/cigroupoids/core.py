@@ -5,10 +5,16 @@ Elements are 0-based integers and tables are row major: entry (i, j) of the
 table is the product i*j. Terms are fully parenthesized binary trees; there is
 no implicit associativity anywhere, since the whole point of this package is
 the study of operations that need not associate.
+
+Every term is evaluated from the postfix ops of `compile_term`, by one of two
+loops over them: `eval_postfix` computes one value for one assignment, and
+identity checking runs the same ops on columns, one value per assignment of a
+block, so each product node is a single pass over the block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -210,6 +216,16 @@ class Identity:
     def __str__(self) -> str:
         return f"{self.lhs} ≈ {self.rhs}"
 
+    @functools.cached_property
+    def compiled(self) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+        """(names, lhs ops, rhs ops): both sides compiled over the sorted variables.
+
+        Cached on the instance, since hashing an identity for a lookup would
+        walk both terms just as compiling them does.
+        """
+        names = tuple(sorted(set(variables(self.lhs)) | set(variables(self.rhs))))
+        return names, compile_term(self.lhs, names), compile_term(self.rhs, names)
+
 
 def parse_identity(text: str) -> Identity:
     """Parse 'lhs = rhs' (also accepts the Unicode approx sign)."""
@@ -218,11 +234,6 @@ def parse_identity(text: str) -> Identity:
             lhs, rhs = text.split(sep, 1)
             return Identity(parse_term(lhs), parse_term(rhs))
     raise ValueError(f"identity needs a '=' separator: {text!r}")
-
-
-def is_regular(ident: Identity) -> bool:
-    """True when both sides mention exactly the same variables."""
-    return set(variables(ident.lhs)) == set(variables(ident.rhs))
 
 
 # Argument positions for term conditions follow the customary variable order
@@ -340,7 +351,8 @@ def compile_term(t: Term, order: tuple[str, ...]) -> tuple[int, ...]:
     """Flatten t to postfix ops: i >= 0 pushes variable order[i], -1 multiplies.
 
     This is the only route to evaluation: every term the package evaluates
-    is compiled here and run by eval_postfix.
+    is compiled here, then run by eval_postfix on one assignment or by the
+    column loop of check_identity_witness on a block of assignments.
     """
     ops: list[int] = []
     for u in postorder(t):
@@ -373,15 +385,58 @@ def check_identity(g: CayleyTable, ident: Identity) -> bool:
     return check_identity_witness(g, ident) is None
 
 
+# Most assignments evaluated at once; bounds the column memory for any n.
+_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _block_columns(n: int, j: int) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+    """The columns of a block over j variables, and the constant columns.
+
+    Column i holds variable i's values over the n**j assignments in
+    itertools.product order; constant column v is [v] * n**j.
+    """
+    block = list(itertools.product(range(n), repeat=j))
+    return tuple(map(list, zip(*block))), tuple([v] * len(block) for v in range(n))
+
+
+def _eval_columns(ops: tuple[int, ...], cols: Sequence[list[int]], rows) -> list[int]:
+    """Run compiled ops on columns: variable i pushes cols[i], products go entrywise."""
+    stack: list[list[int]] = []
+    push = stack.append
+    pop = stack.pop
+    for op in ops:
+        if op < 0:
+            right = pop()
+            push([rows[a][b] for a, b in zip(pop(), right)])
+        else:
+            push(cols[op])
+    return stack[0]
+
+
 def check_identity_witness(g: CayleyTable, ident: Identity) -> dict[str, int] | None:
-    """None when the identity holds; otherwise the first failing assignment."""
-    names = tuple(sorted(set(variables(ident.lhs)) | set(variables(ident.rhs))))
-    lhs = compile_term(ident.lhs, names)
-    rhs = compile_term(ident.rhs, names)
+    """None when the identity holds; otherwise the first failing assignment.
+
+    Assignments run in itertools.product order over the sorted variable
+    names. The longest run of trailing variables with at most _BLOCK joint
+    assignments is evaluated column-wise in one block; the leading variables
+    run in order, each bound to a constant column, so a failure stops at the
+    first block that contains one.
+    """
+    names, lhs, rhs = ident.compiled
+    n, k = g.n, len(names)
+    j = k
+    while n**j > _BLOCK:
+        j -= 1
+    cols, consts = _block_columns(n, j)
     rows = g.rows
-    for asg in itertools.product(range(g.n), repeat=len(names)):
-        if eval_postfix(lhs, asg, rows) != eval_postfix(rhs, asg, rows):
-            return dict(zip(names, asg))
+    for lead in itertools.product(range(n), repeat=k - j):
+        env = [consts[v] for v in lead] + list(cols)
+        left = _eval_columns(lhs, env, rows)
+        right = _eval_columns(rhs, env, rows)
+        if left != right:
+            i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+            return dict(zip(names, lead + tuple(c[i] for c in cols)))
     return None
 
 

@@ -48,8 +48,6 @@ from cigroupoids.plonka import (
 )
 
 BRUTE_LIMIT = 10**7
-POLY_MAX_ARITY = 2
-POLY_MAX_CARRIER = 4
 
 
 class SortMismatch(Exception):
@@ -146,7 +144,7 @@ def single_sorted_instance(
 
 
 # ---------------------------------------------------------------------------
-# Invariance and polymorphisms
+# Invariance
 
 
 def is_invariant(r: Relation, g: CayleyTable) -> bool:
@@ -163,79 +161,6 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
             if tuple(g.rows[a][b] for a, b in zip(t1, t2)) not in tuples:
                 return False
     return True
-
-
-def polymorphisms(
-    rels: Sequence[Relation], arity: int, carrier: int
-) -> list[tuple[int, ...]] | list[CayleyTable]:
-    """All operations of the given arity on 0..carrier-1 preserving rels.
-
-    Backtracks over the operation table with partial-preservation pruning.
-    Unary results are image tuples; binary results are Cayley tables.
-    """
-    if arity > POLY_MAX_ARITY:
-        raise BoundExceeded(f"arity {arity} exceeds {POLY_MAX_ARITY}")
-    if carrier > POLY_MAX_CARRIER:
-        raise BoundExceeded(f"carrier {carrier} exceeds {POLY_MAX_CARRIER}")
-    if arity < 1 or carrier < 1:
-        raise ValueError("arity and carrier must be positive")
-    for r in rels:
-        for t in r.tuples:
-            for e in t:
-                if not (0 <= e < carrier):
-                    raise SortMismatch(f"tuple entry {e} outside carrier")
-
-    points = list(itertools.product(range(carrier), repeat=arity))
-    index = {p: i for i, p in enumerate(points)}
-    table = [-1] * len(points)
-
-    # for each relation, the argument rows: choosing `arity` tuples from R
-    # and reading them coordinatewise gives, per coordinate, one point of
-    # the operation; the results must again form a tuple of R
-    jobs = []
-    for r in rels:
-        tuples = sorted(r.tuples)
-        for choice in itertools.product(tuples, repeat=arity):
-            jobs.append(
-                (
-                    tuple(index[tuple(t[c] for t in choice)] for c in range(r.arity)),
-                    r.tuples,
-                )
-            )
-
-    out: list = []
-
-    def consistent() -> bool:
-        for cells, tuples in jobs:
-            vals = tuple(table[c] for c in cells)
-            if -1 in vals:
-                continue
-            if vals not in tuples:
-                return False
-        return True
-
-    def descend(pos: int) -> None:
-        if pos == len(points):
-            out.append(tuple(table))
-            return
-        for v in range(carrier):
-            table[pos] = v
-            if consistent():
-                descend(pos + 1)
-        table[pos] = -1
-
-    descend(0)
-    if arity == 1:
-        return out
-    return [
-        CayleyTable(
-            [
-                [flat[index[(i, j)]] for j in range(carrier)]
-                for i in range(carrier)
-            ]
-        )
-        for flat in out
-    ]
 
 
 # ---------------------------------------------------------------------------

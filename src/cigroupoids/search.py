@@ -42,9 +42,7 @@ from cigroupoids.core import (
     CayleyTable,
     Identity,
     check_identity,
-    compile_term,
     eval_postfix,
-    variables,
 )
 from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode
 
@@ -168,9 +166,7 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     # cell k; all start on cell 0 and move forward as cells are filled.
     watch: list[list[tuple]] = [[] for _ in cells]
     for ident in spec.require:
-        names = tuple(sorted(set(variables(ident.lhs)) | set(variables(ident.rhs))))
-        lhs = compile_term(ident.lhs, names)
-        rhs = compile_term(ident.rhs, names)
+        names, lhs, rhs = ident.compiled
         watch[0].extend(
             (lhs, rhs, asg) for asg in itertools.product(range(n), repeat=len(names))
         )

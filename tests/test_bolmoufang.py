@@ -50,6 +50,13 @@ def test_frozen_decodes():
         assert str(decode(bm(name))) == text
 
 
+def test_decode_is_shared():
+    # one Identity per name, so its compiled form is built once
+    for b, ident in enumerate_bm():
+        assert decode(b) is ident
+        assert decode(bm(b.name)) is ident
+
+
 def test_variables_in_first_occurrence_order():
     for b, ident in enumerate_bm():
         from cigroupoids.core import variables

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import pickle
+import random
 import sys
 
 import pytest
@@ -22,9 +23,9 @@ from cigroupoids.core import (
     check_identity,
     check_identity_witness,
     check_property,
+    compile_term,
     eval_term,
     format_alg,
-    is_regular,
     latin_expand,
     load_fixture,
     parse_alg,
@@ -68,8 +69,6 @@ def test_parse_identity_both_separators():
     i1 = parse_identity("(x (x y)) = y")
     i2 = parse_identity("(x (x y)) ≈ y")
     assert i1 == i2
-    assert is_regular(parse_identity("(x y) = (y x)"))
-    assert not is_regular(parse_identity("(x (x y)) = y"))
 
 
 def naive_repr(t):
@@ -146,26 +145,37 @@ def naive_eval(g, t, env):
     return g.rows[naive_eval(g, t.left, env)][naive_eval(g, t.right, env)]
 
 
-def naive_check(g, ident):
-    """Straight double loop, no compilation, no early exit machinery."""
+def naive_witness(g, ident):
+    """First failing assignment in product order over the sorted names, or None.
+
+    One assignment at a time, no compilation and no blocks.
+    """
     names = sorted(set(variables(ident.lhs)) | set(variables(ident.rhs)))
     for vals in itertools.product(range(g.n), repeat=len(names)):
         env = dict(zip(names, vals))
         if naive_eval(g, ident.lhs, env) != naive_eval(g, ident.rhs, env):
-            return False
-    return True
+            return env
+    return None
 
 
-def terms(depth):
-    """Terms over x, y, z of depth at most `depth`."""
-    leaf = st.sampled_from(["x", "y", "z"]).map(Var)
+def assert_witness_matches(g, ident):
+    w = naive_witness(g, ident)
+    assert check_identity_witness(g, ident) == w
+    assert check_identity(g, ident) == (w is None)
+    return w
+
+
+def terms(depth, names=("x", "y", "z")):
+    """Terms over the given variables of depth at most `depth`."""
+    leaf = st.sampled_from(names).map(Var)
     if depth == 0:
         return leaf
-    sub = terms(depth - 1)
+    sub = terms(depth - 1, names)
     return st.one_of(leaf, st.builds(Prod, sub, sub))
 
 
 TERMS = terms(6)
+TERMS4 = terms(4, ("w", "x", "y", "z"))
 
 
 FIXTURE_TABLES = [load_fixture(n) for n in ("fig1", "fig2a", "fig2b", "fig4a", "fig4c", "leftzero")]
@@ -176,19 +186,20 @@ SOME_IDENTITIES = [
     parse_identity("(x (x y)) = (x y)"),
     parse_identity("(x (x y)) = y"),
     parse_identity("(x (y (z y))) = (((x y) z) y)"),
+    parse_identity("((x y) (z w)) = ((x z) (y w))"),
 ]
 
 
 @pytest.mark.parametrize("g", FIXTURE_TABLES, ids=lambda g: f"n{g.n}")
 def test_check_identity_matches_oracle(g):
     for ident in SOME_IDENTITIES:
-        assert check_identity(g, ident) == naive_check(g, ident)
+        assert_witness_matches(g, ident)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_check_identity_matches_oracle_random(data):
-    n = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(1, 5))
     rows = data.draw(
         st.lists(
             st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
@@ -197,13 +208,87 @@ def test_check_identity_matches_oracle_random(data):
         )
     )
     g = CayleyTable(rows)
-    ident = data.draw(st.sampled_from(SOME_IDENTITIES))
-    assert check_identity(g, ident) == naive_check(g, ident)
+    assert_witness_matches(g, data.draw(st.sampled_from(SOME_IDENTITIES)))
     t = data.draw(TERMS)
     env = {v: data.draw(st.integers(0, n - 1)) for v in ("x", "y", "z")}
     assert eval_term(t, env, g) == naive_eval(g, t, env)
-    ident = Identity(t, data.draw(TERMS))
-    assert check_identity(g, ident) == naive_check(g, ident)
+    assert_witness_matches(g, Identity(t, data.draw(TERMS)))
+    assert_witness_matches(g, Identity(data.draw(TERMS4), data.draw(TERMS4)))
+
+
+def chain_semilattice(n):
+    return CayleyTable([[min(a, b) for b in range(n)] for a in range(n)])
+
+
+def last_block_table(n):
+    """Row n-1 is the identity map and every other row is constant 0.
+
+    On it x(yz) = x(zy) fails only at x = n-1, and z(w(xy)) = z(w(yx)) only
+    at w = z = n-1: the failures lie in the last leading block alone.
+    """
+    return CayleyTable([list(range(n)) if a == n - 1 else [0] * n for a in range(n)])
+
+
+def perturbed(g, rng):
+    rows = [list(r) for r in g.rows]
+    a, b = rng.randrange(g.n), rng.randrange(g.n)
+    rows[a][b] = (rows[a][b] + rng.randrange(1, g.n)) % g.n
+    return CayleyTable(rows)
+
+
+# Each holds on semilattices and on idempotent commutative entropic tables.
+SPLIT_IDENTITIES = {
+    3: [
+        parse_identity("(x (y z)) = ((x y) (x z))"),
+        parse_identity("((x y) z) = ((x z) (y z))"),
+        parse_identity("(x (y z)) = (x (z y))"),
+    ],
+    4: [
+        parse_identity("((x y) (z w)) = ((x z) (y w))"),
+        parse_identity("(z (w (x y))) = (z (w (y x)))"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n,k", [(17, 3), (18, 3), (9, 4), (10, 4)])
+def test_witness_matches_oracle_split_blocks(n, k):
+    # n**k assignments exceed one block, so the leading variable runs over
+    # n blocks; the witness must still be the first failure in product order.
+    from cigroupoids.core import _BLOCK
+    from cigroupoids.plonka import cie_cyclic
+
+    assert n ** (k - 1) <= _BLOCK < n**k
+    rng = random.Random(n * 10 + k)
+    holding = [chain_semilattice(n)]
+    if n % 2:
+        holding.append(cie_cyclic(n))
+    if n == 9:
+        holding.append(product_algebra(cie_cyclic(3), cie_cyclic(3)))  # AG(2,3) squag
+    tables = holding + [perturbed(g, rng) for g in holding for _ in range(3)]
+    tables.append(CayleyTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+    lead_values = set()
+    for g in tables:
+        for ident in SPLIT_IDENTITIES[k]:
+            w = assert_witness_matches(g, ident)
+            if g in holding:
+                assert w is None
+            elif w is not None:
+                lead_values.add(min(w.items())[1])
+    assert len(lead_values) > 1  # failures found beyond the first block
+    ident = SPLIT_IDENTITIES[k][-1]
+    w = assert_witness_matches(last_block_table(n), ident)
+    expected = {"x": n - 1, "y": 1, "z": n - 1} if k == 3 else {
+        "w": n - 1, "x": 1, "y": n - 1, "z": n - 1
+    }
+    assert w == expected
+
+
+def test_compiled_form_is_cached():
+    ident = parse_identity("(z (x y)) = (y x)")
+    names, lhs, rhs = ident.compiled
+    assert names == ("x", "y", "z")
+    assert (lhs, rhs) == (compile_term(ident.lhs, names), compile_term(ident.rhs, names))
+    assert ident.compiled is ident.compiled
 
 
 def test_witness_on_squag_two_semilattice():

@@ -22,7 +22,6 @@ from cigroupoids.csp import (
     is_invariant,
     multisorted_to_product,
     parse_csp,
-    polymorphisms,
     product_table,
     reduce_instance,
     single_sorted_instance,
@@ -139,86 +138,6 @@ def test_is_invariant_sort_mismatch():
 def test_invariance_matches_naive(tuples):
     r = Relation.single_sorted(tuples, 2)
     assert is_invariant(r, SQUAG) == naive_invariant(frozenset(tuples), SQUAG)
-
-
-# ---------------------------------------------------------------------------
-# Polymorphisms
-
-
-def test_singleton_unaries_give_idempotent_binaries():
-    rels = [Relation.single_sorted({(a,)}, 1) for a in range(2)]
-    out = polymorphisms(rels, 2, 2)
-    got = {tuple(map(tuple, t.rows)) for t in out}
-    assert got == {
-        ((0, 0), (0, 1)),
-        ((0, 0), (1, 1)),
-        ((0, 1), (0, 1)),
-        ((0, 1), (1, 1)),
-    }
-
-
-def test_no_relations_all_unary_maps():
-    assert len(polymorphisms([], 1, 2)) == 4
-    assert len(polymorphisms([], 1, 3)) == 27
-
-
-def test_squag_graph_polymorphisms_contain_squag():
-    graph = frozenset(
-        (a, b, SQUAG.rows[a][b]) for a in range(3) for b in range(3)
-    )
-    out = polymorphisms([Relation.single_sorted(graph, 3)], 2, 3)
-    assert len(out) == 27
-    assert SQUAG in out
-
-
-def test_polymorphism_bounds():
-    with pytest.raises(BoundExceeded):
-        polymorphisms([], 3, 2)
-    with pytest.raises(BoundExceeded):
-        polymorphisms([], 2, 5)
-    with pytest.raises(SortMismatch):
-        polymorphisms([Relation.single_sorted({(9,)}, 1)], 1, 3)
-
-
-def naive_binary_polys(rels, n):
-    pts = list(itertools.product(range(n), repeat=2))
-    out = []
-    for flat in itertools.product(range(n), repeat=len(pts)):
-        f = dict(zip(pts, flat))
-        ok = True
-        for r in rels:
-            for t1, t2 in itertools.product(sorted(r.tuples), repeat=2):
-                image = tuple(
-                    f[(t1[c], t2[c])] for c in range(r.arity)
-                )
-                if image not in r.tuples:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(flat)
-    return sorted(out)
-
-
-@pytest.mark.parametrize(
-    "tuples",
-    [
-        {(0, 1)},
-        {(0, 0), (1, 1)},
-        {(0, 1), (1, 0)},
-        set(),
-        {(0,), (1,)},
-    ],
-)
-def test_binary_polymorphisms_match_naive(tuples):
-    arity = len(next(iter(tuples), (0, 0)))
-    rels = [Relation.single_sorted(tuples, arity)] if tuples else []
-    fast = polymorphisms(rels, 2, 2)
-    flat = sorted(
-        tuple(t.rows[i][j] for i in range(2) for j in range(2)) for t in fast
-    )
-    assert flat == naive_binary_polys(rels, 2)
 
 
 # ---------------------------------------------------------------------------
