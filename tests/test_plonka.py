@@ -1,6 +1,8 @@
 """Tests for pseudopartitions, σ, decomposition, and the cyclic builders."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -343,3 +345,65 @@ def test_exponent_matches_term_route():
         assert check_pseudopartition(g, power_term(e)).pseudopartition
         for smaller in range(1, e):
             assert not check_pseudopartition(g, power_term(smaller)).pseudopartition
+
+
+# --- pinned outputs --------------------------------------------------------
+
+
+def _random_ci(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = a
+        for b in range(a + 1, n):
+            rows[a][b] = rows[b][a] = rng.randrange(n)
+    return CayleyTable(rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is part of the pinned output
+        return (type(exc).__name__, str(exc))
+
+
+def test_plonka_outputs_golden():
+    # Pinned before the P1..P5 laws became rows and before decompose and
+    # reduce_instance shared one fiber split: statuses with witnesses, every
+    # decomposition where P1..P4 hold, and every reduction, for five joins.
+    from cigroupoids.core import FIXTURE_NAMES
+    from cigroupoids.csp import format_csp, gen_instance, reduce_instance
+    from cigroupoids.search import all_models
+    from cigroupoids.suites import reduction_templates
+
+    joins = [STANDARD_JOIN, parse_term("(x y)"), parse_term("x"), power_term(2), power_term(3)]
+    rng = random.Random(2015)
+    tables = [load_fixture(name) for name in FIXTURE_NAMES]
+    tables += [g for n in range(1, 5) for g in all_models(n, ())]
+    tables += [_random_ci(rng, rng.randint(2, 7)) for _ in range(60)]
+    out = []
+    decomposed = 0
+    for g in tables:
+        for join in joins:
+            st = check_pseudopartition(g, join)
+            out.append((str(st), sorted(st.witnesses.items())))
+            if st.pseudopartition:
+                sys = _outcome(decompose, g, join)
+                decomposed += isinstance(sys, PlonkaSystem)
+                out.append(format_system(sys) if isinstance(sys, PlonkaSystem) else sys)
+
+    def reduced(inst, join):
+        red = reduce_instance(inst, join)
+        return format_csp(red.reduced), sorted(red.a.items()), sorted(red.b_prime.items())
+
+    reductions = 0
+    for template in reduction_templates().values():
+        for seed in range(20):
+            inst = gen_instance(seed, template)
+            for join in joins:
+                red = _outcome(reduced, inst, join)
+                reductions += isinstance(red[0], str) and red[0].startswith("sorts")
+                out.append(red)
+    assert (len(tables), decomposed, reductions) == (270, 389, 240)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "2f92706422e6da93e69ad6a3e8f39c95c66f34a6909715fee48e839abc9b5b93"
+    )
