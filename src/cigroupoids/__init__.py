@@ -18,7 +18,6 @@ from cigroupoids.core import (
     check_property,
     eval_term,
     format_alg,
-    latin_expand,
     load_alg,
     load_fixture,
     parse_alg,
@@ -39,7 +38,6 @@ __all__ = [
     "check_property",
     "eval_term",
     "format_alg",
-    "latin_expand",
     "load_alg",
     "load_fixture",
     "parse_alg",

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from cigroupoids.bolmoufang import (
     ALL_BM,
+    LETTERS,
     TABLE1_CLASSES,
     bm,
     classify_bm,
@@ -46,6 +47,7 @@ from cigroupoids.csp import (
     solve_consistency,
 )
 from cigroupoids.plonka import (
+    LAWS,
     STANDARD_JOIN,
     adjoin_infinity,
     check_pseudopartition,
@@ -65,9 +67,6 @@ from cigroupoids.search import (
 )
 from cigroupoids.suites import SUITE_NAMES, UnknownSuite, run_suite
 
-_BM_LETTERS = "ABCDEF"
-
-
 def _load_table(path: str) -> CayleyTable:
     """Read a Cayley table from a file, stdin ('-'), or a bundled fixture."""
     if path == "-":
@@ -85,7 +84,7 @@ def _load_table(path: str) -> CayleyTable:
 def _parse_identity_arg(text: str) -> Identity:
     """A Bol-Moufang name like D23, or an identity literal."""
     t = text.strip()
-    if len(t) == 3 and t[0] in _BM_LETTERS and t[1:].isdigit():
+    if len(t) == 3 and t[0] in LETTERS and t[1:].isdigit():
         return decode(bm(t))
     return parse_identity(t)
 
@@ -206,13 +205,7 @@ def _join_term(text: str | None):
 def _cmd_plonka_check(args, fmt: str) -> int:
     g = _load_table(args.table)
     status = check_pseudopartition(g, _join_term(args.join))
-    flags = [
-        ("P1", status.p1),
-        ("P2", status.p2),
-        ("P3", status.p3),
-        ("P4", status.p4),
-        ("P5", status.p5),
-    ]
+    flags = [(name, name not in status.witnesses) for name, _ in LAWS]
     if fmt == "tsv":
         rows = []
         for name, ok in flags:

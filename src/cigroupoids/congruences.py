@@ -89,12 +89,6 @@ class PartitionCongruence:
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
 
-    def is_identity(self) -> bool:
-        return self.num_blocks == self.n
-
-    def is_full(self) -> bool:
-        return self.num_blocks == 1
-
 
 def identity_congruence(n: int) -> PartitionCongruence:
     return PartitionCongruence(n, tuple(range(n)))
@@ -255,17 +249,3 @@ def is_sd_meet(lat: CongruenceLattice) -> bool:
             return False
     return True
 
-
-def quotient_table(g: CayleyTable, part: PartitionCongruence) -> CayleyTable:
-    """The quotient operation on block ids; needs a genuine congruence."""
-    ok, witness = is_compatible(g, part)
-    if not ok:
-        raise NotACongruence("operation compatibility fails", witness)
-    reps = [blk[0] for blk in part.blocks()]
-    k = len(reps)
-    return CayleyTable(
-        [
-            [part.block_of[g.rows[reps[s]][reps[t]]] for t in range(k)]
-            for s in range(k)
-        ]
-    )

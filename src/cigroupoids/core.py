@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class UnboundVariable(Exception):
@@ -30,10 +30,6 @@ class InvalidExponent(Exception):
 
 class ArityMismatch(Exception):
     """The term's variable count does not fit the requested term condition."""
-
-
-class NotLatin(Exception):
-    """Quasigroup expansion needs a Latin square."""
 
 
 class BoundExceeded(Exception):
@@ -566,30 +562,6 @@ def term_condition(
             if kind == "nu" and vals[0] != x:
                 return False
     return True
-
-
-class QuasigroupExpansion(NamedTuple):
-    mul: CayleyTable
-    ldiv: CayleyTable  # entry (a, b) = a \ b, the unique c with a*c = b
-    rdiv: CayleyTable  # entry (b, a) = b / a, the unique d with d*a = b
-
-
-def latin_expand(g: CayleyTable) -> QuasigroupExpansion:
-    """Expand a Latin square to its quasigroup divisions."""
-    if not is_latin_square(g):
-        raise NotLatin("table has a repeated entry in some row or column")
-    n = g.n
-    ldiv = [[0] * n for _ in range(n)]
-    rdiv = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(n):
-            b = g.rows[a][c]
-            ldiv[a][b] = c
-    for d in range(n):
-        for a in range(n):
-            b = g.rows[d][a]
-            rdiv[b][a] = d
-    return QuasigroupExpansion(g, CayleyTable(ldiv), CayleyTable(rdiv))
 
 
 def product_algebra(g: CayleyTable, h: CayleyTable) -> CayleyTable:

@@ -26,9 +26,7 @@ exactly when the original is.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 import operator
 import random
 from collections import defaultdict, deque
@@ -36,16 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from cigroupoids.congruences import PartitionCongruence
-from cigroupoids.core import (
-    BoundExceeded, CayleyTable, Term, check_property, product_algebra
-)
-from cigroupoids.plonka import (
-    STANDARD_JOIN,
-    NotPseudopartition,
-    check_pseudopartition,
-    join_matrix,
-    sigma,
-)
+from cigroupoids.core import BoundExceeded, CayleyTable, Term, check_property
+from cigroupoids.plonka import STANDARD_JOIN, NotPseudopartition, _fiber_split
 
 BRUTE_LIMIT = 10**7
 
@@ -389,21 +379,10 @@ def reduce_instance(
     g = inst.sorts[0]
     if not check_property(g, "idempotent"):
         raise NotPseudopartition("template is not idempotent")
-    status = check_pseudopartition(g, join)
-    if not status.pseudopartition:
-        raise NotPseudopartition(str(status))
+    jm, _, part, blocks, local, fibers = _fiber_split(g, join)
     for scope, rel in inst.constraints:
         if not is_invariant(rel, g):
             raise NotInvariant(f"constraint on {scope} is not invariant")
-
-    jm = join_matrix(g, join)
-    part = sigma(g, join)
-    blocks = part.blocks()
-    local = {x: blocks[s].index(x) for s in range(len(blocks)) for x in blocks[s]}
-    fibers = tuple(
-        CayleyTable([[local[g.rows[a][b]] for b in blk] for a in blk])
-        for blk in blocks
-    )
 
     # subdirect normalization: restrict relations to current projections
     # and recompute until stable
@@ -481,57 +460,6 @@ def reduce_instance(
         fiber_globals=tuple(blocks),
         partition=part,
         transform=transform,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Many-sorted to product translation
-
-
-def product_table(tables: Sequence[CayleyTable]) -> CayleyTable:
-    """Componentwise operation on the product carrier: the left fold of
-    `product_algebra`, so (a_1, ..., a_k) is encoded in mixed radix as
-    (...(a_1*n_2 + a_2)*n_3 + ...)*n_k + a_k."""
-    if math.prod(t.n for t in tables) > BRUTE_LIMIT:
-        raise BoundExceeded("product carrier too large")
-    return functools.reduce(product_algebra, tables, CayleyTable([[0]]))
-
-
-def multisorted_to_product(inst: CSPInstance) -> CSPInstance:
-    """Re-domain a many-sorted instance over the product of its sorts.
-
-    Original coordinates embed through the sort projections; the other
-    coordinates of a lifted tuple are unconstrained, so satisfiability is
-    preserved in both directions.
-    """
-    if len(inst.sorts) == 1:
-        return inst
-    sizes = [t.n for t in inst.sorts]
-    prod = product_table(inst.sorts)
-    strides = [math.prod(sizes[s + 1 :]) for s in range(len(sizes))]
-
-    def coordinate(e: int, sort: int) -> int:
-        return (e // strides[sort]) % sizes[sort]
-
-    new_cons = []
-    for scope, rel in inst.constraints:
-        lifted = set()
-        for t in rel.tuples:
-            # all product elements agreeing with t on the scoped sorts
-            choices = []
-            for pos, e in enumerate(t):
-                sort = rel.signature[pos]
-                matching = [
-                    p for p in range(prod.n) if coordinate(p, sort) == e
-                ]
-                choices.append(matching)
-            for combo in itertools.product(*choices):
-                lifted.add(combo)
-        new_cons.append(
-            (scope, Relation(rel.arity, (0,) * rel.arity, frozenset(lifted)))
-        )
-    return CSPInstance(
-        inst.variables, (prod,), (0,) * len(inst.variables), tuple(new_cons)
     )
 
 

@@ -17,6 +17,12 @@ Płonka sum: the product of elements in different fibers is computed by
 pushing both into the join fiber first.
 
 The candidate join used throughout the workbench is x∨y = y·(x·y).
+
+P1..P5 are written once, as the rows of `LAWS`: a law's name and the
+tuples where it fails on the tabulated join, in the law's own scan order,
+so the first failing tuple is the witness. `decompose` and
+`csp.reduce_instance` share one split of the table into σ-fibers, which
+tabulates the join, checks P1..P5 and validates σ once each.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from cigroupoids.congruences import (
     PartitionCongruence,
     from_pairs,
     is_compatible,
-    quotient_table,
 )
 from cigroupoids.core import (
     CayleyTable,
@@ -77,6 +82,30 @@ def join_matrix(g: CayleyTable, join: Term) -> list[list[int]]:
     return [[eval_postfix(ops, (a, b), rows) for b in range(g.n)] for a in range(g.n)]
 
 
+# P1..P5 as rows: (name, the tuples where the law fails), given the table
+# rows r, the join matrix j and the carrier k = range(n). Each law scans its
+# own variables in its own order, and its first failing tuple is its witness.
+LAWS = (
+    ("P1", lambda r, j, k: ((x,) for x in k if j[x][x] != x)),
+    ("P2", lambda r, j, k: (
+        (x, y, z) for x in k for y in k for z in k
+        if j[j[x][y]][z] != j[x][j[y][z]]
+    )),
+    ("P3", lambda r, j, k: (
+        (x, y, z) for x in k for y in k for z in k
+        if j[x][j[y][z]] != j[x][j[z][y]]
+    )),
+    ("P4", lambda r, j, k: (
+        (y, x1, x2) for y in k for x1 in k for x2 in k
+        if j[y][r[x1][x2]] != j[j[y][x1]][x2]
+    )),
+    ("P5", lambda r, j, k: (
+        (x1, x2, y) for x1 in k for x2 in k for y in k
+        if j[r[x1][x2]][y] != r[j[x1][y]][j[x2][y]]
+    )),
+)
+
+
 @dataclass(frozen=True)
 class P5Status:
     p1: bool
@@ -102,60 +131,12 @@ class P5Status:
 
 
 def _status_from_matrix(g: CayleyTable, jm: list[list[int]]) -> P5Status:
-    n = g.n
-    rng = range(n)
     wit: dict[str, tuple] = {}
-
-    p1 = True
-    for x in rng:
-        if jm[x][x] != x:
-            p1, wit["P1"] = False, (x,)
-            break
-    p2 = True
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if jm[jm[x][y]][z] != jm[x][jm[y][z]]:
-                    p2, wit["P2"] = False, (x, y, z)
-                    break
-            if not p2:
-                break
-        if not p2:
-            break
-    p3 = True
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if jm[x][jm[y][z]] != jm[x][jm[z][y]]:
-                    p3, wit["P3"] = False, (x, y, z)
-                    break
-            if not p3:
-                break
-        if not p3:
-            break
-    p4 = True
-    for y in rng:
-        for x1 in rng:
-            for x2 in rng:
-                if jm[y][g.rows[x1][x2]] != jm[jm[y][x1]][x2]:
-                    p4, wit["P4"] = False, (y, x1, x2)
-                    break
-            if not p4:
-                break
-        if not p4:
-            break
-    p5 = True
-    for x1 in rng:
-        for x2 in rng:
-            for y in rng:
-                if jm[g.rows[x1][x2]][y] != g.rows[jm[x1][y]][jm[x2][y]]:
-                    p5, wit["P5"] = False, (x1, x2, y)
-                    break
-            if not p5:
-                break
-        if not p5:
-            break
-    return P5Status(p1, p2, p3, p4, p5, wit)
+    for name, failures in LAWS:
+        w = next(failures(g.rows, jm, range(g.n)), None)
+        if w is not None:
+            wit[name] = w
+    return P5Status(*(name not in wit for name, _ in LAWS), wit)
 
 
 def check_pseudopartition(g: CayleyTable, join: Term = STANDARD_JOIN) -> P5Status:
@@ -165,8 +146,11 @@ def check_pseudopartition(g: CayleyTable, join: Term = STANDARD_JOIN) -> P5Statu
 
 def sigma(g: CayleyTable, join: Term = STANDARD_JOIN) -> PartitionCongruence:
     """The relation a σ b iff a∨b=a and b∨a=b, validated as a congruence."""
+    return _sigma(g, join_matrix(g, join))
+
+
+def _sigma(g: CayleyTable, jm: list[list[int]]) -> PartitionCongruence:
     n = g.n
-    jm = join_matrix(g, join)
 
     def related(a: int, b: int) -> bool:
         return jm[a][b] == a and jm[b][a] == b
@@ -185,6 +169,26 @@ def sigma(g: CayleyTable, join: Term = STANDARD_JOIN) -> PartitionCongruence:
     if not ok:
         raise NotACongruence("sigma is not operation-compatible", witness)
     return part
+
+
+def _fiber_split(g: CayleyTable, join: Term) -> tuple:
+    """(join matrix, P1..P5 status, σ, σ-classes, index of each element in
+    its class, class sub-tables), each computed once; P1..P4 must hold."""
+    jm = join_matrix(g, join)
+    status = _status_from_matrix(g, jm)
+    if not status.pseudopartition:
+        raise NotPseudopartition(str(status))
+    part = _sigma(g, jm)
+    blocks = part.blocks()
+    local = {x: i for blk in blocks for i, x in enumerate(blk)}
+    fibers = []
+    for blk in blocks:
+        for a in blk:
+            for b in blk:
+                if part.block_of[g.rows[a][b]] != part.block_of[a]:
+                    raise NotACongruence("sigma class not closed", (a, b))
+        fibers.append(CayleyTable([[local[g.rows[a][b]] for b in blk] for a in blk]))
+    return jm, status, part, blocks, local, tuple(fibers)
 
 
 @dataclass(frozen=True)
@@ -206,10 +210,6 @@ class PlonkaSystem:
     def size(self) -> int:
         return sum(f.n for f in self.fibers)
 
-    def below(self, s: int, t: int) -> bool:
-        """Replica order: s is below t when s∨t = t."""
-        return self.replica.rows[s][t] == t
-
 
 def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
     """Split g into σ-classes over the semilattice quotient.
@@ -218,28 +218,11 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
     homomorphisms is a consistency check on the theory, so a failure there
     raises rather than degrades.
     """
-    status = check_pseudopartition(g, join)
-    if not status.pseudopartition:
-        raise NotPseudopartition(str(status))
-    part = sigma(g, join)
-    jm = join_matrix(g, join)
-    blocks = part.blocks()
+    jm, status, part, blocks, local, fibers = _fiber_split(g, join)
     k = len(blocks)
-    local = {x: blocks[s].index(x) for s in range(k) for x in blocks[s]}
-
-    fibers = []
-    for blk in blocks:
-        for a in blk:
-            for b in blk:
-                if part.block_of[g.rows[a][b]] != part.block_of[a]:
-                    raise NotACongruence("sigma class not closed", (a, b))
-        fibers.append(
-            CayleyTable(
-                [[local[g.rows[a][b]] for b in blk] for a in blk]
-            )
-        )
-
-    replica = quotient_table(g, part)
+    # σ is a congruence, so the classes multiply like their least elements
+    reps = [blk[0] for blk in blocks]
+    replica = CayleyTable([[part.block_of[g.rows[a][b]] for b in reps] for a in reps])
     if not check_property(replica, "semilattice"):
         raise NotPseudopartition("quotient is not a semilattice")
 
@@ -259,7 +242,7 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
                     images.append(local[y])
                 maps[(s, t)] = tuple(images)
         _validate_maps(replica, fibers, maps)
-    return PlonkaSystem(replica, tuple(fibers), tuple(tuple(b) for b in blocks), maps)
+    return PlonkaSystem(replica, fibers, tuple(blocks), maps)
 
 
 def _validate_maps(
@@ -415,15 +398,18 @@ def parse_system(text: str) -> PlonkaSystem:
         if stripped.startswith("# fiber "):
             flush()
             toks = stripped.split()
-            if toks[3] != "elements":
+            if len(toks) < 4 or toks[3] != "elements":
                 raise ValueError(f"bad fiber header: {ln!r}")
             globals_.append(tuple(int(t) for t in toks[4:]))
             current = []
         elif stripped.startswith("# map "):
             flush()
             current = None
-            head, images = stripped[len("# map ") :].split(":")
-            s, t = (int(v) for v in head.split())
+            head, colon, images = stripped[len("# map ") :].partition(":")
+            ends = head.split()
+            if not colon or len(ends) != 2:
+                raise ValueError(f"bad map line: {ln!r}")
+            s, t = (int(v) for v in ends)
             maps[(s, t)] = tuple(int(v) for v in images.split())
         elif current is not None:
             current.append(ln)

@@ -2,11 +2,14 @@
 
 Every test carries its runtime budget as a hard assertion. Budgets are
 upper bounds for a cold run on modest hardware; the suites themselves
-run far below them.
+run far below them. Each suite's rows must also match, byte for byte, the
+`verify --format tsv` output recorded in bench/transcript.json.
 """
 
+import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from cigroupoids.bolmoufang import (
     ALL_BM,
@@ -27,6 +30,13 @@ from cigroupoids.plonka import cie_cyclic
 from cigroupoids.search import all_models, count_models, variety_identities
 from cigroupoids.suites import run_suite
 
+TRANSCRIPT = {
+    entry["name"]: entry
+    for entry in json.loads(
+        (Path(__file__).resolve().parent.parent / "bench" / "transcript.json").read_text()
+    )
+}
+
 
 @contextmanager
 def budget(seconds):
@@ -40,6 +50,11 @@ def _suite_passes(name):
     report = run_suite(name)
     failed = [c.check for c in report.checks if not c.passed]
     assert report.overall, f"suite {name} failed: {failed}"
+    rows = "".join(
+        f"{c.check}\t{'pass' if c.passed else 'fail'}\t{c.witness}\n" for c in report.checks
+    )
+    recorded = TRANSCRIPT[f"verify {name}"]
+    assert (rows, 0) == (recorded["stdout"], recorded["exit"])
     return report
 
 

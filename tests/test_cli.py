@@ -4,15 +4,18 @@ Everything goes through main(argv) so exit codes and printed output are
 checked exactly as a shell user would see them.
 """
 
+import ast
 import io
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from cigroupoids.cli import build_parser, entry, main
 from cigroupoids.core import CayleyTable, format_alg, load_fixture, parse_alg
 from cigroupoids.csp import parse_csp, solve_brute
-from cigroupoids.plonka import adjoin_infinity
+from cigroupoids.plonka import adjoin_infinity, decompose, format_system
 
 
 FIG4A_PROFILE = (
@@ -252,6 +255,21 @@ def test_plonka_decompose_rejects_non_pseudopartition(capsys):
     assert "NotPseudopartition" in err
 
 
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        ("# fiber 1 elements 3", "# fiber 1", "bad fiber header: '# fiber 1'"),
+        ("# map 0 1: 0 0 0", "# map 0 1 0 0 0", "bad map line: '# map 0 1 0 0 0'"),
+    ],
+    ids=["fiber-header", "map-line"],
+)
+def test_plonka_sum_rejects_malformed_line(capsys, monkeypatch, good, bad, message):
+    system = format_system(decompose(adjoin_infinity(load_fixture("fig4a"))))
+    assert good in system
+    monkeypatch.setattr(sys, "stdin", io.StringIO(system.replace(good, bad)))
+    assert run(capsys, "plonka", "sum", "-") == (2, "", f"error: {message}\n")
+
+
 def test_plonka_adjoin_infinity(capsys):
     rc, out, _ = run(capsys, "plonka", "adjoin-infinity", "fig4a")
     assert rc == 0
@@ -381,6 +399,44 @@ def test_verify_unknown_suite(capsys):
     rc, _, err = run(capsys, "verify", "galaxy")
     assert rc == 2
     assert "galaxy" in err and "figures" in err
+
+
+# ---------------------------------------------------------------------------
+# transcript
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRANSCRIPT = {e["name"]: e for e in json.loads((BENCH / "transcript.json").read_text())}
+
+
+def _transcript_commands():
+    """bench/wl_verify.py's COMMANDS past the verify suites: (name, argv,
+    name of the command whose recorded stdout is fed on stdin)."""
+    tree = ast.parse((BENCH / "wl_verify.py").read_text())
+    value = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "COMMANDS"
+    )
+    return ast.literal_eval(value.right)
+
+
+@pytest.mark.parametrize(
+    "name, argv, stdin_from", [pytest.param(*cmd, id=cmd[0]) for cmd in _transcript_commands()]
+)
+def test_transcript_command(capsys, monkeypatch, name, argv, stdin_from):
+    # each command's stdout and exit code, byte for byte as recorded
+    ref = TRANSCRIPT[name]
+    assert ref["argv"] == argv
+    stdin = TRANSCRIPT[stdin_from]["stdout"] if stdin_from else ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    rc, out, _ = run(capsys, *argv)
+    assert (out, rc) == (ref["stdout"], ref["exit"])
+
+
+def test_transcript_commands_cover_the_transcript():
+    replayed = [name for name, _, _ in _transcript_commands()]
+    verify = [name for name in TRANSCRIPT if name.startswith("verify ")]
+    assert len(replayed) == 16
+    assert sorted(replayed + verify) == sorted(TRANSCRIPT)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 
 from cigroupoids.congruences import (
     CongruenceLattice,
-    NotACongruence,
     PartitionCongruence,
     all_congruences,
     from_pairs,
@@ -25,7 +24,6 @@ from cigroupoids.congruences import (
     leq,
     meet,
     principal_congruence,
-    quotient_table,
 )
 from cigroupoids.core import (
     FIXTURE_NAMES,
@@ -150,19 +148,6 @@ def test_lattice_closed_under_meet_and_join():
     for p, q in itertools.combinations(lat.elements, 2):
         assert meet(p, q) in elems
         assert join(p, q) in elems
-
-
-def test_quotient_table():
-    g = adjoin_infinity(SQUAG)
-    part = principal_congruence(g, 0, 1)
-    q = quotient_table(g, part)
-    assert q == CayleyTable([[0, 1], [1, 1]])
-
-
-def test_quotient_rejects_noncongruence():
-    bad = PartitionCongruence(3, (0, 0, 1))
-    with pytest.raises(NotACongruence):
-        quotient_table(SQUAG, bad)
 
 
 def test_partition_normalization_enforced():

@@ -16,7 +16,6 @@ from cigroupoids.core import (
     CayleyTable,
     Identity,
     InvalidExponent,
-    NotLatin,
     Prod,
     UnboundVariable,
     Var,
@@ -26,7 +25,6 @@ from cigroupoids.core import (
     compile_term,
     eval_term,
     format_alg,
-    latin_expand,
     load_fixture,
     parse_alg,
     parse_identity,
@@ -423,51 +421,6 @@ def test_explicit_order_override():
     assert term_condition(SQUAG, q, "maltsev")
     assert not term_condition(SQUAG, q, "maltsev", order=("y", "x", "z"))
     assert not term_condition(MEET2, q, "maltsev")
-
-
-# --- latin expansion -----------------------------------------------------
-
-
-def test_squag_self_division():
-    mul, ldiv, rdiv = latin_expand(SQUAG)
-    assert ldiv == SQUAG
-    assert rdiv == SQUAG
-
-
-def test_xor_self_division():
-    mul, ldiv, rdiv = latin_expand(XOR2)
-    assert ldiv == XOR2
-    assert rdiv == XOR2
-
-
-def test_quasigroup_axioms_hold():
-    mul, ldiv, rdiv = latin_expand(SQUAG)
-    n = mul.n
-    for x in range(n):
-        for y in range(n):
-            assert ldiv.prod(x, mul.prod(x, y)) == y
-            assert rdiv.prod(mul.prod(x, y), y) == x
-            assert mul.prod(x, ldiv.prod(x, y)) == y
-            assert mul.prod(rdiv.prod(x, y), y) == x
-
-
-def test_fig4c_not_latin():
-    with pytest.raises(NotLatin):
-        latin_expand(load_fixture("fig4c"))
-
-
-def test_quasigroup_maltsev_term():
-    # (x/(y\y)) * (y\z) is Maltsev on any quasigroup expansion
-    mul, ldiv, rdiv = latin_expand(SQUAG)
-    n = mul.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                q = mul.prod(rdiv.prod(x, ldiv.prod(y, y)), ldiv.prod(y, z))
-                if y == z:
-                    assert q == x
-                if x == y:
-                    assert q == z
 
 
 # --- file format ---------------------------------------------------------

@@ -20,9 +20,7 @@ from cigroupoids.csp import (
     format_csp,
     gen_instance,
     is_invariant,
-    multisorted_to_product,
     parse_csp,
-    product_table,
     reduce_instance,
     single_sorted_instance,
     solve_brute,
@@ -598,59 +596,6 @@ def test_fold_result_stays_in_one_sigma_class():
         }
         blocks = {part.block_of[r] for r in results}
         assert len(blocks) == 1
-
-
-# ---------------------------------------------------------------------------
-# Many-sorted to product
-
-
-def test_product_table_componentwise():
-    prod = product_table([MEET2, SQUAG])
-    assert prod.n == 6
-    # element a*3+b pairs (a in meet, b in squag)
-    assert prod.rows[1 * 3 + 0][1 * 3 + 1] == 1 * 3 + SQUAG.rows[0][1]
-    assert prod.rows[0 * 3 + 2][1 * 3 + 2] == 0 * 3 + 2
-
-
-def test_single_sorted_passthrough():
-    inst = single_sorted_instance(SQUAG, ["v"], [])
-    assert multisorted_to_product(inst) is inst
-
-
-def test_product_translation_preserves_satisfiability():
-    rel = Relation(2, (0, 1), frozenset({(1, 2)}))
-    sat = CSPInstance(("u", "v"), (MEET2, SQUAG), (0, 1), ((("u", "v"), rel),))
-    lifted = multisorted_to_product(sat)
-    assert len(lifted.sorts) == 1 and lifted.sorts[0].n == 6
-    sol = solve_brute(lifted)
-    assert sol is not None
-    # the lifted solution projects onto a solution of the original
-    assert (sol["u"] // 3) % 2 == 1 and sol["v"] % 3 == 2
-
-    pin = Relation(1, (0,), frozenset({(0,)}))
-    unsat = CSPInstance(
-        ("u", "v"),
-        (MEET2, SQUAG),
-        (0, 1),
-        ((("u", "v"), rel), (("u",), pin)),
-    )
-    assert solve_brute(unsat) is None
-    assert solve_brute(multisorted_to_product(unsat)) is None
-
-
-def test_product_translation_empty_constraints():
-    inst = CSPInstance(("u", "v"), (MEET2, SQUAG), (0, 1), ())
-    assert solve_brute(inst) is not None
-    assert solve_brute(multisorted_to_product(inst)) is not None
-
-
-def test_product_translation_of_reduced_instances():
-    for seed in range(20):
-        inst = gen_instance(seed, AINF, num_vars=4, num_constraints=3)
-        red = reduce_instance(inst)
-        direct = solve_brute(red.reduced)
-        lifted = solve_brute(multisorted_to_product(red.reduced))
-        assert (direct is None) == (lifted is None), seed
 
 
 # ---------------------------------------------------------------------------
