@@ -6,6 +6,7 @@ partitions by compatibility, SD(∧) over every triple, and the height and
 atoms read off the refinement order.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -351,3 +352,38 @@ def test_leftzero7_bell():
     assert len(lat.elements) == 877  # Bell(7): every partition is a congruence
     assert (lat.height(), len(lat.atoms())) == (6, 21)
     assert not is_sd_meet(lat)
+
+
+def test_lattice_outputs_golden():
+    # Pinned before the lattice came from one sweep with stored depths and
+    # before partitions were normalized in one place: every element's block
+    # array in order, the principals, height, atoms and SD(∧).
+    from cigroupoids.search import all_models
+
+    t1_sum6 = reduction_templates()["t1-sum-6"]
+    tables = [load_fixture(name) for name in FIXTURE_NAMES]
+    tables += [g for n in range(1, 5) for g in all_models(n, ())]
+    tables += [chain(n) for n in range(1, 9)]
+    tables += [left_zero(n) for n in range(1, 8)]
+    tables += [
+        product_algebra(SQUAG, SQUAG),
+        product_algebra(SQUAG, chain(4)),
+        product_algebra(t1_sum6, chain(2)),
+        product_algebra(chain(4), chain(3)),
+    ]
+    out = []
+    for g in tables:
+        lat = all_congruences(g)
+        out.append(
+            (
+                [e.block_of for e in lat.elements],
+                [e.block_of for e in lat.principals],
+                lat.height(),
+                [e.block_of for e in lat.atoms()],
+                is_sd_meet(lat),
+            )
+        )
+    assert len(tables) == 229
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "76a2889bbcbca9f2243e1f9fdfe25f9d405a320981a67f80b453165569dae9c9"
+    )
