@@ -2,16 +2,22 @@
 
 A congruence is stored as a block-id array: block_of[x] is the id of the
 class containing x, with ids normalized so that they appear in increasing
-order of least element. Equivalences are generated through one union-find,
-`_find` with path halving, shared by `from_pairs`, `principal_congruence`
-and `join`.
+order of least element. `PartitionCongruence.__post_init__` is the one
+place that normalizes: `from_pairs`, `principal_congruence`, `join` and
+`meet` pass raw labels (union-find roots, pairs of block ids), so each
+partition is normalized exactly once and no instance breaks the
+convention. Equivalences are generated through one union-find, `_find`
+with path halving, shared by `from_pairs`, `principal_congruence` and
+`join`.
 
 The lattice is built from the distinct principal congruences Cg(a, b),
 following Freese, "Computing congruences efficiently" (Algebra Universalis,
-2008). Every congruence is the join of the principal ones it contains, so a
-worklist reaches them all: each element found is joined once with each
-principal congruence, never with the other elements, which takes O(L*P)
-joins for L congruences and P principal ones.
+2008). Every congruence is the join of the principal ones it contains, so
+one sweep from the identity reaches them all: each element found is joined
+once with each principal congruence, never with the other elements, which
+takes O(L*P) joins for L congruences and P principal ones. The sweep goes
+level by level, from most blocks to fewest, since f∨p ≠ f has fewer blocks
+than f.
 
 Meet-semidistributivity, SD(∧), says x∧y = x∧z implies x∧(y∨z) = x∧y.
 `is_sd_meet` groups, for each x, the elements z by the meet x∧z and checks
@@ -26,10 +32,12 @@ j∧y = j∧z = j_* while j∧(y∨z) = j. Join-irreducible congruences are prin
 over the principal congruences only: O(P*L) meets and joins instead of the
 O(L^3) of the triple definition.
 
-The order facts come from the principal congruences too. Every cover f ≺ e
-has the form e = f∨p for a principal p, so `height` is a longest path over
-the edges f -> f∨p, walked finest first. Every atom is principal (it is
-Cg(a, b) for any pair it identifies), so `atoms` are the minimal ones.
+The order facts come from the same sweep. Every cover f ≺ e has the form
+e = f∨p for a principal p (any p ≤ e with p ≰ f), so the longest chain from
+the bottom up to e is a longest path over the edges f -> f∨p. Everything
+below e lies on an earlier level, so the sweep has settled e's depth by the
+time it reaches e, and stores it. `height` is the largest depth and `atoms`
+are the elements of depth 1; neither joins or meets anything.
 """
 
 from __future__ import annotations
@@ -71,10 +79,10 @@ class PartitionCongruence:
     block_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        """Relabel any hashable labels to the normalized block ids."""
         if len(self.block_of) != self.n:
             raise ValueError("block array length must equal n")
-        if self.block_of != _normalize(list(self.block_of)):
-            raise ValueError("block ids must be normalized by least element")
+        object.__setattr__(self, "block_of", _normalize(self.block_of))
 
     @property
     def num_blocks(self) -> int:
@@ -94,10 +102,6 @@ def identity_congruence(n: int) -> PartitionCongruence:
     return PartitionCongruence(n, tuple(range(n)))
 
 
-def full_congruence(n: int) -> PartitionCongruence:
-    return PartitionCongruence(n, (0,) * n)
-
-
 def from_pairs(n: int, pairs) -> PartitionCongruence:
     """Equivalence generated by the pairs (no compatibility check)."""
     parent = list(range(n))
@@ -105,7 +109,7 @@ def from_pairs(n: int, pairs) -> PartitionCongruence:
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
-    return PartitionCongruence(n, _normalize([_find(parent, x) for x in range(n)]))
+    return PartitionCongruence(n, [_find(parent, x) for x in range(n)])
 
 
 def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tuple | None]:
@@ -148,7 +152,7 @@ def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
         for c in range(n):
             union(rows[x][c], rows[y][c])
             union(rows[c][x], rows[c][y])
-    return PartitionCongruence(n, _normalize([_find(parent, x) for x in range(n)]))
+    return PartitionCongruence(n, [_find(parent, x) for x in range(n)])
 
 
 def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
@@ -162,16 +166,11 @@ def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
             ra, rb = _find(parent, r), _find(parent, a)
             if ra != rb:
                 parent[ra] = rb
-    return PartitionCongruence(p.n, _normalize([_find(parent, a) for a in p_of]))
+    return PartitionCongruence(p.n, [_find(parent, a) for a in p_of])
 
 
 def meet(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
-    return PartitionCongruence(p.n, _normalize(zip(p.block_of, q.block_of)))
-
-
-def leq(p: PartitionCongruence, q: PartitionCongruence) -> bool:
-    """Refinement order: every p-block lies inside a q-block."""
-    return meet(p, q) == p
+    return PartitionCongruence(p.n, list(zip(p.block_of, q.block_of)))
 
 
 def _lattice_order(e: PartitionCongruence) -> tuple:
@@ -181,60 +180,51 @@ def _lattice_order(e: PartitionCongruence) -> tuple:
 
 @dataclass(frozen=True)
 class CongruenceLattice:
-    """All congruences, finest first, and the distinct nontrivial principal
+    """All congruences, finest first, each with the length of the longest
+    chain up to it from the bottom, and the distinct nontrivial principal
     congruences among them, in the same order."""
 
     n: int
     elements: tuple[PartitionCongruence, ...]
+    depths: tuple[int, ...]
     principals: tuple[PartitionCongruence, ...]
 
     def height(self) -> int:
-        """Length (edge count) of the longest chain.
-
-        A longest path over the edges f -> f∨p; the stored order lists each
-        element after everything below it, so one forward walk settles it.
-        """
-        depth = dict.fromkeys(self.elements, 0)
-        for f in self.elements:
-            for p in self.principals:
-                e = join(f, p)
-                if e != f and depth[e] <= depth[f]:
-                    depth[e] = depth[f] + 1
-        return max(depth.values())
+        """Length (edge count) of the longest chain."""
+        return max(self.depths)
 
     def atoms(self) -> list[PartitionCongruence]:
-        """The minimal nontrivial principal congruences, in lattice order."""
-        return [
-            e
-            for e in self.principals
-            if not any(f != e and leq(f, e) for f in self.principals)
-        ]
+        """The elements covering the bottom, in lattice order."""
+        return [e for e, d in zip(self.elements, self.depths) if d == 1]
 
 
 def all_congruences(g: CayleyTable) -> CongruenceLattice:
-    """The full congruence lattice: principal congruences plus join closure."""
+    """The full congruence lattice: one sweep of joins with the principal congruences."""
     n = g.n
     if n > MAX_N_CONGRUENCES:
         raise BoundExceeded(f"n={n} exceeds the congruence bound {MAX_N_CONGRUENCES}")
-    principals = list(
-        dict.fromkeys(
-            principal_congruence(g, a, b) for a in range(n) for b in range(a + 1, n)
-        )
+    principals = sorted(
+        {principal_congruence(g, a, b) for a in range(n) for b in range(a + 1, n)},
+        key=_lattice_order,
+        reverse=True,
     )
-    found = {identity_congruence(n), *principals}
-    work = list(principals)
-    while work:
-        f = work.pop()
-        for p in principals:
-            e = join(f, p)
-            if e not in found:
-                found.add(e)
-                work.append(e)
-    return CongruenceLattice(
-        n,
-        tuple(sorted(found, key=_lattice_order, reverse=True)),
-        tuple(sorted(principals, key=_lattice_order, reverse=True)),
-    )
+    # levels[k] maps each element with k blocks found so far to its depth
+    levels: list[dict[PartitionCongruence, int]] = [{} for _ in range(n + 1)]
+    levels[n][identity_congruence(n)] = 0
+    elements: list[PartitionCongruence] = []
+    depths: list[int] = []
+    for level in reversed(levels):
+        for f in sorted(level, key=_lattice_order, reverse=True):
+            d = level[f]
+            elements.append(f)
+            depths.append(d)
+            for p in principals:
+                e = join(f, p)
+                if e != f:
+                    up = levels[e.num_blocks]
+                    if up.get(e, 0) <= d:
+                        up[e] = d + 1
+    return CongruenceLattice(n, tuple(elements), tuple(depths), tuple(principals))
 
 
 def is_sd_meet(lat: CongruenceLattice) -> bool:

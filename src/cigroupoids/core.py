@@ -55,14 +55,18 @@ class Prod:
 
     # Equality and hashing go through the postfix signature rather than the
     # recursive dataclass defaults, so terms of any depth can be compared
-    # and used as cache keys.
+    # and used as cache keys; the signature is walked once per instance.
+    @functools.cached_property
+    def signature(self) -> tuple[str | None, ...]:
+        return _signature(self)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prod):
             return NotImplemented
-        return self is other or _signature(self) == _signature(other)
+        return self is other or self.signature == other.signature
 
     def __hash__(self) -> int:
-        return hash(_signature(self))
+        return hash(self.signature)
 
     def __str__(self) -> str:
         return _render(self, lambda v: v.name, "({} {})".format)
@@ -72,7 +76,7 @@ class Prod:
         return _render(self, repr, "Prod(left={}, right={})".format)
 
     def __reduce__(self):
-        return _from_signature, (_signature(self),)
+        return _from_signature, (self.signature,)
 
 
 Term = Var | Prod

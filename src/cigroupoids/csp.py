@@ -33,7 +33,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from cigroupoids.congruences import PartitionCongruence
 from cigroupoids.core import BoundExceeded, CayleyTable, Term, check_property
 from cigroupoids.plonka import STANDARD_JOIN, NotPseudopartition, _fiber_split
 
@@ -347,7 +346,6 @@ class ReductionResult:
     b_sets: dict[str, tuple[int, ...]]  # normalized B_v, parent elements
     b_prime: dict[str, tuple[int, ...]]  # σ-class of a_v, parent elements
     fiber_globals: tuple[tuple[int, ...], ...]  # reduced sort -> parent elements
-    partition: PartitionCongruence
     # maps an original solution through v -> f(v)∨a_v into local coordinates
     transform: Callable[[Mapping[str, int]], Solution] = field(
         compare=False, repr=False
@@ -458,7 +456,6 @@ def reduce_instance(
         b_sets={v: tuple(sorted(s)) for v, s in b_sets.items()},
         b_prime=b_prime,
         fiber_globals=tuple(blocks),
-        partition=part,
         transform=transform,
     )
 
@@ -544,6 +541,8 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     pos += 1
     sorts = []
     for _ in range(k):
+        if pos == len(lines) or lines[pos].startswith(("var ", "con ")):
+            raise ValueError(f"{lines[0]!r} declares {k} sorts, found {len(sorts)}")
         if lines[pos].startswith("@file "):
             path = lines[pos][len("@file ") :].strip()
             sorts.append(load_alg(os.path.join(base_dir, path)))
@@ -559,12 +558,17 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     while pos < len(lines):
         ln = lines[pos]
         if ln.startswith("var "):
-            _, name, sid = ln.split()
-            variables.append(name)
-            domain.append(int(sid))
+            toks = ln.split()
+            if len(toks) != 3:
+                raise ValueError(f"var line needs a name and a sort id: {ln!r}")
+            variables.append(toks[1])
+            domain.append(int(toks[2]))
             pos += 1
         elif ln.startswith("con "):
             scope = tuple(ln.split()[1:])
+            for v in scope:
+                if v not in variables:
+                    raise ValueError(f"undeclared variable {v!r} in {ln!r}")
             pos += 1
             tuples = []
             while pos < len(lines) and lines[pos] != "end":

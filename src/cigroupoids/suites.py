@@ -39,7 +39,7 @@ from cigroupoids.core import (
     power_term,
     term_condition,
 )
-from cigroupoids.csp import gen_instance, reduce_instance, solve_brute
+from cigroupoids.csp import fold_join, gen_instance, reduce_instance, solve_brute
 from cigroupoids.plonka import (
     STANDARD_JOIN,
     adjoin_infinity,
@@ -128,14 +128,10 @@ def _identity_on_models(
     return CheckResult(check, True, f"holds on all {len(models)} models")
 
 
-def _class_identities(cls: str) -> tuple[Identity, ...]:
-    return tuple(decode(bm(name)) for name in TABLE1_CLASSES[cls])
-
-
 def _models_of_class(cls: str, max_n: int) -> list[CayleyTable]:
     out: list[CayleyTable] = []
     for n in range(1, max_n + 1):
-        out.extend(all_models(n, _class_identities(cls)))
+        out.extend(all_models(n, variety_identities(cls)))
     return out
 
 
@@ -191,7 +187,7 @@ def _suite_figures() -> list[CheckResult]:
     fails("fig2b-fails-A24", fig2b, a24, {"x": 0, "y": 1, "z": 2})
 
     fig3a = load_fixture("fig3a")
-    membership("fig3a-in-X", fig3a, _class_identities("X"))
+    membership("fig3a-in-X", fig3a, variety_identities("X"))
     fails("fig3a-fails-C15", fig3a, c15, {"x": 0, "y": 1, "z": 2})
     fails("fig3a-fails-B12", fig3a, b12, {"x": 0, "y": 1, "z": 2})
     fails("fig3a-not-associative", fig3a, ASSOCIATIVE_LAW, {"x": 0, "y": 1, "z": 2})
@@ -201,16 +197,16 @@ def _suite_figures() -> list[CheckResult]:
     fails("fig3b-fails-A14", fig3b, a14, {"x": 0, "y": 1, "z": 2})
 
     fig4a = load_fixture("fig4a")
-    membership("fig4a-in-T1", fig4a, _class_identities("T1"))
+    membership("fig4a-in-T1", fig4a, variety_identities("T1"))
     fails("fig4a-fails-two-semilattice", fig4a, two_sl_expanded, {"x": 0, "y": 1})
     fails("fig4a-fails-B12", fig4a, b12, {"x": 0, "y": 0, "z": 1})
 
     fig4b = load_fixture("fig4b")
-    membership("fig4b-in-S2", fig4b, _class_identities("S2"))
+    membership("fig4b-in-S2", fig4b, variety_identities("S2"))
     fails("fig4b-fails-B13", fig4b, b13, {"x": 0, "y": 1, "z": 1})
 
     fig4c = load_fixture("fig4c")
-    membership("fig4c-in-S1", fig4c, _class_identities("S1"))
+    membership("fig4c-in-S1", fig4c, variety_identities("S1"))
     fails("fig4c-fails-two-semilattice", fig4c, two_sl, {"x": 0, "y": 1})
     fails("fig4c-fails-C15", fig4c, c15, {"x": 0, "y": 0, "z": 1})
 
@@ -259,8 +255,8 @@ def _suite_table1() -> list[CheckResult]:
         for q in CLASS_NAMES:
             if p == q or is_subvariety(p, q):
                 continue
-            sat = _class_identities(p)
-            unsat = _class_identities(q)
+            sat = variety_identities(p)
+            unsat = variety_identities(q)
             model = find_separating_model(sat, unsat, 6)
             check = f"separate-{p}-from-{q}"
             if model is None:
@@ -288,7 +284,7 @@ def _suite_table1() -> list[CheckResult]:
 def _suite_intersections() -> list[CheckResult]:
     checks = []
     for p, q in (("2SL", "T2"), ("2SL", "S2"), ("T2", "S2")):
-        require = _class_identities(p) + _class_identities(q)
+        require = variety_identities(p) + variety_identities(q)
         counts = []
         bad = None
         for n in range(1, 6):
@@ -603,15 +599,9 @@ def _suite_reduction() -> list[CheckResult]:
         jm = join_matrix(g, STANDARD_JOIN)
         part = sigma(g)
         values = rng.sample(range(g.n), rng.randint(1, g.n))
-        base = values[0]
-        for v in values[1:]:
-            base = jm[base][v]
         shuffled = values[:]
         rng.shuffle(shuffled)
-        alt = shuffled[0]
-        for v in shuffled[1:]:
-            alt = jm[alt][v]
-        if part.related(base, alt):
+        if part.related(fold_join(jm, values), fold_join(jm, shuffled)):
             ok += 1
     checks.append(
         CheckResult(

@@ -5,6 +5,7 @@ checked exactly as a shell user would see them.
 """
 
 import ast
+import importlib
 import io
 import json
 import sys
@@ -353,6 +354,27 @@ def test_csp_solve_parse_error(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message, old",
+    [
+        ("sorts 2\n2\n0 0\n0 1\n", "'sorts 2' declares 2 sorts, found 1",
+         "list index out of range"),
+        ("sorts 2\n2\n0 0\n0 1\nvar x 0\n", "'sorts 2' declares 2 sorts, found 1",
+         "invalid literal"),
+        ("sorts 1\n2\n0 0\n0 1\nvar x\n", "var line needs a name and a sort id: 'var x'",
+         "not enough values to unpack"),
+        ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon x y\nt 0 0\nend\n",
+         "undeclared variable 'y' in 'con x y'", "is not in list"),
+    ],
+    ids=["missing-sort", "sort-then-var", "var-line", "con-scope"],
+)
+def test_csp_solve_rejects_malformed_line(capsys, monkeypatch, text, message, old):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc, out, err = run(capsys, "csp", "solve", "-")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert old not in err
+
+
 def test_csp_reduce_pipeline(capsys, tmp_path):
     ainf = tmp_path / "ainf.alg"
     ainf.write_text(format_alg(adjoin_infinity(load_fixture("fig4a"))))
@@ -437,6 +459,24 @@ def test_transcript_commands_cover_the_transcript():
     verify = [name for name in TRANSCRIPT if name.startswith("verify ")]
     assert len(replayed) == 16
     assert sorted(replayed + verify) == sorted(TRANSCRIPT)
+
+
+def test_bench_spans_resolve():
+    # bench/spans.py installs its wrappers with getattr, so a renamed or
+    # deleted function would break traced benchmark runs and nothing else.
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    value = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANS"
+    )
+    rows = [(row.elts[0].value, row.elts[1].value) for row in value.elts]
+    assert rows
+    for module, attr in rows:
+        obj = importlib.import_module(f"cigroupoids.{module}")
+        for name in attr.split("."):
+            assert hasattr(obj, name), (module, attr)
+            obj = getattr(obj, name)
+        assert callable(obj), (module, attr)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,20 @@ def test_deep_term_repr_and_pickle(depth):
         assert repr(back) == text
 
 
+def test_term_signature_walked_once(monkeypatch):
+    # Hashing an identity hashes both terms; each walks its tree for the
+    # postfix signature once and keeps it, so a second hash walks nothing.
+    import cigroupoids.core as core
+
+    ident = parse_identity("(z (x y)) = (y x)")
+    walks = []
+    real = core._signature
+    monkeypatch.setattr(core, "_signature", lambda t: walks.append(t) or real(t))
+    assert hash(ident) == hash(ident)
+    assert len(walks) == 2
+    assert walks[0] is ident.lhs and walks[1] is ident.rhs
+
+
 # --- evaluation ----------------------------------------------------------
 
 
