@@ -267,6 +267,9 @@ def _load_instance(path: str):
 
 
 def _cmd_csp_gen(args, fmt: str) -> int:
+    for flag, value in (("--vars", args.vars), ("--max-arity", args.max_arity)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     template = _load_table(args.template)
     inst = gen_instance(
         args.seed,

@@ -487,9 +487,6 @@ def check_property(g: CayleyTable, name: str) -> bool:
     return all(check_identity(g, law) for law in laws)
 
 
-PROPERTY_NAMES = ("latin-square",) + tuple(PROPERTY_LAWS)
-
-
 def power_term(j: int) -> Term:
     """The left-nested power x*y^j: x*y^1 = xy, x*y^(j+1) = (x*y^j)y."""
     if j < 1:

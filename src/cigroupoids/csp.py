@@ -6,16 +6,12 @@ per sort, each variable assigned a sort by the domain function).
 
 Both solvers share one search, `_backtrack`: variables in index order, each
 taking the least value left in its candidate mask (an int, bit a for value
-a), with each constraint checked at its last variable. `solve_consistency`
-first runs `_propagate`: arc consistency on the constraints and PC-2 path
-consistency (Mackworth 1977) on pair relations, rows[(u, v)][a] being the
-mask of values of v allowed with u = a, kept with its transpose. A pair no
-constraint narrows is absent and means the full product of the domains. A
-worklist starts from the narrowed pairs; each pair (u, v) that shrinks
-revises R(u, w) through v and R(v, w) through u. A constraint is filtered
-again only when a domain or pair relation in its scope shrinks.
-Propagation removes no value or pair that a solution uses, so both solvers
-return the same lexicographically least solution.
+a), with each constraint checked at its last variable. One generalized arc
+consistency fixpoint, `_arc_consistency`, serves `solve_consistency` and the
+reduction: each constraint keeps the tuples inside the domains and cuts each
+domain to what they support, and a constraint is filtered again only when a
+domain in its scope shrinks. It removes no value that a solution uses, so
+both solvers return the same lexicographically least solution.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
@@ -26,12 +22,11 @@ exactly when the original is.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from cigroupoids.core import BoundExceeded, CayleyTable, Term, check_property
 from cigroupoids.plonka import STANDARD_JOIN, NotPseudopartition, _fiber_split
@@ -156,16 +151,9 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
 # Solvers
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _backtrack(inst: CSPInstance, base: Sequence[int], rows: Mapping) -> Solution | None:
-    """The least solution inside the domain masks `base` and the pair
-    relations `rows`, trying each variable's candidates in ascending order."""
+def _backtrack(inst: CSPInstance, base: Sequence[int]) -> Solution | None:
+    """The least solution inside the domain masks `base`, trying each
+    variable's candidates in ascending order."""
     positions = {v: i for i, v in enumerate(inst.variables)}
     # by_last[pos]: (getter of the earlier values, table from them to a mask)
     by_last: list[list[tuple[Callable, dict]]] = [[] for _ in base]
@@ -183,9 +171,6 @@ def _backtrack(inst: CSPInstance, base: Sequence[int], rows: Mapping) -> Solutio
                 key = key_of(t)
                 table[key] = table.get(key, 0) | 1 << t[first[last]]
         by_last[last].append((get, table))
-    for (u, v), row in rows.items():
-        if u < v:
-            by_last[v].append((operator.itemgetter(u), dict(enumerate(row))))
 
     if not base:
         return {}
@@ -213,123 +198,51 @@ def solve_brute(inst: CSPInstance) -> Solution | None:
     """Exhaustive lexicographic search; the ground-truth oracle."""
     if inst.search_space() > BRUTE_LIMIT:
         raise BoundExceeded(f"search space exceeds {BRUTE_LIMIT}")
-    return _backtrack(inst, [(1 << inst.sorts[s].n) - 1 for s in inst.domain], {})
+    return _backtrack(inst, [(1 << inst.sorts[s].n) - 1 for s in inst.domain])
 
 
-def _propagate(inst: CSPInstance) -> tuple[list[int], dict] | None:
-    """Domain masks and pair relations at the fixpoint of arc and path
-    consistency, or None on a wipe-out."""
+def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+    """Domain masks and each constraint's live tuples at the generalized
+    arc consistency fixpoint: the live tuples are the relation's tuples
+    inside the domains, and they project onto exactly the domains.
+
+    Runs on after a domain empties, so everything that depends on it
+    empties too; applies no equality rule to a repeated scope variable."""
     positions = {v: i for i, v in enumerate(inst.variables)}
-    sizes = [inst.sorts[s].n for s in inst.domain]
-    full = [(1 << k) - 1 for k in sizes]
+    full = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
     dom = list(full)
-    rows: dict[tuple[int, int], list[int]] = {}
-    nbrs: list[set[int]] = [set() for _ in sizes]
-    cons = []  # scope positions, first positions, repeats, tuples still consistent
-    woken_by = defaultdict(list)  # variable, or pair u < v -> constraints
-    for k, (scope, rel) in enumerate(inst.constraints):
-        idxs = tuple(positions[v] for v in scope)
-        first = {u: idxs.index(u) for u in idxs}
-        same = [(p, first[u]) for p, u in enumerate(idxs) if p != first[u]]
-        cons.append((idxs, sorted(first.values()), same, list(rel.tuples)))
-        for key in [*first, *itertools.combinations(sorted(first), 2)]:
-            woken_by[key].append(k)
-    drops: list[tuple[int, int]] = []  # (variable, values to remove)
-    queue: deque = deque(range(len(cons)))  # constraints to filter, pairs that shrank
-    queued = set(queue)
-
-    def push(item) -> None:
-        if item not in queued:
-            queued.add(item)
-            queue.append(item)
-
-    def narrow(u: int, v: int, keep: list[int]) -> None:
-        """rows[(u, v)][a] &= keep[a] for every a, and the transpose too."""
-        row = rows.get((u, v)) or [dom[v] if dom[u] >> a & 1 else 0 for a in range(sizes[u])]
-        col = rows.get((v, u)) or [dom[u] if dom[v] >> b & 1 else 0 for b in range(sizes[v])]
-        changed = False
-        for a in _bits(dom[u]):
-            cut = row[a] & ~keep[a]
-            if cut:
-                changed = True
-                row[a] ^= cut
-                for b in _bits(cut):
-                    col[b] ^= 1 << a
-        if changed:
-            rows[(u, v)], rows[(v, u)] = row, col
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-            key = (u, v) if u < v else (v, u)
-            push(key)
-            for k in woken_by[key]:
-                push(k)
-            drops.append((u, sum(1 << a for a in _bits(dom[u]) if not row[a])))
-            drops.append((v, sum(1 << b for b in _bits(dom[v]) if not col[b])))
-
-    def revise(k: int) -> bool:
-        """Drop the tuples that leave the domains or pair relations, then
-        narrow those to what the remaining tuples support."""
-        idxs, firsts, same, keep = cons[k]
-        pairs = list(itertools.combinations(firsts, 2))
-        checks = [(p, q, rows[(idxs[p], idxs[q])]) for p, q in pairs if (idxs[p], idxs[q]) in rows]
+    scopes = [[positions[v] for v in scope] for scope, _ in inst.constraints]
+    live = [list(rel.tuples) for _, rel in inst.constraints]
+    woken_by: list[list[int]] = [[] for _ in dom]
+    for k, idxs in enumerate(scopes):
+        for u in dict.fromkeys(idxs):
+            woken_by[u].append(k)
+    queue = deque(range(len(scopes)))
+    queued = [True] * len(scopes)
+    while queue:
+        k = queue.popleft()
+        queued[k] = False
+        idxs = scopes[k]
         narrowed = [(p, dom[u]) for p, u in enumerate(idxs) if dom[u] != full[u]]
-        if narrowed or same or checks:
-            keep[:] = [
-                t
-                for t in keep
-                if all(m >> t[p] & 1 for p, m in narrowed)
-                and all(t[p] == t[q] for p, q in same)
-                and all(row[t[p]] >> t[q] & 1 for p, q, row in checks)
-            ]
-        supports = {p: sum({1 << t[p] for t in keep}) for p in firsts}
-        drops.extend((idxs[p], ~mask) for p, mask in supports.items())
-        for p, q in pairs:
-            # cut only pairs of values that stay in their domains
-            support = [
-                ~supports[q] if supports[p] >> a & 1 else -1 for a in range(sizes[idxs[p]])
-            ]
-            for t in keep:
-                support[t[p]] |= 1 << t[q]
-            narrow(idxs[p], idxs[q], support)
-        return bool(keep)
-
-    while drops or queue:
-        if drops:
-            u, removed = drops.pop()
-            if removed & dom[u]:
-                dom[u] &= ~removed
-                if not dom[u]:
-                    return None
-                for k in woken_by[u]:
-                    push(k)
-                for v in nbrs[u]:
-                    narrow(v, u, [dom[u]] * sizes[v])
-            continue
-        item = queue.popleft()
-        queued.discard(item)
-        if isinstance(item, int):
-            if not revise(item):
-                return None
-            continue
-        # R(u, w) through v, and R(v, w) through u
-        u, v = item
-        for x, y in ((u, v), (v, u)):
-            through = rows[(x, y)]
-            for w in list(nbrs[y] - {x}):
-                onward = rows[(y, w)]
-                keep = [0] * sizes[x]
-                for a in _bits(dom[x]):
-                    for b in _bits(through[a]):
-                        keep[a] |= onward[b]
-                narrow(x, w, keep)
-    return dom, rows
+        if narrowed:
+            live[k] = [t for t in live[k] if all(m >> t[p] & 1 for p, m in narrowed)]
+        for p, u in enumerate(idxs):
+            support = sum({1 << t[p] for t in live[k]})
+            if dom[u] & ~support:
+                dom[u] &= support
+                for j in woken_by[u]:
+                    if not queued[j]:
+                        queued[j] = True
+                        queue.append(j)
+    return dom, live
 
 
 def solve_consistency(inst: CSPInstance) -> Solution | None:
-    """Arc and path consistency on bitmasks, then the search of `solve_brute`
-    over what is left; so the same lexicographically least solution, or None."""
-    state = _propagate(inst)
-    return None if state is None else _backtrack(inst, *state)
+    """Generalized arc consistency on bitmasks, then the search of
+    `solve_brute` inside the domains left; so the same lexicographically
+    least solution, or None."""
+    dom, _ = _arc_consistency(inst)
+    return _backtrack(inst, dom) if all(dom) else None
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +281,9 @@ def reduce_instance(
 
     Requires a single-sorted instance over an idempotent table for which
     the join term satisfies P1..P4 and all constraint relations are
-    invariant. Projections are first normalized to a subdirect fixpoint;
-    an empty projection short-circuits to a trivially unsatisfiable
-    instance.
+    invariant. Projections are first normalized to a subdirect fixpoint,
+    the arc consistency fixpoint of `solve_consistency`; an empty
+    projection short-circuits to a trivially unsatisfiable instance.
     """
     if len(inst.sorts) != 1:
         raise ValueError("reduction expects a single-sorted instance")
@@ -382,39 +295,17 @@ def reduce_instance(
         if not is_invariant(rel, g):
             raise NotInvariant(f"constraint on {scope} is not invariant")
 
-    # subdirect normalization: restrict relations to current projections
-    # and recompute until stable
-    b_sets: dict[str, set[int]] = {v: set(range(g.n)) for v in inst.variables}
-    live = [set(rel.tuples) for _, rel in inst.constraints]
-    scopes = [scope for scope, _ in inst.constraints]
-    for i, scope in enumerate(scopes):
-        for pos, v in enumerate(scope):
-            b_sets[v] &= {t[pos] for t in live[i]}
-    changed = True
-    while changed:
-        changed = False
-        for i, scope in enumerate(scopes):
-            keep = {
-                t
-                for t in live[i]
-                if all(t[pos] in b_sets[v] for pos, v in enumerate(scope))
-            }
-            if len(keep) != len(live[i]):
-                live[i] = keep
-                changed = True
-            for pos, v in enumerate(scope):
-                proj = {t[pos] for t in keep}
-                if b_sets[v] - proj:
-                    b_sets[v] &= proj
-                    changed = True
-
-    empty = any(not s for s in b_sets.values())
+    dom, live = _arc_consistency(inst)
+    b_sets = {
+        v: tuple(a for a in range(g.n) if mask >> a & 1) for v, mask in zip(inst.variables, dom)
+    }
+    empty = not all(dom)
     a_v: dict[str, int] = {}
     b_prime: dict[str, tuple[int, ...]] = {}
     domain = []
     for v in inst.variables:
         if b_sets[v]:
-            a = fold_join(jm, sorted(b_sets[v]))
+            a = fold_join(jm, b_sets[v])
             a_v[v] = a
             blk = part.block_of[a]
             b_prime[v] = blocks[blk]
@@ -426,12 +317,13 @@ def reduce_instance(
 
     new_cons = []
     var_pos = {v: i for i, v in enumerate(inst.variables)}
-    for i, scope in enumerate(scopes):
+    for (scope, _), tuples in zip(inst.constraints, live):
         sig = tuple(domain[var_pos[v]] for v in scope)
-        kept = []
-        for t in live[i]:
-            if all(e in b_prime[v] for e, v in zip(t, scope)):
-                kept.append(tuple(local[e] for e in t))
+        kept = [
+            tuple(local[e] for e in t)
+            for t in tuples
+            if all(e in b_prime[v] for e, v in zip(t, scope))
+        ]
         new_cons.append((tuple(scope), Relation(len(scope), sig, frozenset(kept))))
     for v in inst.variables:
         if not b_sets[v]:
@@ -453,7 +345,7 @@ def reduce_instance(
         reduced=reduced,
         trivially_unsat=empty,
         a=a_v,
-        b_sets={v: tuple(sorted(s)) for v, s in b_sets.items()},
+        b_sets=b_sets,
         b_prime=b_prime,
         fiber_globals=tuple(blocks),
         transform=transform,
@@ -526,6 +418,13 @@ def format_csp(inst: CSPInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(token: str, line: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {line!r}") from None
+
+
 def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     import os
 
@@ -537,7 +436,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     pos = 0
     if not lines or not lines[pos].startswith("sorts "):
         raise ValueError("instance must start with 'sorts <k>'")
-    k = int(lines[pos].split()[1])
+    k = _int(lines[pos][len("sorts ") :], lines[pos], "sort count")
     pos += 1
     sorts = []
     for _ in range(k):
@@ -548,7 +447,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             sorts.append(load_alg(os.path.join(base_dir, path)))
             pos += 1
         else:
-            n = int(lines[pos].strip())
+            n = _int(lines[pos], lines[pos], "table size")
             block = lines[pos : pos + n + 1]
             sorts.append(parse_alg("\n".join(block)))
             pos += n + 1
@@ -562,7 +461,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             if len(toks) != 3:
                 raise ValueError(f"var line needs a name and a sort id: {ln!r}")
             variables.append(toks[1])
-            domain.append(int(toks[2]))
+            domain.append(_int(toks[2], ln, "sort id"))
             pos += 1
         elif ln.startswith("con "):
             scope = tuple(ln.split()[1:])
@@ -574,7 +473,9 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             while pos < len(lines) and lines[pos] != "end":
                 if not lines[pos].startswith("t "):
                     raise ValueError(f"expected tuple line, got {lines[pos]!r}")
-                tuples.append(tuple(int(e) for e in lines[pos].split()[1:]))
+                tuples.append(
+                    tuple(_int(e, lines[pos], "tuple entry") for e in lines[pos].split()[1:])
+                )
                 pos += 1
             if pos >= len(lines):
                 raise ValueError("unterminated constraint block")

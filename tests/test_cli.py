@@ -365,14 +365,27 @@ def test_csp_solve_parse_error(capsys, tmp_path):
          "not enough values to unpack"),
         ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon x y\nt 0 0\nend\n",
          "undeclared variable 'y' in 'con x y'", "is not in list"),
+        ("sorts x\n", "sort count is not an integer: 'sorts x'", "invalid literal"),
+        ("sorts 1\ntwo\n", "table size is not an integer: 'two'", "invalid literal"),
+        ("sorts 1\n2\n0 0\n0 1\nvar x y\n", "sort id is not an integer: 'var x y'",
+         "invalid literal"),
+        ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon x\nt 1.0\nend\n",
+         "tuple entry is not an integer: 't 1.0'", "invalid literal"),
     ],
-    ids=["missing-sort", "sort-then-var", "var-line", "con-scope"],
+    ids=["missing-sort", "sort-then-var", "var-line", "con-scope", "sort-count",
+         "table-size", "var-sort-id", "tuple-entry"],
 )
 def test_csp_solve_rejects_malformed_line(capsys, monkeypatch, text, message, old):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     rc, out, err = run(capsys, "csp", "solve", "-")
     assert (rc, out, err) == (2, "", f"error: {message}\n")
     assert old not in err
+
+
+@pytest.mark.parametrize("flag", ["--vars", "--max-arity"])
+def test_csp_gen_rejects_zero_size(capsys, flag):
+    rc, out, err = run(capsys, "csp", "gen", "--seed", "1", "--template", "fig4a", flag, "0")
+    assert (rc, out, err) == (2, "", f"error: {flag} must be at least 1, got 0\n")
 
 
 def test_csp_reduce_pipeline(capsys, tmp_path):

@@ -14,7 +14,7 @@ from cigroupoids.csp import (
     NotInvariant,
     Relation,
     SortMismatch,
-    _propagate,
+    _arc_consistency,
     close_under,
     fold_join,
     format_csp,
@@ -228,6 +228,28 @@ def test_consistency_agrees_on_handmade():
     for inst in cases:
         assert solve_consistency(inst) == solve_brute(inst)
 
+    # x=0 forces w=0 through y and w=1 through z, though each constraint
+    # alone is arc consistent
+    def forcing(a, b):
+        return {(a, b)} | {(c, d) for c in range(3) for d in range(3) if c != a}
+
+    inst = single_sorted_instance(
+        SQUAG,
+        ["x", "y", "z", "w"],
+        [(["x", "y"], forcing(0, 0)), (["y", "w"], forcing(0, 0)),
+         (["x", "z"], forcing(0, 1)), (["z", "w"], forcing(1, 1))],
+    )
+    assert solve_consistency(inst) == solve_brute(inst) == {"x": 1, "y": 0, "z": 0, "w": 0}
+    # x + y + z is even and x != y: every value has support, z = 0 has no
+    # solution
+    inst = single_sorted_instance(
+        MEET2,
+        ["x", "y", "z"],
+        [(["x", "y", "z"], {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}),
+         (["x", "y"], {(0, 1), (1, 0)})],
+    )
+    assert solve_consistency(inst) == solve_brute(inst) == {"x": 0, "y": 1, "z": 1}
+
 
 @pytest.mark.parametrize("template", [FIG4B, SQUAG], ids=["s2", "squag"])
 def test_consistency_matches_brute_on_generated(template):
@@ -242,40 +264,6 @@ def test_consistency_repeated_scope_variable():
     inst = CSPInstance(("x",), (SQUAG,), (0,), ((("x", "x"), rel),))
     assert solve_brute(inst) == {"x": 1}
     assert solve_consistency(inst) == {"x": 1}
-
-
-def test_path_consistency_removes_what_arc_consistency_keeps():
-    # x=0 forces w=0 through y and w=1 through z; each constraint alone is
-    # arc consistent, so only the pair relation of (x, w) removes x=0
-    def forcing(a, b):
-        return {(a, b)} | {(c, d) for c in range(3) for d in range(3) if c != a}
-
-    inst = single_sorted_instance(
-        SQUAG,
-        ["x", "y", "z", "w"],
-        [(["x", "y"], forcing(0, 0)), (["y", "w"], forcing(0, 0)),
-         (["x", "z"], forcing(0, 1)), (["z", "w"], forcing(1, 1))],
-    )
-    dom, rows = _propagate(inst)
-    assert dom == [0b110, 0b111, 0b111, 0b111]
-    assert rows[(0, 3)] == [0, 0b111, 0b111]
-    assert solve_consistency(inst) == solve_brute(inst) == {"x": 1, "y": 0, "z": 0, "w": 0}
-
-
-def test_pair_change_refilters_constraints():
-    # x + y + z is even: every pair projection is full. x != y then removes
-    # two pairs but no value, and only the parity constraint, filtered
-    # again, can tell that z = 0 is gone
-    inst = single_sorted_instance(
-        MEET2,
-        ["x", "y", "z"],
-        [(["x", "y", "z"], {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}),
-         (["x", "y"], {(0, 1), (1, 0)})],
-    )
-    dom, rows = _propagate(inst)
-    assert dom == [0b11, 0b11, 0b10]
-    assert rows == {(0, 1): [0b10, 0b01], (1, 0): [0b10, 0b01]}
-    assert solve_consistency(inst) == {"x": 0, "y": 1, "z": 1}
 
 
 def random_relation_instance(rng: random.Random, template: CayleyTable, num_vars: int):
@@ -297,8 +285,7 @@ def random_relation_instance(rng: random.Random, template: CayleyTable, num_vars
 
 
 def random_binary_network(rng: random.Random, template: CayleyTable, num_vars: int):
-    """Dense random binary relations on most pairs of variables, so that
-    path consistency has triangles to narrow."""
+    """Dense random binary relations on most pairs of variables."""
     names = [f"v{i}" for i in range(num_vars)]
     density, coverage = rng.uniform(0.55, 0.9), rng.uniform(0.4, 0.9)
     cons = [
@@ -407,57 +394,10 @@ def test_consistency_matches_brute_random():
         assert (found is not None) == gf3_solvable(len(inst.variables), equations), k
 
 
-def assert_closed(inst, dom, rows):
-    """The state is arc and path consistent and every constraint is
-    filtered against it."""
-
-    def allowed(u, a, v, b):
-        if u == v:
-            return a == b
-        if (u, v) in rows:
-            return bool(rows[(u, v)][a] >> b & 1)
-        return bool(dom[u] >> a & 1 and dom[v] >> b & 1)
-
-    sizes = [inst.sorts[s].n for s in inst.domain]
-    values = [[a for a in range(k) if dom[u] >> a & 1] for u, k in enumerate(sizes)]
-    assert all(values)
-    for (u, v), row in rows.items():
-        assert u != v and len(row) == sizes[u]
-        for a in range(sizes[u]):
-            assert (row[a] != 0) == (a in values[u])
-            assert row[a] & ~dom[v] == 0
-            for b in range(sizes[v]):
-                assert (row[a] >> b & 1) == (rows[(v, u)][b] >> a & 1)
-    positions = {v: i for i, v in enumerate(inst.variables)}
-    for scope, rel in inst.constraints:
-        idxs = [positions[v] for v in scope]
-        kept = [
-            t
-            for t in rel.tuples
-            if all(dom[u] >> e & 1 for u, e in zip(idxs, t))
-            and all(
-                allowed(idxs[p], t[p], idxs[q], t[q])
-                for p, q in itertools.combinations(range(len(t)), 2)
-            )
-        ]
-        for p, u in enumerate(idxs):
-            assert {t[p] for t in kept} == set(values[u])
-        for p, q in itertools.combinations(range(len(idxs)), 2):
-            u, v = idxs[p], idxs[q]
-            if u != v:
-                assert {(t[p], t[q]) for t in kept} == {
-                    (a, b) for a in values[u] for b in values[v] if allowed(u, a, v, b)
-                }
-    for u, v, w in itertools.permutations(range(len(sizes)), 3):
-        for a in values[u]:
-            for b in values[v]:
-                if allowed(u, a, v, b):
-                    assert any(
-                        allowed(u, a, w, c) and allowed(w, c, v, b) for c in values[w]
-                    ), (u, a, v, b, w)
-
-
 def test_propagate_is_sound_and_closed():
+    """At the arc consistency fixpoint every solution lies in the domains
+    and in each constraint's live tuples, which are exactly the relation's
+    tuples inside the domains and project onto exactly the domains."""
     wiped = closed = 0
     for k, inst in enumerate(mixed_instances(900, seed=21, max_vars=6)):
         positions = {v: i for i, v in enumerate(inst.variables)}
@@ -471,18 +411,22 @@ def test_propagate_is_sound_and_closed():
         # search that solve_brute and solve_consistency share
         least = dict(zip(inst.variables, solutions[0])) if solutions else None
         assert solve_brute(inst) == least, k
-        state = _propagate(inst)
-        if state is None:
-            wiped += 1
-            assert not solutions, k
-            continue
-        closed += 1
-        dom, rows = state
+        dom, live = _arc_consistency(inst)
         for vals in solutions:
             assert all(dom[u] >> a & 1 for u, a in enumerate(vals)), k
-            for (u, v), row in rows.items():
-                assert row[vals[u]] >> vals[v] & 1, k
-        assert_closed(inst, dom, rows)
+        for (idxs, tuples), kept in zip(cons, live):
+            assert sorted(kept) == sorted(
+                t for t in tuples if all(dom[u] >> e & 1 for u, e in zip(idxs, t))
+            ), k
+            for vals in solutions:
+                assert tuple(map(vals.__getitem__, idxs)) in kept, k
+            for p, u in enumerate(idxs):
+                assert sum({1 << t[p] for t in kept}) == dom[u], k
+        if all(dom):
+            closed += 1
+        else:
+            wiped += 1
+            assert not solutions and solve_consistency(inst) is None, k
     assert wiped and closed
 
 
@@ -582,6 +526,84 @@ def test_reduce_sat_equivalence_on_generated():
             for scope, rel in red.reduced.constraints:
                 assert tuple(image[v] for v in scope) in rel.tuples, seed
     assert sat_seen and unsat_seen
+
+
+def naive_subdirect(inst: CSPInstance):
+    """Set-based subdirect normalization: restrict every relation to the
+    current projections and recompute them until nothing changes. Returns
+    the sorted projections and each constraint's tuples."""
+    b_sets = {v: set(range(inst.sorts[0].n)) for v in inst.variables}
+    live = [set(rel.tuples) for _, rel in inst.constraints]
+    scopes = [scope for scope, _ in inst.constraints]
+    for i, scope in enumerate(scopes):
+        for pos, v in enumerate(scope):
+            b_sets[v] &= {t[pos] for t in live[i]}
+    changed = True
+    while changed:
+        changed = False
+        for i, scope in enumerate(scopes):
+            keep = {t for t in live[i] if all(t[pos] in b_sets[v] for pos, v in enumerate(scope))}
+            if len(keep) != len(live[i]):
+                live[i] = keep
+                changed = True
+            for pos, v in enumerate(scope):
+                proj = {t[pos] for t in keep}
+                if b_sets[v] - proj:
+                    b_sets[v] &= proj
+                    changed = True
+    return {v: tuple(sorted(b)) for v, b in b_sets.items()}, live
+
+
+def assert_reduction_matches_naive(inst: CSPInstance) -> bool:
+    """reduce_instance's projections, fold values and reduced relations
+    follow from naive_subdirect; returns whether it is trivially unsat."""
+    red = reduce_instance(inst)
+    b_sets, live = naive_subdirect(inst)
+    assert red.b_sets == b_sets
+    assert red.trivially_unsat == (not all(b_sets.values()))
+    jm = join_matrix(inst.sorts[0], STANDARD_JOIN)
+    assert red.a == {v: fold_join(jm, b) if b else -1 for v, b in b_sets.items()}
+    positions = {v: i for i, v in enumerate(inst.variables)}
+    for (scope, _), tuples, (red_scope, rel) in zip(
+        inst.constraints, live, red.reduced.constraints
+    ):
+        fibers = [red.fiber_globals[red.reduced.domain[positions[v]]] for v in scope]
+        assert red_scope == tuple(scope)
+        assert rel.tuples == {
+            tuple(f.index(e) for f, e in zip(fibers, t))
+            for t in tuples
+            if all(e in red.b_prime[v] for e, v in zip(t, scope))
+        }
+    pinned = red.reduced.constraints[len(inst.constraints):]
+    assert [(scope, rel.tuples) for scope, rel in pinned] == [
+        ((v,), frozenset()) for v, b in b_sets.items() if not b
+    ]
+    return red.trivially_unsat
+
+
+@pytest.mark.parametrize("name", list(reduction_templates()))
+def test_reduce_matches_naive_subdirect(name):
+    template = reduction_templates()[name]
+    instances = [
+        gen_instance(seed, template, num_vars=5, num_constraints=4) for seed in range(100)
+    ]
+    # invariant relations whose scopes repeat a variable, e.g. (v0, v0, v1)
+    rng = random.Random(5)
+    names = ["v0", "v1", "v2", "v3"]
+    for _ in range(60):
+        cons = []
+        for _ in range(rng.randint(1, 3)):
+            scope = [rng.choice(names) for _ in range(rng.randint(2, 3))]
+            seeds = [
+                tuple(rng.randrange(template.n) for _ in scope)
+                for _ in range(rng.randint(1, 2))
+            ]
+            cons.append((scope, close_under(template, seeds)))
+        # v0 takes 0, 1 and 2 in each place, but equal values only in (2, 2, 2)
+        cons.append((["v0", "v0", "v1"], close_under(template, [(0, 1, 2), (1, 0, 2)])))
+        instances.append(single_sorted_instance(template, names, cons))
+    verdicts = [assert_reduction_matches_naive(inst) for inst in instances]
+    assert set(verdicts[:100]) == set(verdicts[100:]) == {True, False}
 
 
 def test_fold_result_stays_in_one_sigma_class():
