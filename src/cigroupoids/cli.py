@@ -267,9 +267,13 @@ def _load_instance(path: str):
 
 
 def _cmd_csp_gen(args, fmt: str) -> int:
-    for flag, value in (("--vars", args.vars), ("--max-arity", args.max_arity)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    for flag, value, least in (
+        ("--vars", args.vars, 1),
+        ("--max-arity", args.max_arity, 1),
+        ("--constraints", args.constraints, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     template = _load_table(args.template)
     inst = gen_instance(
         args.seed,

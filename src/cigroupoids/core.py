@@ -6,10 +6,11 @@ table is the product i*j. Terms are fully parenthesized binary trees; there is
 no implicit associativity anywhere, since the whole point of this package is
 the study of operations that need not associate.
 
-Every term is evaluated from the postfix ops of `compile_term`, by one of two
-loops over them: `eval_postfix` computes one value for one assignment, and
-identity checking runs the same ops on columns, one value per assignment of a
-block, so each product node is a single pass over the block.
+Every term is evaluated from the postfix ops of `compile_term`, which are
+turned once per distinct ops tuple into a straight-line Python function, one
+statement per product: `term_function` computes one value for one assignment,
+and identity checking runs both sides of an identity inside one loop over the
+assignments, stopping at the first that tells them apart.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class UnboundVariable(Exception):
@@ -344,15 +345,16 @@ Assignment = Mapping[str, int]
 def eval_term(t: Term, a: Assignment, g: CayleyTable) -> int:
     """The value of t under the assignment a."""
     names = tuple(a)
-    return eval_postfix(compile_term(t, names), tuple(a[v] for v in names), g.rows)
+    f = term_function(compile_term(t, names), len(names))
+    return f(g.rows, *(a[v] for v in names))
 
 
 def compile_term(t: Term, order: tuple[str, ...]) -> tuple[int, ...]:
     """Flatten t to postfix ops: i >= 0 pushes variable order[i], -1 multiplies.
 
     This is the only route to evaluation: every term the package evaluates
-    is compiled here, then run by eval_postfix on one assignment or by the
-    column loop of check_identity_witness on a block of assignments.
+    is compiled here, then turned into Python by term_function for one
+    assignment or by the identity scan of check_identity_witness.
     """
     ops: list[int] = []
     for u in postorder(t):
@@ -366,18 +368,58 @@ def compile_term(t: Term, order: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(ops)
 
 
-def eval_postfix(ops: tuple[int, ...], asg: Sequence[int], rows) -> int:
-    """Run compiled ops with variable i bound to asg[i]; products are rows[a][b]."""
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
+def _straight_line(ops: tuple[int, ...], body: list[str]) -> str:
+    """Append one statement `tK = r[a][b]` per product of ops to body.
+
+    Returns the name that holds the term's value. Each product gets its own
+    temporary, because a nested r[r[..]] expression stops compiling a few
+    hundred levels deep. The source holds only r, vI and tK with integer
+    I and K, so no text from outside the program reaches exec.
+    """
+    stack: list[str] = []
     for op in ops:
         if op < 0:
-            b = pop()
-            push(rows[pop()][b])
+            right = stack.pop()
+            temp = f"t{len(body)}"
+            body.append(f"{temp} = r[{stack[-1]}][{right}]")
+            stack[-1] = temp
         else:
-            push(asg[op])
+            stack.append(f"v{op}")
     return stack[0]
+
+
+def _define(lines: list[str]) -> Callable:
+    """exec the function source `lines` and return the function f it defines.
+
+    The file name hashes the source: profilers tell functions apart by file, line and name.
+    """
+    source = "\n".join(lines) + "\n"
+    namespace: dict = {}
+    exec(compile(source, f"<compiled {hash(source):x}>", "exec"), namespace)
+    return namespace["f"]
+
+
+@functools.lru_cache(maxsize=1024)
+def term_function(ops: tuple[int, ...], arity: int) -> Callable[..., int]:
+    """f(rows, v0, .., v{arity-1}): the value of compiled ops on table rows."""
+    body: list[str] = []
+    value = _straight_line(ops, body)
+    params = "".join(f", v{i}" for i in range(arity))
+    return _define([f"def f(r{params}):"] + [f"    {s}" for s in body] + [f"    return {value}"])
+
+
+@functools.lru_cache(maxsize=1024)
+def _identity_scan(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) -> Callable:
+    """f(rows, assignments): the first assignment where lhs and rhs differ, or None."""
+    body: list[str] = []
+    left = _straight_line(lhs, body)
+    right = _straight_line(rhs, body)
+    asg = "".join(f"v{i}, " for i in range(arity))
+    return _define(
+        ["def f(r, asgs):", f"    for {asg}in asgs:"]
+        + [f"        {s}" for s in body]
+        + [f"        if {left} != {right}:", f"            return {asg}"]
+    )
 
 
 def check_identity(g: CayleyTable, ident: Identity) -> bool:
@@ -385,59 +427,16 @@ def check_identity(g: CayleyTable, ident: Identity) -> bool:
     return check_identity_witness(g, ident) is None
 
 
-# Most assignments evaluated at once; bounds the column memory for any n.
-_BLOCK = 4096
-
-
-@functools.lru_cache(maxsize=64)
-def _block_columns(n: int, j: int) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
-    """The columns of a block over j variables, and the constant columns.
-
-    Column i holds variable i's values over the n**j assignments in
-    itertools.product order; constant column v is [v] * n**j.
-    """
-    block = list(itertools.product(range(n), repeat=j))
-    return tuple(map(list, zip(*block))), tuple([v] * len(block) for v in range(n))
-
-
-def _eval_columns(ops: tuple[int, ...], cols: Sequence[list[int]], rows) -> list[int]:
-    """Run compiled ops on columns: variable i pushes cols[i], products go entrywise."""
-    stack: list[list[int]] = []
-    push = stack.append
-    pop = stack.pop
-    for op in ops:
-        if op < 0:
-            right = pop()
-            push([rows[a][b] for a, b in zip(pop(), right)])
-        else:
-            push(cols[op])
-    return stack[0]
-
-
 def check_identity_witness(g: CayleyTable, ident: Identity) -> dict[str, int] | None:
     """None when the identity holds; otherwise the first failing assignment.
 
     Assignments run in itertools.product order over the sorted variable
-    names. The longest run of trailing variables with at most _BLOCK joint
-    assignments is evaluated column-wise in one block; the leading variables
-    run in order, each bound to a constant column, so a failure stops at the
-    first block that contains one.
+    names, and the scan stops at the first one where the sides differ.
     """
     names, lhs, rhs = ident.compiled
-    n, k = g.n, len(names)
-    j = k
-    while n**j > _BLOCK:
-        j -= 1
-    cols, consts = _block_columns(n, j)
-    rows = g.rows
-    for lead in itertools.product(range(n), repeat=k - j):
-        env = [consts[v] for v in lead] + list(cols)
-        left = _eval_columns(lhs, env, rows)
-        right = _eval_columns(rhs, env, rows)
-        if left != right:
-            i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
-            return dict(zip(names, lead + tuple(c[i] for c in cols)))
-    return None
+    k = len(names)
+    w = _identity_scan(lhs, rhs, k)(g.rows, itertools.product(range(g.n), repeat=k))
+    return None if w is None else dict(zip(names, w))
 
 
 _X, _Y, _Z, _W = Var("x"), Var("y"), Var("z"), Var("w")
@@ -527,16 +526,11 @@ def term_condition(
     names = positional_variables(t) if order is None else tuple(order)
     if len(names) != arity:
         raise ArityMismatch(f"term has {len(names)} variables, need {arity}")
-    ops = compile_term(t, names)
+    f = term_function(compile_term(t, names), arity)
     rows = g.rows
     rng = range(g.n)
     if kind == "maltsev":
-        return all(
-            eval_postfix(ops, (x, y, y), rows) == x
-            and eval_postfix(ops, (y, y, x), rows) == x
-            for x in rng
-            for y in rng
-        )
+        return all(f(rows, x, y, y) == x and f(rows, y, y, x) == x for x in rng for y in rng)
     if kind == "edge":
         patterns = [(0, 1), (0, 2)] + [(p,) for p in range(3, arity)]
         for x in rng:
@@ -545,11 +539,11 @@ def term_condition(
                     args = [y] * arity
                     for p in xs:
                         args[p] = x
-                    if eval_postfix(ops, args, rows) != y:
+                    if f(rows, *args) != y:
                         return False
         return True
     for x in rng:
-        if eval_postfix(ops, [x] * arity, rows) != x:
+        if f(rows, *[x] * arity) != x:
             return False
     for x in rng:
         for y in rng:
@@ -557,7 +551,7 @@ def term_condition(
             for pos in range(arity):
                 args = [x] * arity
                 args[pos] = y
-                vals.append(eval_postfix(ops, args, rows))
+                vals.append(f(rows, *args))
             if any(v != vals[0] for v in vals[1:]):
                 return False
             if kind == "nu" and vals[0] != x:

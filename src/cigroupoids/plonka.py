@@ -43,9 +43,9 @@ from cigroupoids.core import (
     Var,
     check_property,
     compile_term,
-    eval_postfix,
     format_alg,
     parse_alg,
+    term_function,
     variables,
 )
 
@@ -77,9 +77,9 @@ def join_matrix(g: CayleyTable, join: Term) -> list[list[int]]:
     names = set(variables(join))
     if not names <= {"x", "y"}:
         raise ValueError(f"join term must use variables x, y only, got {sorted(names)}")
-    ops = compile_term(join, ("x", "y"))
+    f = term_function(compile_term(join, ("x", "y")), 2)
     rows = g.rows
-    return [[eval_postfix(ops, (a, b), rows) for b in range(g.n)] for a in range(g.n)]
+    return [[f(rows, a, b) for b in range(g.n)] for a in range(g.n)]
 
 
 # P1..P5 as rows: (name, the tuples where the law fails), given the table

@@ -42,7 +42,7 @@ from cigroupoids.core import (
     CayleyTable,
     Identity,
     check_identity,
-    eval_postfix,
+    term_function,
 )
 from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode
 
@@ -163,13 +163,14 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
             rows[j][i] = n + k
 
     # watch[k] holds the ground instances (lhs, rhs, assignment) blocked on
-    # cell k; all start on cell 0 and move forward as cells are filled.
+    # cell k, each side compiled to a function of (rows, *assignment); all
+    # start on cell 0 and move forward as cells are filled.
     watch: list[list[tuple]] = [[] for _ in cells]
     for ident in spec.require:
         names, lhs, rhs = ident.compiled
-        watch[0].extend(
-            (lhs, rhs, asg) for asg in itertools.product(range(n), repeat=len(names))
-        )
+        k = len(names)
+        lhs, rhs = term_function(lhs, k), term_function(rhs, k)
+        watch[0].extend((lhs, rhs, asg) for asg in itertools.product(range(n), repeat=k))
 
     transpositions = []
     for a in range(n):
@@ -222,8 +223,8 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
             ok = True
             for inst in watchers:
                 lhs, rhs, asg = inst
-                a = eval_postfix(lhs, asg, rows)
-                b = eval_postfix(rhs, asg, rows)
+                a = lhs(rows, *asg)
+                b = rhs(rows, *asg)
                 blocked = a if a > b else b
                 if blocked >= n:
                     later = watch[blocked - n]

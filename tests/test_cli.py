@@ -388,6 +388,15 @@ def test_csp_gen_rejects_zero_size(capsys, flag):
     assert (rc, out, err) == (2, "", f"error: {flag} must be at least 1, got 0\n")
 
 
+def test_csp_gen_rejects_negative_constraints(capsys):
+    args = ("csp", "gen", "--seed", "1", "--template", "fig4a", "--vars", "2")
+    rc, out, err = run(capsys, *args, "--constraints", "-3")
+    assert (rc, out, err) == (2, "", "error: --constraints must be at least 0, got -3\n")
+    rc, out, err = run(capsys, *args, "--constraints", "0")
+    assert (rc, err) == (0, "")
+    assert parse_csp(out).constraints == ()
+
+
 def test_csp_reduce_pipeline(capsys, tmp_path):
     ainf = tmp_path / "ainf.alg"
     ainf.write_text(format_alg(adjoin_infinity(load_fixture("fig4a"))))

@@ -32,6 +32,7 @@ from cigroupoids.core import (
     power_term,
     product_algebra,
     term_condition,
+    term_function,
     variables,
 )
 
@@ -228,6 +229,44 @@ def test_check_identity_matches_oracle_random(data):
     assert_witness_matches(g, Identity(data.draw(TERMS4), data.draw(TERMS4)))
 
 
+# The generated code names the table r, its functions f, its assignments
+# asgs, and its values vI and tK; identities may use the same names.
+COLLIDING = ("r", "f", "v0", "t0", "asgs")
+COLLIDING_IDENTITIES = [
+    parse_identity("(r f) = (f r)"),
+    parse_identity("((r f) v0) = (r (f v0))"),
+    parse_identity("(asgs (asgs t0)) = t0"),
+    parse_identity("(v0 (f (t0 f))) = (((v0 f) t0) f)"),
+    parse_identity("((r f) (v0 t0)) = ((r v0) (f t0))"),
+    parse_identity("(asgs (r (f (v0 t0)))) = ((((asgs r) f) v0) t0)"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_term_function_matches_recursive_oracle(data):
+    g = data.draw(st.sampled_from(FIXTURE_TABLES))
+    t = data.draw(st.one_of(TERMS, TERMS4))
+    names = ("w", "x", "y", "z")
+    vals = data.draw(st.tuples(*[st.integers(0, g.n - 1)] * len(names)))
+    f = term_function(compile_term(t, names), len(names))
+    assert f(g.rows, *vals) == naive_eval(g, t, dict(zip(names, vals)))
+
+
+@pytest.mark.parametrize("g", FIXTURE_TABLES, ids=lambda g: f"n{g.n}")
+def test_witness_matches_oracle_colliding_names(g):
+    for ident in COLLIDING_IDENTITIES:
+        assert_witness_matches(g, ident)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_witness_matches_oracle_colliding_names_random(data):
+    g = data.draw(st.sampled_from(FIXTURE_TABLES))
+    side = terms(4, COLLIDING)
+    assert_witness_matches(g, Identity(data.draw(side), data.draw(side)))
+
+
 def chain_semilattice(n):
     return CayleyTable([[min(a, b) for b in range(n)] for a in range(n)])
 
@@ -236,7 +275,7 @@ def last_block_table(n):
     """Row n-1 is the identity map and every other row is constant 0.
 
     On it x(yz) = x(zy) fails only at x = n-1, and z(w(xy)) = z(w(yx)) only
-    at w = z = n-1: the failures lie in the last leading block alone.
+    at w = z = n-1: the failures lie under the last leading value alone.
     """
     return CayleyTable([list(range(n)) if a == n - 1 else [0] * n for a in range(n)])
 
@@ -264,12 +303,10 @@ SPLIT_IDENTITIES = {
 
 @pytest.mark.parametrize("n,k", [(17, 3), (18, 3), (9, 4), (10, 4)])
 def test_witness_matches_oracle_split_blocks(n, k):
-    # n**k assignments exceed one block, so the leading variable runs over
-    # n blocks; the witness must still be the first failure in product order.
-    from cigroupoids.core import _BLOCK
+    # The leading variable runs over n values, each heading n**(k-1)
+    # assignments; the witness must still be the first failure in product order.
     from cigroupoids.plonka import cie_cyclic
 
-    assert n ** (k - 1) <= _BLOCK < n**k
     rng = random.Random(n * 10 + k)
     holding = [chain_semilattice(n)]
     if n % 2:
@@ -286,7 +323,7 @@ def test_witness_matches_oracle_split_blocks(n, k):
                 assert w is None
             elif w is not None:
                 lead_values.add(min(w.items())[1])
-    assert len(lead_values) > 1  # failures found beyond the first block
+    assert len(lead_values) > 1  # failures found beyond the first leading value
     ident = SPLIT_IDENTITIES[k][-1]
     w = assert_witness_matches(last_block_table(n), ident)
     expected = {"x": n - 1, "y": 1, "z": n - 1} if k == 3 else {

@@ -15,6 +15,7 @@ from cigroupoids.core import (
     parse_identity,
     parse_term,
     power_term,
+    term_function,
 )
 from cigroupoids.plonka import (
     STANDARD_JOIN,
@@ -51,6 +52,22 @@ def test_join_matrix_squag():
     # 0∨1 = 1·(0·1) = 1·2 = 0 and 1∨0 = 0·(1·0) = 0·2 = 1
     assert jm[0][1] == 0
     assert jm[1][0] == 1
+
+
+def test_join_matrix_compiles_once():
+    # sigma tabulates the join on every call, and the csp workload calls it
+    # hundreds of times per pass: equal join terms built apart must reuse
+    # one compiled function instead of running exec again.
+    first = parse_term(str(STANDARD_JOIN))
+    expected = join_matrix(SQUAG, first)
+    before = term_function.cache_info()
+    for _ in range(5):
+        join = parse_term(str(STANDARD_JOIN))
+        assert join == first and join is not first
+        assert join_matrix(SQUAG, join) == expected
+    after = term_function.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 5
 
 
 def test_join_matrix_rejects_foreign_variables():
