@@ -108,6 +108,10 @@ def dual(b: BMIdentity) -> BMIdentity:
     return BMIdentity(_DUAL_LETTER[b.letter], _DUAL_BRACKET[b.j], _DUAL_BRACKET[b.i])
 
 
+# Name -> position of that identity's bit in a classify_bm profile.
+BM_INDEX: dict[str, int] = {b.name: k for k, b in enumerate(ALL_BM)}
+
+
 def classify_bm(g: CayleyTable) -> tuple[bool, ...]:
     """Satisfaction bit for each of the 60 identities, in canonical order."""
     return tuple(check_identity(g, decode(b)) for b in ALL_BM)

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from cigroupoids.bolmoufang import (
     ALL_BM,
+    BM_INDEX,
     LETTERS,
     TABLE1_CLASSES,
     bm,
@@ -128,16 +129,13 @@ def _cmd_alg_check(args, fmt: str) -> int:
     return 0
 
 
-_BM_INDEX = {b.name: k for k, b in enumerate(ALL_BM)}
-
-
 def _cmd_alg_classify(args, fmt: str) -> int:
     g = _load_table(args.table)
     bits = classify_bm(g)
     classes = [
         cls
         for cls in TABLE1_CLASSES
-        if all(bits[_BM_INDEX[name]] for name in TABLE1_CLASSES[cls])
+        if all(bits[BM_INDEX[name]] for name in TABLE1_CLASSES[cls])
     ]
     if fmt == "tsv":
         rows = [(b.name, str(int(bit))) for b, bit in zip(ALL_BM, bits)]

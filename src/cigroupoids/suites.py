@@ -5,6 +5,11 @@ classification, variety intersections, the weak-near-unanimity terms, the
 fiber structure of the x(y(yz))≈((xy)y)z variety, derived-identity checks,
 reduction equivalence on seeded instances, and the distributive-groupoid
 exponent. A report carries one row per check with a human-readable witness.
+
+Table 1's within-class rows come from one pass of classify_bm profiles over
+the commutative idempotent models with n <= 4: identity a is separated from
+b at size n exactly when some n-element model has a's bit set and b's bit
+clear (separated_at). Only the between-class rows search for a model.
 """
 
 from __future__ import annotations
@@ -14,14 +19,18 @@ import random
 from dataclasses import dataclass
 
 from cigroupoids.bolmoufang import (
+    BM_INDEX,
     CLASS_NAMES,
     TABLE1_CLASSES,
     bm,
+    classify_bm,
     decode,
     is_subvariety,
 )
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
+    COMMUTATIVE_LAW,
+    IDEMPOTENT_LAW,
     TWO_SEMILATTICE_LAW,
     CayleyTable,
     Identity,
@@ -54,7 +63,6 @@ from cigroupoids.plonka import (
 )
 from cigroupoids.search import (
     all_models,
-    canonical_form,
     find_separating_model,
     variety_identities,
 )
@@ -109,8 +117,9 @@ def _ground(t: Term, env: dict[str, int]) -> str:
 
 
 def _inequality_check(
-    check: str, g: CayleyTable, lhs: Term, rhs: Term, env: dict[str, int]
+    check: str, g: CayleyTable, ident: Identity, env: dict[str, int]
 ) -> CheckResult:
+    lhs, rhs = ident.lhs, ident.rhs
     lv, rv = eval_term(lhs, env, g), eval_term(rhs, env, g)
     text = f"{_ground(lhs, env)}≠{_ground(rhs, env)} ({lv} vs {rv})"
     return CheckResult(check, lv != rv, text)
@@ -145,76 +154,71 @@ def _suite_figures() -> list[CheckResult]:
     two_sl_expanded = Identity(Prod(x, Prod(x, y)), Prod(Prod(x, x), y))
     a14, a24 = decode(bm("A14")), decode(bm("A24"))
     b12, b13, c15 = decode(bm("B12")), decode(bm("B13")), decode(bm("C15"))
+    ci = (COMMUTATIVE_LAW, IDEMPOTENT_LAW)
+    xy, xyz = {"x": 0, "y": 1}, {"x": 0, "y": 1, "z": 2}
 
-    checks: list[CheckResult] = []
+    # (check, fixture, identities that all hold) or
+    # (check, fixture, identity, an assignment where it fails).
+    # fig1 is not commutative, so its row alone leaves out the CI laws.
+    rows = (
+        ("fig1-satisfies-A15-A23", "fig1", (decode(bm("A15")), decode(bm("A23")))),
+        ("fig1-fails-two-semilattice", "fig1", two_sl, xy),
+        ("fig2a-commutative-idempotent", "fig2a", ci),
+        ("fig2a-fails-two-semilattice", "fig2a", two_sl, xy),
+        ("fig2a-fails-C15", "fig2a", c15, {"x": 0, "y": 1, "z": 1}),
+        ("fig2a-fails-B12", "fig2a", b12, {"x": 0, "y": 0, "z": 1}),
+        ("fig2b-two-semilattice", "fig2b", ci + (two_sl,)),
+        ("fig2b-fails-A24", "fig2b", a24, xyz),
+        ("fig3a-in-X", "fig3a", ci + variety_identities("X")),
+        ("fig3a-fails-C15", "fig3a", c15, xyz),
+        ("fig3a-fails-B12", "fig3a", b12, xyz),
+        ("fig3a-not-associative", "fig3a", ASSOCIATIVE_LAW, xyz),
+        ("fig3b-in-T2", "fig3b", ci + (c15,)),
+        ("fig3b-fails-A14", "fig3b", a14, xyz),
+        ("fig4a-in-T1", "fig4a", ci + variety_identities("T1")),
+        ("fig4a-fails-two-semilattice", "fig4a", two_sl_expanded, xy),
+        ("fig4a-fails-B12", "fig4a", b12, {"x": 0, "y": 0, "z": 1}),
+        ("fig4b-in-S2", "fig4b", ci + variety_identities("S2")),
+        ("fig4b-fails-B13", "fig4b", b13, {"x": 0, "y": 1, "z": 1}),
+        ("fig4c-in-S1", "fig4c", ci + variety_identities("S1")),
+        ("fig4c-fails-two-semilattice", "fig4c", two_sl, xy),
+        ("fig4c-fails-C15", "fig4c", c15, {"x": 0, "y": 0, "z": 1}),
+    )
 
-    def membership(check: str, g: CayleyTable, idents, require_ci=True) -> None:
-        if require_ci and not (
-            check_property(g, "commutative") and check_property(g, "idempotent")
-        ):
-            checks.append(CheckResult(check, False, "not commutative idempotent"))
-            return
-        for ident in idents:
+    fig1 = load_fixture("fig1")
+    checks = [
+        CheckResult("fig1-idempotent", check_property(fig1, "idempotent"), "x·x=x")
+    ]
+    for check, name, *spec in rows:
+        g = load_fixture(name)
+        if len(spec) == 2:
+            checks.append(_inequality_check(check, g, *spec))
+            continue
+        for ident in spec[0]:
             w = check_identity_witness(g, ident)
             if w is not None:
                 checks.append(CheckResult(check, False, f"fails {ident} at {w}"))
-                return
-        checks.append(CheckResult(check, True, "all defining identities hold"))
-
-    def fails(check: str, g: CayleyTable, ident: Identity, env) -> None:
-        checks.append(_inequality_check(check, g, ident.lhs, ident.rhs, env))
-
-    fig1 = load_fixture("fig1")
-    checks.append(
-        CheckResult("fig1-idempotent", check_property(fig1, "idempotent"), "x·x=x")
-    )
-    membership(
-        "fig1-satisfies-A15-A23",
-        fig1,
-        (decode(bm("A15")), decode(bm("A23"))),
-        require_ci=False,
-    )
-    fails("fig1-fails-two-semilattice", fig1, two_sl, {"x": 0, "y": 1})
-
-    fig2a = load_fixture("fig2a")
-    membership("fig2a-commutative-idempotent", fig2a, ())
-    fails("fig2a-fails-two-semilattice", fig2a, two_sl, {"x": 0, "y": 1})
-    fails("fig2a-fails-C15", fig2a, c15, {"x": 0, "y": 1, "z": 1})
-    fails("fig2a-fails-B12", fig2a, b12, {"x": 0, "y": 0, "z": 1})
-
-    fig2b = load_fixture("fig2b")
-    membership("fig2b-two-semilattice", fig2b, (two_sl,))
-    fails("fig2b-fails-A24", fig2b, a24, {"x": 0, "y": 1, "z": 2})
-
-    fig3a = load_fixture("fig3a")
-    membership("fig3a-in-X", fig3a, variety_identities("X"))
-    fails("fig3a-fails-C15", fig3a, c15, {"x": 0, "y": 1, "z": 2})
-    fails("fig3a-fails-B12", fig3a, b12, {"x": 0, "y": 1, "z": 2})
-    fails("fig3a-not-associative", fig3a, ASSOCIATIVE_LAW, {"x": 0, "y": 1, "z": 2})
-
-    fig3b = load_fixture("fig3b")
-    membership("fig3b-in-T2", fig3b, (c15,))
-    fails("fig3b-fails-A14", fig3b, a14, {"x": 0, "y": 1, "z": 2})
-
-    fig4a = load_fixture("fig4a")
-    membership("fig4a-in-T1", fig4a, variety_identities("T1"))
-    fails("fig4a-fails-two-semilattice", fig4a, two_sl_expanded, {"x": 0, "y": 1})
-    fails("fig4a-fails-B12", fig4a, b12, {"x": 0, "y": 0, "z": 1})
-
-    fig4b = load_fixture("fig4b")
-    membership("fig4b-in-S2", fig4b, variety_identities("S2"))
-    fails("fig4b-fails-B13", fig4b, b13, {"x": 0, "y": 1, "z": 1})
-
-    fig4c = load_fixture("fig4c")
-    membership("fig4c-in-S1", fig4c, variety_identities("S1"))
-    fails("fig4c-fails-two-semilattice", fig4c, two_sl, {"x": 0, "y": 1})
-    fails("fig4c-fails-C15", fig4c, c15, {"x": 0, "y": 0, "z": 1})
-
+                break
+        else:
+            checks.append(CheckResult(check, True, "all defining identities hold"))
     return checks
 
 
 # ---------------------------------------------------------------------------
 # table1
+
+
+def separated_at(
+    a: str, b: str, profiles: list[tuple[int, tuple[bool, ...]]]
+) -> int | None:
+    """Smallest n of a profiled model that satisfies a and fails b, or None.
+
+    When profiles holds (n, classify_bm(g)) for every CI model g with
+    n <= m, in increasing n, this is the size of
+    find_separating_model((a,), (b,), m), read off the bits.
+    """
+    i, j = BM_INDEX[a], BM_INDEX[b]
+    return next((n for n, bits in profiles if bits[i] and not bits[j]), None)
 
 
 def _suite_table1() -> list[CheckResult]:
@@ -231,21 +235,22 @@ def _suite_table1() -> list[CheckResult]:
         )
     )
 
+    profiles = [(n, classify_bm(g)) for n in range(1, 5) for g in all_models(n, ())]
     for cls in CLASS_NAMES:
-        idents = {name: decode(bm(name)) for name in TABLE1_CLASSES[cls]}
-        bad = None
-        pairs = 0
-        for a, b in itertools.permutations(sorted(idents), 2):
-            pairs += 1
-            model = find_separating_model((idents[a],), (idents[b],), 4)
-            if model is not None:
-                bad = (a, b, model.n)
-                break
+        pairs = list(itertools.permutations(sorted(TABLE1_CLASSES[cls]), 2))
+        bad = next(
+            (
+                (a, b, n)
+                for a, b in pairs
+                if (n := separated_at(a, b, profiles)) is not None
+            ),
+            None,
+        )
         checks.append(
             CheckResult(
                 f"equivalent-within-{cls}",
                 bad is None,
-                f"{pairs} ordered pairs inseparable up to n=4"
+                f"{len(pairs)} ordered pairs inseparable up to n=4"
                 if bad is None
                 else f"{bad[0]} vs {bad[1]} separated at n={bad[2]}",
             )
@@ -361,11 +366,7 @@ def _suite_s2_terms() -> list[CheckResult]:
     squag = load_fixture("fig4a")
     checks.append(
         _inequality_check(
-            "squag-absorption-fails",
-            squag,
-            ABSORPTION.lhs,
-            ABSORPTION.rhs,
-            {"x": 0, "y": 1},
+            "squag-absorption-fails", squag, ABSORPTION, {"x": 0, "y": 1}
         )
     )
     return checks
@@ -375,19 +376,9 @@ def _suite_s2_terms() -> list[CheckResult]:
 # t2-structure
 
 
-def _t2_models(max_n: int) -> list[CayleyTable]:
-    models = _models_of_class("T2", max_n)
-    # fixtures that happen to lie in the variety ride along
-    for name in ("fig3b", "fig4a"):
-        g = load_fixture(name)
-        if canonical_form(g) not in {canonical_form(m) for m in models}:
-            models.append(g)
-    return models
-
-
 def _suite_t2_structure() -> list[CheckResult]:
     checks = []
-    models = _t2_models(6)
+    models = _models_of_class("T2", 6)
 
     bad = [g for g in models if not check_pseudopartition(g).pseudopartition]
     checks.append(
@@ -439,12 +430,7 @@ def _suite_t2_structure() -> list[CheckResult]:
         )
     )
 
-    bad_rt = None
-    for g in t1_models:
-        rebuilt = plonka_sum(decompose(g))
-        if canonical_form(rebuilt) != canonical_form(g):
-            bad_rt = g
-            break
+    bad_rt = next((g for g in t1_models if plonka_sum(decompose(g)) != g), None)
     checks.append(
         CheckResult(
             "t1-sum-roundtrip",
@@ -503,7 +489,7 @@ def _pseudopartition_term_identities() -> tuple[tuple[str, Identity], ...]:
 
 def _suite_appendix() -> list[CheckResult]:
     checks = []
-    t2 = _t2_models(6)
+    t2 = _models_of_class("T2", 6)
     for i, ident in enumerate(T2_DERIVED_LAWS, start=1):
         checks.append(_identity_on_models(f"t2-derived-law-{i:02d}", t2, ident))
     checks.append(_identity_on_models("t2-collapse-law", t2, T2_COLLAPSE_LAW))
@@ -552,7 +538,8 @@ def reduction_templates() -> dict[str, CayleyTable]:
 
 def _suite_reduction() -> list[CheckResult]:
     checks = []
-    for name, template in reduction_templates().items():
+    templates = reduction_templates()
+    for name, template in templates.items():
         agree = 0
         sat = 0
         transform_ok = True
@@ -592,13 +579,13 @@ def _suite_reduction() -> list[CheckResult]:
         )
 
     rng = random.Random(0)
-    templates = list(reduction_templates().values())
+    folds = [
+        (g.n, join_matrix(g, STANDARD_JOIN), sigma(g)) for g in templates.values()
+    ]
     ok = 0
     for round_ in range(100):
-        g = templates[round_ % len(templates)]
-        jm = join_matrix(g, STANDARD_JOIN)
-        part = sigma(g)
-        values = rng.sample(range(g.n), rng.randint(1, g.n))
+        n, jm, part = folds[round_ % len(folds)]
+        values = rng.sample(range(n), rng.randint(1, n))
         shuffled = values[:]
         rng.shuffle(shuffled)
         if part.related(fold_join(jm, values), fold_join(jm, shuffled)):
