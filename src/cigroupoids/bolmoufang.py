@@ -5,8 +5,8 @@ four-letter word in three variables, where one variable appears twice.
 The six possible words are labeled A..F and the five bracketings 1..5;
 the pair (i, j) with i < j names which two bracketings are equated.
 Commutative idempotent groupoids satisfying any one of these identities
-fall into eight varieties; variety_class gives the class of each identity
-and inclusion_order the containment order among the eight classes.
+fall into eight varieties; TABLE1_CLASSES lists the identities of each class
+and inclusion_order gives the containment order among the eight classes.
 """
 
 from __future__ import annotations
@@ -145,20 +145,6 @@ TABLE1_CLASSES: dict[str, tuple[str, ...]] = {
 CLASS_NAMES = tuple(TABLE1_CLASSES)
 
 
-@functools.lru_cache(maxsize=1)
-def _class_of() -> dict[BMIdentity, str]:
-    out: dict[BMIdentity, str] = {}
-    for cls, names in TABLE1_CLASSES.items():
-        for name in names:
-            out[bm(name)] = cls
-    return out
-
-
-def variety_class(b: BMIdentity) -> str:
-    """The class (one of C, 2SL, X, SL, T2, T1, S2, S1) containing b."""
-    return _class_of()[b]
-
-
 # Covers of the containment order on the eight classes: three chains from
 # SL up to C. The full order is the reflexive-transitive closure.
 INCLUSION_COVERS: tuple[tuple[str, str], ...] = (
@@ -185,16 +171,3 @@ def inclusion_order() -> frozenset[tuple[str, str]]:
 def is_subvariety(k1: str, k2: str) -> bool:
     return (k1, k2) in inclusion_order()
 
-
-def comparable_pairs() -> list[tuple[str, str]]:
-    """Strictly ordered pairs (K1, K2) with K1 < K2."""
-    return sorted((a, b) for a, b in inclusion_order() if a != b)
-
-
-def incomparable_pairs() -> list[tuple[str, str]]:
-    """Unordered incomparable pairs, each listed once with a < b lexically."""
-    out = []
-    for a, b in itertools.combinations(sorted(CLASS_NAMES), 2):
-        if not is_subvariety(a, b) and not is_subvariety(b, a):
-            out.append((a, b))
-    return out

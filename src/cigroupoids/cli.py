@@ -431,10 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, args.format)
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # domain errors from the library layers

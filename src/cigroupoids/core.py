@@ -290,15 +290,23 @@ class CayleyTable:
         return f"CayleyTable({list(map(list, self.rows))!r})"
 
 
+def parse_int(token: str, line: str, what: str) -> int:
+    """One integer token of a text format; a bad token names its line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {line!r}") from None
+
+
 def parse_alg(text: str) -> CayleyTable:
     """Parse the .alg format: '#' comment lines, then n, then n rows."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty algebra file")
-    n = int(lines[0].strip())
+    n = parse_int(lines[0], lines[0], "table size")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
+    rows = [[parse_int(tok, ln, "table entry") for tok in ln.split()] for ln in lines[1:]]
     return CayleyTable(rows)
 
 

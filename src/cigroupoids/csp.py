@@ -28,7 +28,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from cigroupoids.core import BoundExceeded, CayleyTable, Term, check_property
+from cigroupoids.core import (
+    BoundExceeded,
+    CayleyTable,
+    Term,
+    check_property,
+    load_alg,
+    parse_alg,
+    parse_int,
+)
 from cigroupoids.plonka import STANDARD_JOIN, NotPseudopartition, _fiber_split
 
 BRUTE_LIMIT = 10**7
@@ -418,17 +426,8 @@ def format_csp(inst: CSPInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int(token: str, line: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{what} is not an integer: {line!r}") from None
-
-
 def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     import os
-
-    from cigroupoids.core import load_alg, parse_alg
 
     lines = [
         ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
@@ -436,7 +435,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     pos = 0
     if not lines or not lines[pos].startswith("sorts "):
         raise ValueError("instance must start with 'sorts <k>'")
-    k = _int(lines[pos][len("sorts ") :], lines[pos], "sort count")
+    k = parse_int(lines[pos][len("sorts ") :], lines[pos], "sort count")
     pos += 1
     sorts = []
     for _ in range(k):
@@ -447,7 +446,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             sorts.append(load_alg(os.path.join(base_dir, path)))
             pos += 1
         else:
-            n = _int(lines[pos], lines[pos], "table size")
+            n = parse_int(lines[pos], lines[pos], "table size")
             block = lines[pos : pos + n + 1]
             sorts.append(parse_alg("\n".join(block)))
             pos += n + 1
@@ -461,7 +460,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             if len(toks) != 3:
                 raise ValueError(f"var line needs a name and a sort id: {ln!r}")
             variables.append(toks[1])
-            domain.append(_int(toks[2], ln, "sort id"))
+            domain.append(parse_int(toks[2], ln, "sort id"))
             pos += 1
         elif ln.startswith("con "):
             scope = tuple(ln.split()[1:])
@@ -474,7 +473,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
                 if not lines[pos].startswith("t "):
                     raise ValueError(f"expected tuple line, got {lines[pos]!r}")
                 tuples.append(
-                    tuple(_int(e, lines[pos], "tuple entry") for e in lines[pos].split()[1:])
+                    tuple(parse_int(e, lines[pos], "tuple entry") for e in lines[pos].split()[1:])
                 )
                 pos += 1
             if pos >= len(lines):

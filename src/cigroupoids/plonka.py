@@ -45,6 +45,7 @@ from cigroupoids.core import (
     compile_term,
     format_alg,
     parse_alg,
+    parse_int,
     term_function,
     variables,
 )
@@ -400,7 +401,7 @@ def parse_system(text: str) -> PlonkaSystem:
             toks = stripped.split()
             if len(toks) < 4 or toks[3] != "elements":
                 raise ValueError(f"bad fiber header: {ln!r}")
-            globals_.append(tuple(int(t) for t in toks[4:]))
+            globals_.append(tuple(parse_int(t, ln, "fiber element") for t in toks[4:]))
             current = []
         elif stripped.startswith("# map "):
             flush()
@@ -409,8 +410,8 @@ def parse_system(text: str) -> PlonkaSystem:
             ends = head.split()
             if not colon or len(ends) != 2:
                 raise ValueError(f"bad map line: {ln!r}")
-            s, t = (int(v) for v in ends)
-            maps[(s, t)] = tuple(int(v) for v in images.split())
+            s, t = (parse_int(v, ln, "map end") for v in ends)
+            maps[(s, t)] = tuple(parse_int(v, ln, "map image") for v in images.split())
         elif current is not None:
             current.append(ln)
         else:

@@ -8,15 +8,16 @@ below n is u. The ordinary term evaluator therefore returns a value below n
 when a term's value is determined, and otherwise the sentinel of the first
 unfilled cell the evaluation needed.
 
-Required identities are ground once, over every assignment, and each
-instance sits on the watch list of a cell it is blocked on, all of them on
-cell 0 at the start. Filling a cell re-evaluates only that cell's watchers
-(the scheme of Mace4 and SEM): an instance whose two sides are known and
-differ prunes the branch, one whose sides agree is dropped, and one still
-undecided moves to the watch list of a later cell it is blocked on. A
+Required identities are ground once, over every assignment, and settled
+once at the root, before any cell is filled. Settling an instance decides
+it or parks it: one whose two sides are known and differ prunes the
+branch, one whose sides agree is dropped, and one still undecided moves to
+the watch list of an unfilled cell it is blocked on. Filling a cell
+settles only that cell's watchers (the scheme of Mace4 and SEM), and a
 trail undoes the moves on backtrack. Every instance is thus checked at the
 first node where both sides are determined, as if all pending instances
-were re-evaluated after each cell.
+were re-evaluated after each cell. With no free cells (n = 1, idempotent)
+the root settles every instance and the search is a single leaf.
 
 Leaves are emitted only when they equal their own canonical form, which
 makes the output stream duplicate-free and lexicographically sorted without
@@ -117,9 +118,7 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("carrier size must be >= 1")
-        req = {(i.lhs, i.rhs) for i in self.require}
-        forb = {(i.lhs, i.rhs) for i in self.forbid}
-        if req & forb:
+        if set(self.require) & set(self.forbid):
             raise ValueError("require and forbid overlap")
 
 
@@ -142,14 +141,6 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds the supported bound {bound}")
 
-    if n == 1:
-        g = CayleyTable([[0]])
-        if all(check_identity(g, r) for r in spec.require) and all(
-            not check_identity(g, f) for f in spec.forbid
-        ):
-            yield g
-        return
-
     cells = _free_cells(n, spec.commutative, spec.idempotent)
     size = n + len(cells)
     rows = [list(range(size)) for _ in range(n)]
@@ -162,15 +153,33 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
         if spec.commutative:
             rows[j][i] = n + k
 
-    # watch[k] holds the ground instances (lhs, rhs, assignment) blocked on
-    # cell k, each side compiled to a function of (rows, *assignment); all
-    # start on cell 0 and move forward as cells are filled.
-    watch: list[list[tuple]] = [[] for _ in cells]
+    # Ground instances (lhs, rhs, assignment), each side compiled to a
+    # function of (rows, *assignment). watch[k] holds those blocked on cell
+    # k; they move forward as cells are filled.
+    instances: list[tuple] = []
     for ident in spec.require:
         names, lhs, rhs = ident.compiled
         k = len(names)
         lhs, rhs = term_function(lhs, k), term_function(rhs, k)
-        watch[0].extend((lhs, rhs, asg) for asg in itertools.product(range(n), repeat=k))
+        instances.extend((lhs, rhs, asg) for asg in itertools.product(range(n), repeat=k))
+    watch: list[list[tuple]] = [[] for _ in cells]
+
+    def settle(insts: list[tuple], trail: list[list[tuple]]) -> bool:
+        # Decide each instance or move it to the watch list of an unfilled
+        # cell it is blocked on, recording the move on the trail; False as
+        # soon as one instance fails.
+        for inst in insts:
+            lhs, rhs, asg = inst
+            a = lhs(rows, *asg)
+            b = rhs(rows, *asg)
+            blocked = a if a > b else b
+            if blocked >= n:
+                later = watch[blocked - n]
+                later.append(inst)
+                trail.append(later)
+            elif a != b:
+                return False
+        return True
 
     transpositions = []
     for a in range(n):
@@ -217,23 +226,8 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
             rows[i][j] = v
             if spec.commutative:
                 rows[j][i] = v
-            # every watcher is either decided now or blocked on a later
-            # cell; the trail records the moves so they can be undone
             trail: list[list[tuple]] = []
-            ok = True
-            for inst in watchers:
-                lhs, rhs, asg = inst
-                a = lhs(rows, *asg)
-                b = rhs(rows, *asg)
-                blocked = a if a > b else b
-                if blocked >= n:
-                    later = watch[blocked - n]
-                    later.append(inst)
-                    trail.append(later)
-                elif a != b:
-                    ok = False
-                    break
-            if ok and not not_minimal_prefix():
+            if settle(watchers, trail) and not not_minimal_prefix():
                 yield from descend(depth + 1)
             for later in trail:
                 later.pop()
@@ -241,25 +235,20 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
         if spec.commutative:
             rows[j][i] = n + depth
 
-    yield from descend(0)
+    # the root's moves are never undone, so its trail is thrown away
+    if settle(instances, []):
+        yield from descend(0)
 
 
 @functools.lru_cache(maxsize=1024)
-def all_models(
-    n: int,
-    require: tuple[Identity, ...] = (),
-    commutative: bool = True,
-    idempotent: bool = True,
-) -> tuple[CayleyTable, ...]:
-    """Memoized full enumeration for one size and requirement set.
+def all_models(n: int, require: tuple[Identity, ...], /) -> tuple[CayleyTable, ...]:
+    """Memoized full CI enumeration for one size and requirement set.
 
     Many separation queries share the same positive side, so caching on the
-    requirements alone lets the negative side be a cheap post-filter.
+    requirements alone lets the negative side be a cheap post-filter. Both
+    arguments are positional and required, so each value has one cache key.
     """
-    spec = SearchSpec(
-        n=n, require=require, commutative=commutative, idempotent=idempotent
-    )
-    return tuple(enumerate_models(spec))
+    return tuple(enumerate_models(SearchSpec(n, require)))
 
 
 def find_separating_model(
@@ -268,6 +257,8 @@ def find_separating_model(
     max_n: int,
 ) -> CayleyTable | None:
     """Smallest, canonically least CI model of sat violating all of unsat."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     if max_n > MAX_N_CONSTRAINED:
         raise BoundExceeded(f"max_n={max_n} exceeds {MAX_N_CONSTRAINED}")
     unsat = tuple(unsat)

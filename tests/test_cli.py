@@ -153,6 +153,12 @@ def test_enumerate_variety_squag_order_four_empty(capsys):
     assert out.strip() == "# count=0"
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_separate_rejects_max_n_below_one(capsys, max_n):
+    rc, out, err = run(capsys, "alg", "separate", "--unsat", "A14", "--max-n", max_n)
+    assert (rc, out, err) == (2, "", f"error: max_n must be at least 1, got {max_n}\n")
+
+
 def test_separate_finds_and_reports_none(capsys):
     rc, out, _ = run(capsys, "alg", "separate", "--sat", "A14",
                      "--unsat", "E15", "--max-n", "4")
@@ -196,6 +202,19 @@ def test_table_from_stdin(capsys, monkeypatch):
     rc, out, _ = run(capsys, "alg", "check", "semilattice", "-")
     assert rc == 0
     assert out.strip() == "satisfied"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n0 x\n1 1\n", "table entry is not an integer: '0 x'"),
+        ("two\n0 0\n0 1\n", "table size is not an integer: 'two'"),
+    ],
+    ids=["entry", "size"],
+)
+def test_alg_rejects_malformed_table(capsys, monkeypatch, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "alg", "classify", "-") == (2, "", f"error: {message}\n")
 
 
 def test_missing_table_file(capsys):
@@ -261,8 +280,14 @@ def test_plonka_decompose_rejects_non_pseudopartition(capsys):
     [
         ("# fiber 1 elements 3", "# fiber 1", "bad fiber header: '# fiber 1'"),
         ("# map 0 1: 0 0 0", "# map 0 1 0 0 0", "bad map line: '# map 0 1 0 0 0'"),
+        ("# fiber 1 elements 3", "# fiber 1 elements x",
+         "fiber element is not an integer: '# fiber 1 elements x'"),
+        ("# map 0 1: 0 0 0", "# map 0 z: 0 0 0",
+         "map end is not an integer: '# map 0 z: 0 0 0'"),
+        ("# map 0 1: 0 0 0", "# map 0 1: 0 y 0",
+         "map image is not an integer: '# map 0 1: 0 y 0'"),
     ],
-    ids=["fiber-header", "map-line"],
+    ids=["fiber-header", "map-line", "fiber-element", "map-end", "map-image"],
 )
 def test_plonka_sum_rejects_malformed_line(capsys, monkeypatch, good, bad, message):
     system = format_system(decompose(adjoin_infinity(load_fixture("fig4a"))))
@@ -371,9 +396,11 @@ def test_csp_solve_parse_error(capsys, tmp_path):
          "invalid literal"),
         ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon x\nt 1.0\nend\n",
          "tuple entry is not an integer: 't 1.0'", "invalid literal"),
+        ("sorts 1\n2\n0 x\n1 1\nvar v 0\n", "table entry is not an integer: '0 x'",
+         "invalid literal"),
     ],
     ids=["missing-sort", "sort-then-var", "var-line", "con-scope", "sort-count",
-         "table-size", "var-sort-id", "tuple-entry"],
+         "table-size", "var-sort-id", "tuple-entry", "sort-entry"],
 )
 def test_csp_solve_rejects_malformed_line(capsys, monkeypatch, text, message, old):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -499,6 +526,10 @@ def test_bench_spans_resolve():
             assert hasattr(obj, name), (module, attr)
             obj = getattr(obj, name)
         assert callable(obj), (module, attr)
+    # each in-process benchmark pass clears the model cache through these
+    all_models = importlib.import_module("cigroupoids.search").all_models
+    assert hasattr(all_models, "cache_info")
+    assert hasattr(all_models, "cache_clear")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cigroupoids.core import (
 )
 from cigroupoids.search import (
     SearchSpec,
+    all_models,
     canonical_form,
     count_models,
     enumerate_models,
@@ -213,9 +214,12 @@ def test_matches_naive_oracle_constrained():
         (3, (decode(bm("C15")),), False, True),
         (3, (DISTRIBUTIVE_LAW,), False, True),
         (3, (ASSOCIATIVE_LAW,), True, False),
+        (1, (decode(bm("C15")),), True, True),
+        (1, (decode(bm("C15")),), False, True),
+        (1, (ASSOCIATIVE_LAW,), True, False),
     ],
     ids=["C15-n4", "A14-n4", "2SL+CID-n4", "C15-n3-noncomm", "CID-n3-noncomm",
-         "assoc-n3-nonidem"],
+         "assoc-n3-nonidem", "C15-n1", "C15-n1-noncomm", "assoc-n1-nonidem"],
 )
 def test_watch_lists_match_naive_oracle(n, require, commutative, idempotent):
     spec = SearchSpec(
@@ -227,6 +231,18 @@ def test_watch_lists_match_naive_oracle(n, require, commutative, idempotent):
     )
     assert fast == slow
     assert fast
+
+
+def test_identity_failing_before_any_cell_is_filled():
+    # x = y has no product, so the root decides every ground instance: one
+    # fails at n = 3 before cell 0 is filled, and at n = 1, where there is no
+    # free cell, all hold and the single table is the model.
+    trivial = parse_identity("x = y")
+    for n, count in ((3, 0), (1, 1)):
+        fast = list(enumerate_models(SearchSpec(n, (trivial,))))
+        assert fast == naive_enumerate(n, require=(trivial,))
+        assert len(fast) == count
+    assert list(enumerate_models(SearchSpec(1, forbid=(SQUAG_LAW,)))) == []
 
 
 def test_stream_sorted_and_canonical():
@@ -316,6 +332,20 @@ def test_bounds_enforced():
         list(enumerate_models(SearchSpec(n=7, require=(SQUAG_LAW,))))
     with pytest.raises(BoundExceeded):
         find_separating_model([SQUAG_LAW], [], max_n=7)
+
+
+def test_all_models_one_cache_key_per_value():
+    all_models.cache_clear()
+    all_models(3, ())
+    all_models(3, ())
+    info = all_models.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    with pytest.raises(TypeError):
+        all_models(3)
+    with pytest.raises(TypeError):
+        all_models(3, (), True)
+    with pytest.raises(TypeError):
+        all_models(n=3, require=())
 
 
 def test_require_forbid_overlap_rejected():
