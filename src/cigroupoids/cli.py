@@ -5,6 +5,11 @@ model search, `plonka` for decomposition and sums, `cie` for the cyclic
 groupoids, `csp` for instances and the reduction, and `verify` for the
 named suites. Exit codes: 0 success (or satisfiable), 1 a check or search
 came up negative (10 for an unsatisfiable instance), 2 usage or data error.
+
+A process imports only the layers its subcommand runs: this module loads
+`core` alone, and each handler imports its own layer when it is called
+(`alg congruences` loads `congruences`, `cie` loads `plonka`, `verify`
+loads `suites`, and so on). Building the parser imports no layer.
 """
 
 from __future__ import annotations
@@ -14,17 +19,6 @@ import os
 import sys
 from typing import Sequence
 
-from cigroupoids.bolmoufang import (
-    ALL_BM,
-    BM_INDEX,
-    LETTERS,
-    TABLE1_CLASSES,
-    bm,
-    classify_bm,
-    decode,
-    profile_string,
-)
-from cigroupoids.congruences import all_congruences, is_sd_meet
 from cigroupoids.core import (
     FIXTURE_NAMES,
     CayleyTable,
@@ -39,34 +33,7 @@ from cigroupoids.core import (
     parse_identity,
     parse_term,
 )
-from cigroupoids.csp import (
-    format_csp,
-    gen_instance,
-    parse_csp,
-    reduce_instance,
-    solve_brute,
-    solve_consistency,
-)
-from cigroupoids.plonka import (
-    LAWS,
-    STANDARD_JOIN,
-    adjoin_infinity,
-    check_pseudopartition,
-    cid_exponent,
-    cie_cyclic,
-    decompose,
-    format_system,
-    parse_system,
-    plonka_sum,
-)
-from cigroupoids.search import (
-    MAX_N_CONSTRAINED,
-    SearchSpec,
-    enumerate_models,
-    find_separating_model,
-    variety_identities,
-)
-from cigroupoids.suites import SUITE_NAMES, UnknownSuite, run_suite
+
 
 def _load_table(path: str) -> CayleyTable:
     """Read a Cayley table from a file, stdin ('-'), or a bundled fixture."""
@@ -84,6 +51,8 @@ def _load_table(path: str) -> CayleyTable:
 
 def _parse_identity_arg(text: str) -> Identity:
     """A Bol-Moufang name like D23, or an identity literal."""
+    from cigroupoids.bolmoufang import LETTERS, bm, decode
+
     t = text.strip()
     if len(t) == 3 and t[0] in LETTERS and t[1:].isdigit():
         return decode(bm(t))
@@ -130,6 +99,14 @@ def _cmd_alg_check(args, fmt: str) -> int:
 
 
 def _cmd_alg_classify(args, fmt: str) -> int:
+    from cigroupoids.bolmoufang import (
+        ALL_BM,
+        BM_INDEX,
+        TABLE1_CLASSES,
+        classify_bm,
+        profile_string,
+    )
+
     g = _load_table(args.table)
     bits = classify_bm(g)
     classes = [
@@ -148,6 +125,8 @@ def _cmd_alg_classify(args, fmt: str) -> int:
 
 
 def _cmd_alg_enumerate(args, fmt: str) -> int:
+    from cigroupoids.search import SearchSpec, enumerate_models, variety_identities
+
     require = list(_identity_list(args.require))
     if args.variety:
         require.extend(variety_identities(args.variety))
@@ -169,8 +148,11 @@ def _cmd_alg_enumerate(args, fmt: str) -> int:
 
 
 def _cmd_alg_separate(args, fmt: str) -> int:
+    from cigroupoids.search import MAX_N_CONSTRAINED, find_separating_model
+
+    max_n = MAX_N_CONSTRAINED if args.max_n is None else args.max_n
     model = find_separating_model(
-        _identity_list(args.sat), _identity_list(args.unsat), args.max_n
+        _identity_list(args.sat), _identity_list(args.unsat), max_n
     )
     if model is None:
         print("none")
@@ -180,6 +162,8 @@ def _cmd_alg_separate(args, fmt: str) -> int:
 
 
 def _cmd_alg_congruences(args, fmt: str) -> int:
+    from cigroupoids.congruences import all_congruences, is_sd_meet
+
     g = _load_table(args.table)
     lat = all_congruences(g)
     rows = [
@@ -197,10 +181,14 @@ def _cmd_alg_congruences(args, fmt: str) -> int:
 
 
 def _join_term(text: str | None):
+    from cigroupoids.plonka import STANDARD_JOIN
+
     return STANDARD_JOIN if text is None else parse_term(text)
 
 
 def _cmd_plonka_check(args, fmt: str) -> int:
+    from cigroupoids.plonka import LAWS, check_pseudopartition
+
     g = _load_table(args.table)
     status = check_pseudopartition(g, _join_term(args.join))
     flags = [(name, name not in status.witnesses) for name, _ in LAWS]
@@ -223,12 +211,16 @@ def _cmd_plonka_check(args, fmt: str) -> int:
 
 
 def _cmd_plonka_decompose(args, fmt: str) -> int:
+    from cigroupoids.plonka import decompose, format_system
+
     g = _load_table(args.table)
     print(format_system(decompose(g, _join_term(args.join))), end="")
     return 0
 
 
 def _cmd_plonka_sum(args, fmt: str) -> int:
+    from cigroupoids.plonka import parse_system, plonka_sum
+
     if args.system == "-":
         text = sys.stdin.read()
     else:
@@ -239,6 +231,8 @@ def _cmd_plonka_sum(args, fmt: str) -> int:
 
 
 def _cmd_plonka_adjoin(args, fmt: str) -> int:
+    from cigroupoids.plonka import adjoin_infinity
+
     g = _load_table(args.table)
     print(format_alg(adjoin_infinity(g)), end="")
     return 0
@@ -249,6 +243,8 @@ def _cmd_plonka_adjoin(args, fmt: str) -> int:
 
 
 def _cmd_cie(args, fmt: str) -> int:
+    from cigroupoids.plonka import cid_exponent, cie_cyclic
+
     g = cie_cyclic(args.n)
     if args.exponent:
         print(cid_exponent(g))
@@ -258,6 +254,8 @@ def _cmd_cie(args, fmt: str) -> int:
 
 
 def _load_instance(path: str):
+    from cigroupoids.csp import parse_csp
+
     if path == "-":
         return parse_csp(sys.stdin.read())
     with open(path) as fh:
@@ -265,6 +263,8 @@ def _load_instance(path: str):
 
 
 def _cmd_csp_gen(args, fmt: str) -> int:
+    from cigroupoids.csp import format_csp, gen_instance
+
     for flag, value, least in (
         ("--vars", args.vars, 1),
         ("--max-arity", args.max_arity, 1),
@@ -285,6 +285,8 @@ def _cmd_csp_gen(args, fmt: str) -> int:
 
 
 def _cmd_csp_solve(args, fmt: str) -> int:
+    from cigroupoids.csp import solve_brute, solve_consistency
+
     inst = _load_instance(args.instance)
     solver = solve_brute if args.method == "brute" else solve_consistency
     solution = solver(inst)
@@ -297,6 +299,8 @@ def _cmd_csp_solve(args, fmt: str) -> int:
 
 
 def _cmd_csp_reduce(args, fmt: str) -> int:
+    from cigroupoids.csp import format_csp, reduce_instance
+
     inst = _load_instance(args.instance)
     red = reduce_instance(inst, _join_term(args.join))
     if red.trivially_unsat:
@@ -310,6 +314,8 @@ def _cmd_csp_reduce(args, fmt: str) -> int:
 
 
 def _cmd_verify(args, fmt: str) -> int:
+    from cigroupoids.suites import run_suite
+
     report = run_suite(args.suite)
     if fmt == "tsv":
         _emit([(c.check, "pass" if c.passed else "fail", c.witness)
@@ -325,6 +331,18 @@ def _cmd_verify(args, fmt: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+class _SuiteListFormatter(argparse.HelpFormatter):
+    """Help for `verify`: the `suite` argument's help is the list of suite
+    names, read from `suites` only when the help is printed."""
+
+    def _get_help_string(self, action):
+        if action.dest == "suite":
+            from cigroupoids.suites import SUITE_NAMES
+
+            return ", ".join(SUITE_NAMES)
+        return super()._get_help_string(action)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = alg_sub.add_parser("separate", help="smallest model of sat failing unsat")
     p.add_argument("--sat", action="append", default=[], metavar="IDENT")
     p.add_argument("--unsat", action="append", required=True, metavar="IDENT")
-    p.add_argument("--max-n", type=int, default=MAX_N_CONSTRAINED)
+    p.add_argument("--max-n", type=int)
     p.set_defaults(func=_cmd_alg_separate)
 
     p = alg_sub.add_parser("congruences", help="congruence lattice summary")
@@ -419,8 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=_cmd_csp_reduce)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help=", ".join(SUITE_NAMES))
+    p = sub.add_parser("verify", help="run a named verification suite",
+                       formatter_class=_SuiteListFormatter)
+    p.add_argument("suite", help="filled in by _SuiteListFormatter")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -431,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, args.format)
-    except (OSError, ValueError, KeyError, UnknownSuite) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # domain errors from the library layers

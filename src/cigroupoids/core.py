@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -325,10 +326,7 @@ def load_alg(path: str) -> CayleyTable:
 
 def load_fixture(name: str) -> CayleyTable:
     """Load one of the bundled example tables (fig1 .. fig4c, leftzero)."""
-    from importlib.resources import files
-
-    text = files("cigroupoids.data").joinpath(f"{name}.alg").read_text("utf-8")
-    return parse_alg(text)
+    return load_alg(os.path.join(os.path.dirname(__file__), "data", f"{name}.alg"))
 
 
 FIXTURE_NAMES = (

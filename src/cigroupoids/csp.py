@@ -23,6 +23,7 @@ exactly when the original is.
 from __future__ import annotations
 
 import operator
+import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from cigroupoids.core import (
     CayleyTable,
     Term,
     check_property,
+    format_alg,
     load_alg,
     parse_alg,
     parse_int,
@@ -411,8 +413,6 @@ def gen_instance(
 
 
 def format_csp(inst: CSPInstance) -> str:
-    from cigroupoids.core import format_alg
-
     lines = [f"sorts {len(inst.sorts)}"]
     for t in inst.sorts:
         lines.append(format_alg(t).rstrip("\n"))
@@ -427,8 +427,6 @@ def format_csp(inst: CSPInstance) -> str:
 
 
 def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
-    import os
-
     lines = [
         ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
     ]

@@ -10,6 +10,12 @@ Table 1's within-class rows come from one pass of classify_bm profiles over
 the commutative idempotent models with n <= 4: identity a is separated from
 b at size n exactly when some n-element model has a's bit set and b's bit
 clear (separated_at). Only the between-class rows search for a model.
+
+At module level this imports `core` alone. Each suite, and
+reduction_templates, imports the layers it runs when it is called, so a
+process that runs one suite loads only those: `s2-terms` never loads `csp`,
+`plonka` or `congruences`, and `reduction` never loads `search` or
+`bolmoufang`.
 """
 
 from __future__ import annotations
@@ -18,15 +24,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from cigroupoids.bolmoufang import (
-    BM_INDEX,
-    CLASS_NAMES,
-    TABLE1_CLASSES,
-    bm,
-    classify_bm,
-    decode,
-    is_subvariety,
-)
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
     COMMUTATIVE_LAW,
@@ -48,29 +45,9 @@ from cigroupoids.core import (
     power_term,
     term_condition,
 )
-from cigroupoids.csp import fold_join, gen_instance, reduce_instance, solve_brute
-from cigroupoids.plonka import (
-    STANDARD_JOIN,
-    adjoin_infinity,
-    check_pseudopartition,
-    cid_exponent,
-    cie_cyclic,
-    decompose,
-    join_matrix,
-    make_system,
-    plonka_sum,
-    sigma,
-)
-from cigroupoids.search import (
-    SearchSpec,
-    all_models,
-    enumerate_models,
-    find_separating_model,
-    variety_identities,
-)
 
 
-class UnknownSuite(Exception):
+class UnknownSuite(ValueError):
     """run_suite was asked for a name outside SUITE_NAMES."""
 
 
@@ -128,6 +105,8 @@ def _identity_on_models(
 
 
 def _models_of_class(cls: str, max_n: int) -> list[CayleyTable]:
+    from cigroupoids.search import all_models, variety_identities
+
     out: list[CayleyTable] = []
     for n in range(1, max_n + 1):
         out.extend(all_models(n, variety_identities(cls)))
@@ -139,6 +118,9 @@ def _models_of_class(cls: str, max_n: int) -> list[CayleyTable]:
 
 
 def _suite_figures() -> list[CheckResult]:
+    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.search import variety_identities
+
     two_sl = TWO_SEMILATTICE_LAW
     x, y = Var("x"), Var("y")
     two_sl_expanded = Identity(Prod(x, Prod(x, y)), Prod(Prod(x, x), y))
@@ -207,11 +189,23 @@ def separated_at(
     n <= m, in increasing n, this is the size of
     find_separating_model((a,), (b,), m), read off the bits.
     """
+    from cigroupoids.bolmoufang import BM_INDEX
+
     i, j = BM_INDEX[a], BM_INDEX[b]
     return next((n for n, bits in profiles if bits[i] and not bits[j]), None)
 
 
 def _suite_table1() -> list[CheckResult]:
+    from cigroupoids.bolmoufang import (
+        CLASS_NAMES,
+        TABLE1_CLASSES,
+        bm,
+        classify_bm,
+        decode,
+        is_subvariety,
+    )
+    from cigroupoids.search import all_models, find_separating_model, variety_identities
+
     checks: list[CheckResult] = []
 
     all_names = [n for cls in CLASS_NAMES for n in TABLE1_CLASSES[cls]]
@@ -277,6 +271,8 @@ def _suite_table1() -> list[CheckResult]:
 
 
 def _suite_intersections() -> list[CheckResult]:
+    from cigroupoids.search import all_models, variety_identities
+
     checks = []
     for p, q in (("2SL", "T2"), ("2SL", "S2"), ("T2", "S2")):
         require = variety_identities(p) + variety_identities(q)
@@ -367,6 +363,8 @@ def _suite_s2_terms() -> list[CheckResult]:
 
 
 def _suite_t2_structure() -> list[CheckResult]:
+    from cigroupoids.plonka import check_pseudopartition, decompose, plonka_sum
+
     checks = []
     models = _models_of_class("T2", 6)
 
@@ -478,6 +476,9 @@ def _pseudopartition_term_identities() -> tuple[tuple[str, Identity], ...]:
 
 
 def _suite_appendix() -> list[CheckResult]:
+    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.search import SearchSpec, enumerate_models
+
     checks = []
     t2 = _models_of_class("T2", 6)
     for i, ident in enumerate(T2_DERIVED_LAWS, start=1):
@@ -511,6 +512,8 @@ def _suite_appendix() -> list[CheckResult]:
 
 
 def reduction_templates() -> dict[str, CayleyTable]:
+    from cigroupoids.plonka import adjoin_infinity, cie_cyclic, make_system, plonka_sum
+
     squag = load_fixture("fig4a")
     replica = CayleyTable([[0, 1], [1, 1]])
     sum6 = plonka_sum(
@@ -525,6 +528,9 @@ def reduction_templates() -> dict[str, CayleyTable]:
 
 
 def _suite_reduction() -> list[CheckResult]:
+    from cigroupoids.csp import fold_join, gen_instance, reduce_instance, solve_brute
+    from cigroupoids.plonka import STANDARD_JOIN, join_matrix, sigma
+
     checks = []
     templates = reduction_templates()
     for name, template in templates.items():
@@ -593,6 +599,9 @@ def _suite_reduction() -> list[CheckResult]:
 
 
 def _suite_cid() -> list[CheckResult]:
+    from cigroupoids.plonka import cid_exponent, cie_cyclic, decompose
+    from cigroupoids.search import all_models, variety_identities
+
     checks = []
     squag = load_fixture("fig4a")
     same = cie_cyclic(3) == squag

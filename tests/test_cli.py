@@ -8,6 +8,8 @@ import ast
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from cigroupoids.cli import build_parser, entry, main
 from cigroupoids.core import CayleyTable, format_alg, load_fixture, parse_alg
 from cigroupoids.csp import parse_csp, solve_brute
 from cigroupoids.plonka import adjoin_infinity, decompose, format_system
+from cigroupoids.suites import SUITE_NAMES
 
 
 FIG4A_PROFILE = (
@@ -157,6 +160,15 @@ def test_enumerate_variety_squag_order_four_empty(capsys):
 def test_separate_rejects_max_n_below_one(capsys, max_n):
     rc, out, err = run(capsys, "alg", "separate", "--unsat", "A14", "--max-n", max_n)
     assert (rc, out, err) == (2, "", f"error: max_n must be at least 1, got {max_n}\n")
+
+
+def test_separate_max_n_defaults_to_six(capsys):
+    # the default comes from search.MAX_N_CONSTRAINED, read in the handler
+    rc, out, err = run(capsys, "alg", "separate", "--sat", "C15", "--unsat", "A14")
+    assert rc == 0 and parse_alg(out).n > 1
+    assert (rc, out, err) == run(
+        capsys, "alg", "separate", "--sat", "C15", "--unsat", "A14", "--max-n", "6"
+    )
 
 
 def test_separate_finds_and_reports_none(capsys):
@@ -467,9 +479,20 @@ def test_verify_tsv(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    rc, _, err = run(capsys, "verify", "galaxy")
-    assert rc == 2
+    rc, out, err = run(capsys, "verify", "galaxy")
+    assert (rc, out) == (2, "")
     assert "galaxy" in err and "figures" in err
+    choices = ", ".join(SUITE_NAMES)
+    assert err == f"error: unknown suite 'galaxy'; choose from {choices}\n"
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    # help lines may wrap, even at a hyphen, so compare without whitespace
+    text = "".join(capsys.readouterr().out.split())
+    assert ",".join(SUITE_NAMES) in text
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +564,74 @@ def test_parser_subcommands_complete():
     text = parser.format_help()
     for word in ("alg", "plonka", "cie", "csp", "verify"):
         assert word in text
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports the package from src/."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _modules_after(command: str | None) -> set[str]:
+    """The package modules a fresh process holds after importing cli and,
+    unless command is None, running main on its words with output discarded."""
+    code = "import contextlib, io, sys\nimport cigroupoids.cli as cli\n"
+    if command is not None:
+        code += "with contextlib.redirect_stdout(io.StringIO()):\n"
+        code += f"    cli.main({command.split()!r})\n"
+    code += "print(*(m for m in sys.modules if m.split('.')[0] == 'cigroupoids'))"
+    return set(_fresh_python(code).split())
+
+
+FOOTPRINTS = [
+    (None, ()),
+    ("alg check squag fig4a", ()),
+    ("alg classify fig4a", ("bolmoufang",)),
+    ("alg enumerate -n 3", ("bolmoufang", "search")),
+    ("alg congruences fig3b", ("congruences",)),
+    ("plonka check fig3b", ("congruences", "plonka")),
+    ("cie 7", ("congruences", "plonka")),
+    ("csp gen --seed 3 --template fig4b", ("congruences", "plonka", "csp")),
+    ("verify s2-terms", ("bolmoufang", "search", "suites")),
+    ("verify reduction", ("congruences", "plonka", "csp", "suites")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, layers", [pytest.param(*f, id=f[0] or "import") for f in FOOTPRINTS]
+)
+def test_import_footprint(command, layers):
+    # a cold process compiles and runs every module it imports, so each
+    # command loads only the layers it runs; the parser loads none
+    expected = {"cigroupoids", "cigroupoids.core", "cigroupoids.cli"}
+    expected |= {f"cigroupoids.{m}" for m in layers}
+    assert _modules_after(command) == expected
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["core", "bolmoufang", "search", "congruences", "plonka", "csp", "suites", "cli"],
+)
+def test_layer_imports_on_its_own(module):
+    # an import cycle hidden by the usual import order shows up when a
+    # layer is the first one a process imports
+    _fresh_python(f"import cigroupoids.{module}")
+
+
+def test_reduction_templates_from_a_fresh_suites_import():
+    # the structure and csp benchmarks build their templates this way
+    out = _fresh_python(
+        "import cigroupoids.suites as suites\nprint(*suites.reduction_templates())"
+    )
+    assert out.split() == ["ainf-squag", "cyclic-3", "cyclic-3-inf", "t1-sum-6"]
 
 
 def test_entry_raises_system_exit(monkeypatch):

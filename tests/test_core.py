@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import sys
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cigroupoids.core import (
     ArityMismatch,
     CayleyTable,
     Identity,
+    FIXTURE_NAMES,
     InvalidExponent,
     Prod,
     UnboundVariable,
@@ -189,6 +191,14 @@ def terms(depth, names=("x", "y", "z")):
 
 TERMS = terms(6)
 TERMS4 = terms(4, ("w", "x", "y", "z"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_load_fixture_reads_the_package_data(name):
+    # load_fixture opens the file beside the module; the package-resource
+    # view of the same data must give the same table
+    text = files("cigroupoids.data").joinpath(f"{name}.alg").read_text("utf-8")
+    assert load_fixture(name) == parse_alg(text)
 
 
 FIXTURE_TABLES = [load_fixture(n) for n in ("fig1", "fig2a", "fig2b", "fig4a", "fig4c", "leftzero")]
