@@ -10,7 +10,9 @@ Every term is evaluated from the postfix ops of `compile_term`, which are
 turned once per distinct ops tuple into a straight-line Python function, one
 statement per product: `term_function` computes one value for one assignment,
 and identity checking runs both sides of an identity inside one loop over the
-assignments, stopping at the first that tells them apart.
+assignments, stopping at the first that tells them apart. Term conditions
+are sets of identities in x and y, so term_condition decides them through
+the same scan.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ class Prod:
         return hash(self.signature)
 
     def __str__(self) -> str:
-        return _render(self, lambda v: v.name, "({} {})".format)
+        return _fold(self, lambda v: v.name, "({} {})".format)
 
     # The dataclass repr and pickling recurse; these do not.
     def __repr__(self) -> str:
-        return _render(self, repr, "Prod(left={}, right={})".format)
+        return _fold(self, repr, "Prod(left={}, right={})".format)
 
     def __reduce__(self):
         return _from_signature, (self.signature,)
@@ -121,9 +123,9 @@ def _from_signature(sig: tuple[str | None, ...]) -> Term:
     return stack[0]
 
 
-def _render(t: Term, leaf, node) -> str:
-    """Fold t into a string bottom up: leaf(v) for a variable, node(l, r) for a product."""
-    out: list[str] = []
+def _fold(t: Term, leaf, node):
+    """Fold t bottom up: leaf(v) for a variable, node(l, r) for a product."""
+    out: list = []
     for u in postorder(t):
         if isinstance(u, Var):
             out.append(leaf(u))
@@ -131,6 +133,11 @@ def _render(t: Term, leaf, node) -> str:
             right = out.pop()
             out[-1] = node(out[-1], right)
     return out[0]
+
+
+def substitute(t: Term, env: Mapping[str, Term]) -> Term:
+    """t with each variable v replaced by the term env[v.name]."""
+    return _fold(t, lambda v: env[v.name], Prod)
 
 
 def variables(t: Term) -> tuple[str, ...]:
@@ -277,9 +284,6 @@ class CayleyTable:
             for v in r:
                 if not (0 <= v < self.n):
                     raise ValueError(f"entry {v} outside 0..{self.n - 1}")
-
-    def prod(self, a: int, b: int) -> int:
-        return self.rows[a][b]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CayleyTable) and self.rows == other.rows
@@ -502,19 +506,14 @@ def power_term(j: int) -> Term:
     return t
 
 
-def term_condition(
-    g: CayleyTable,
-    t: Term,
-    kind: str,
-    k: int | None = None,
-    order: tuple[str, ...] | None = None,
-) -> bool:
+def term_condition(g: CayleyTable, t: Term, kind: str, k: int | None = None) -> bool:
     """Check a named term condition for t on g.
 
     kind is one of 'wnu', 'nu', 'maltsev', 'edge'. For 'wnu' and 'nu', k is
     the arity; 'maltsev' is ternary; for 'edge', k counts the identities and
     the term is (k+1)-ary. Positions bind variables in the customary order
-    x, y, z, u unless an explicit order is given.
+    x, y, z, u. Each condition is a set of identities in x and y, made by
+    putting x and y into t's positions, and holds when all of them do.
     """
     kind = kind.lower()
     if kind == "maltsev":
@@ -529,40 +528,29 @@ def term_condition(
         arity = k + 1
     else:
         raise ValueError(f"unknown term condition kind {kind!r}")
-    names = positional_variables(t) if order is None else tuple(order)
+    names = positional_variables(t)
     if len(names) != arity:
         raise ArityMismatch(f"term has {len(names)} variables, need {arity}")
-    f = term_function(compile_term(t, names), arity)
-    rows = g.rows
-    rng = range(g.n)
+
+    def put(positions: Iterable[int], a: Term, b: Term) -> Term:
+        """t with a in the given positions and b in all others."""
+        return substitute(t, {v: a if i in positions else b for i, v in enumerate(names)})
+
     if kind == "maltsev":
-        return all(f(rows, x, y, y) == x and f(rows, y, y, x) == x for x in rng for y in rng)
-    if kind == "edge":
+        # f(x,y,y) ≈ x ≈ f(y,y,x)
+        pairs = [(put((0,), _X, _Y), _X), (put((2,), _X, _Y), _X)]
+    elif kind == "edge":
+        # f(x,x,y,..,y) ≈ f(x,y,x,y,..,y) ≈ y, then x in each later position alone
         patterns = [(0, 1), (0, 2)] + [(p,) for p in range(3, arity)]
-        for x in rng:
-            for y in rng:
-                for xs in patterns:
-                    args = [y] * arity
-                    for p in xs:
-                        args[p] = x
-                    if f(rows, *args) != y:
-                        return False
-        return True
-    for x in rng:
-        if f(rows, *[x] * arity) != x:
-            return False
-    for x in rng:
-        for y in rng:
-            vals = []
-            for pos in range(arity):
-                args = [x] * arity
-                args[pos] = y
-                vals.append(f(rows, *args))
-            if any(v != vals[0] for v in vals[1:]):
-                return False
-            if kind == "nu" and vals[0] != x:
-                return False
-    return True
+        pairs = [(put(p, _X, _Y), _Y) for p in patterns]
+    else:
+        # f(x,..,x) ≈ x and f(y,x,..,x) ≈ f(x,..,y,..,x) for y in each later position
+        first = put((0,), _Y, _X)
+        pairs = [(put((), _Y, _X), _X)]
+        pairs += [(first, put((q,), _Y, _X)) for q in range(1, arity)]
+        if kind == "nu":
+            pairs.append((first, _X))
+    return all(check_identity(g, Identity(lhs, rhs)) for lhs, rhs in pairs)
 
 
 def product_algebra(g: CayleyTable, h: CayleyTable) -> CayleyTable:

@@ -89,7 +89,9 @@ class CSPInstance:
         for s in self.domain:
             if not (0 <= s < len(self.sorts)):
                 raise ValueError(f"sort id {s} out of range")
-        for scope, rel in self.constraints:
+        for i, (scope, rel) in enumerate(self.constraints):
+            if not scope:
+                raise ValueError(f"constraints[{i}] has an empty scope")
             if len(scope) != rel.arity:
                 raise ValueError(f"scope {scope} does not match arity {rel.arity}")
             for pos, v in enumerate(scope):
@@ -104,9 +106,6 @@ class CSPInstance:
                 for pos, e in enumerate(t):
                     if not (0 <= e < self.sorts[rel.signature[pos]].n):
                         raise ValueError(f"tuple {t} escapes its sort carrier")
-
-    def sort_of(self, v: str) -> int:
-        return self.domain[self.variables.index(v)]
 
     def search_space(self) -> int:
         size = 1

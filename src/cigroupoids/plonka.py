@@ -309,6 +309,9 @@ def plonka_sum(sys: PlonkaSystem) -> CayleyTable:
         raise MissingFiberMaps("system carries no fiber maps")
     _validate_maps(sys.replica, sys.fibers, sys.fiber_maps)
     n = sys.size
+    for s, (blk, f) in enumerate(zip(sys.globals, sys.fibers)):
+        if len(blk) != f.n:
+            raise ValueError(f"fiber {s} lists {len(blk)} elements for a {f.n}-element table")
     flat = sorted(x for blk in sys.globals for x in blk)
     if flat != list(range(n)):
         raise ValueError("fiber globals must partition 0..n-1")

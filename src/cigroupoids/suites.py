@@ -11,6 +11,10 @@ the commutative idempotent models with n <= 4: identity a is separated from
 b at size n exactly when some n-element model has a's bit set and b's bit
 clear (separated_at). Only the between-class rows search for a model.
 
+Every row that claims a property of all of a list (models, fibers, pairs
+of identities) is built by _holds_on_all, which reports the first item that
+fails; only the rows that tally counts build their results by hand.
+
 At module level this imports `core` alone. Each suite, and
 reduction_templates, imports the layers it runs when it is called, so a
 process that runs one suite loads only those: `s2-terms` never loads `csp`,
@@ -23,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
@@ -43,6 +48,7 @@ from cigroupoids.core import (
     parse_identity,
     parse_term,
     power_term,
+    substitute,
     term_condition,
 )
 
@@ -92,16 +98,35 @@ def _inequality_check(
     return CheckResult(check, lv != rv, text)
 
 
+def _holds_on_all(
+    check: str, items: Iterable, fails: Callable, ok_text: str, fail_text: Callable
+) -> CheckResult:
+    """One "holds on all of these" row.
+
+    fails(item) is None where the property holds and a witness where it
+    does not. The first failing item is reported, as fail_text(item, witness).
+    """
+    for item in items:
+        w = fails(item)
+        if w is not None:
+            return CheckResult(check, False, fail_text(item, w))
+    return CheckResult(check, True, ok_text)
+
+
+def _fails_at(g: CayleyTable, w: object) -> str:
+    return f"fails on an n={g.n} model at {w}"
+
+
 def _identity_on_models(
     check: str, models: list[CayleyTable], ident: Identity
 ) -> CheckResult:
-    for g in models:
-        w = check_identity_witness(g, ident)
-        if w is not None:
-            return CheckResult(
-                check, False, f"fails on an n={g.n} model at {w}"
-            )
-    return CheckResult(check, True, f"holds on all {len(models)} models")
+    return _holds_on_all(
+        check,
+        models,
+        lambda g: check_identity_witness(g, ident),
+        f"holds on all {len(models)} models",
+        _fails_at,
+    )
 
 
 def _models_of_class(cls: str, max_n: int) -> list[CayleyTable]:
@@ -166,13 +191,15 @@ def _suite_figures() -> list[CheckResult]:
         if len(spec) == 2:
             checks.append(_inequality_check(check, g, *spec))
             continue
-        for ident in spec[0]:
-            w = check_identity_witness(g, ident)
-            if w is not None:
-                checks.append(CheckResult(check, False, f"fails {ident} at {w}"))
-                break
-        else:
-            checks.append(CheckResult(check, True, "all defining identities hold"))
+        checks.append(
+            _holds_on_all(
+                check,
+                spec[0],
+                lambda ident: check_identity_witness(g, ident),
+                "all defining identities hold",
+                lambda ident, w: f"fails {ident} at {w}",
+            )
+        )
     return checks
 
 
@@ -222,21 +249,13 @@ def _suite_table1() -> list[CheckResult]:
     profiles = [(n, classify_bm(g)) for n in range(1, 5) for g in all_models(n, ())]
     for cls in CLASS_NAMES:
         pairs = list(itertools.permutations(sorted(TABLE1_CLASSES[cls]), 2))
-        bad = next(
-            (
-                (a, b, n)
-                for a, b in pairs
-                if (n := separated_at(a, b, profiles)) is not None
-            ),
-            None,
-        )
         checks.append(
-            CheckResult(
+            _holds_on_all(
                 f"equivalent-within-{cls}",
-                bad is None,
-                f"{len(pairs)} ordered pairs inseparable up to n=4"
-                if bad is None
-                else f"{bad[0]} vs {bad[1]} separated at n={bad[2]}",
+                pairs,
+                lambda ab: separated_at(*ab, profiles),
+                f"{len(pairs)} ordered pairs inseparable up to n=4",
+                lambda ab, n: f"{ab[0]} vs {ab[1]} separated at n={n}",
             )
         )
 
@@ -276,24 +295,14 @@ def _suite_intersections() -> list[CheckResult]:
     checks = []
     for p, q in (("2SL", "T2"), ("2SL", "S2"), ("T2", "S2")):
         require = variety_identities(p) + variety_identities(q)
-        counts = []
-        bad = None
-        for n in range(1, 6):
-            models = all_models(n, require)
-            counts.append(len(models))
-            for g in models:
-                if not check_property(g, "semilattice"):
-                    bad = g
-                    break
-            if bad:
-                break
+        by_size = [all_models(n, require) for n in range(1, 6)]
         checks.append(
-            CheckResult(
+            _holds_on_all(
                 f"intersection-{p}-{q}-semilattices",
-                bad is None,
-                f"counts by size {counts}, all semilattices"
-                if bad is None
-                else f"non-semilattice model of size {bad.n}",
+                itertools.chain.from_iterable(by_size),
+                lambda g: None if check_property(g, "semilattice") else g.n,
+                f"counts by size {[len(ms) for ms in by_size]}, all semilattices",
+                lambda g, n: f"non-semilattice model of size {n}",
             )
         )
     return checks
@@ -305,46 +314,39 @@ def _suite_intersections() -> list[CheckResult]:
 
 V_TERM = parse_term("((x y) (z (x y)))")
 W_TERM = parse_term("((x y) (z u))")
+_x, _y = Var("x"), Var("y")
+# v(y,x,x) ≈ w(y,x,x,x)
+TERM_AGREEMENT = Identity(
+    substitute(V_TERM, {"x": _y, "y": _x, "z": _x}),
+    substitute(W_TERM, {"x": _y, "y": _x, "z": _x, "u": _x}),
+)
 ABSORPTION = parse_identity("(x (x y)) ≈ ((x y) (x (x y)))")
 
 
 def _suite_s2_terms() -> list[CheckResult]:
     models = _models_of_class("S2", 4)
-    checks = []
-
-    bad3 = [g for g in models if not term_condition(g, V_TERM, "wnu", 3)]
+    checks = [
+        _holds_on_all(
+            check,
+            models,
+            lambda g: None if term_condition(g, t, "wnu", k) else g.n,
+            f"{text} is WNU({k}) on all {len(models)} models",
+            lambda g, n: f"fails on an n={n} model",
+        )
+        for check, t, k, text in (
+            ("s2-wnu3", V_TERM, 3, "(xy)(z(xy))"),
+            ("s2-wnu4", W_TERM, 4, "(xy)(zu)"),
+        )
+    ]
     checks.append(
-        CheckResult(
-            "s2-wnu3",
-            not bad3,
-            f"(xy)(z(xy)) is WNU(3) on all {len(models)} models"
-            if not bad3
-            else f"fails on an n={bad3[0].n} model",
+        _holds_on_all(
+            "s2-term-agreement",
+            models,
+            lambda g: check_identity_witness(g, TERM_AGREEMENT),
+            "v(y,x,x)=w(y,x,x,x) everywhere",
+            _fails_at,
         )
     )
-    bad4 = [g for g in models if not term_condition(g, W_TERM, "wnu", 4)]
-    checks.append(
-        CheckResult(
-            "s2-wnu4",
-            not bad4,
-            f"(xy)(zu) is WNU(4) on all {len(models)} models"
-            if not bad4
-            else f"fails on an n={bad4[0].n} model",
-        )
-    )
-
-    agree = True
-    witness = "v(y,x,x)=w(y,x,x,x) everywhere"
-    for g in models:
-        for a in range(g.n):
-            for b in range(g.n):
-                lhs = eval_term(V_TERM, {"x": b, "y": a, "z": a}, g)
-                rhs = eval_term(W_TERM, {"x": b, "y": a, "z": a, "u": a}, g)
-                if lhs != rhs:
-                    agree = False
-                    witness = f"differ at x={a}, y={b} on an n={g.n} model"
-    checks.append(CheckResult("s2-term-agreement", agree, witness))
-
     checks.append(
         _identity_on_models("s2-absorption-law", models, ABSORPTION)
     )
@@ -365,70 +367,45 @@ def _suite_s2_terms() -> list[CheckResult]:
 def _suite_t2_structure() -> list[CheckResult]:
     from cigroupoids.plonka import check_pseudopartition, decompose, plonka_sum
 
-    checks = []
     models = _models_of_class("T2", 6)
-
-    bad = [g for g in models if not check_pseudopartition(g).pseudopartition]
-    checks.append(
-        CheckResult(
-            "t2-join-pseudopartition",
-            not bad,
-            f"y(xy) passes P1-P4 on all {len(models)} models"
-            if not bad
-            else f"P1-P4 fail on an n={bad[0].n} model",
-        )
-    )
-
-    fiber_count = 0
-    bad_fiber = None
-    for g in models:
-        for f in decompose(g).fibers:
-            fiber_count += 1
-            if not check_property(f, "squag"):
-                bad_fiber = (g.n, f.n)
-    checks.append(
-        CheckResult(
-            "t2-fibers-are-squags",
-            bad_fiber is None,
-            f"{fiber_count} fibers, every one a squag"
-            if bad_fiber is None
-            else f"non-squag fiber of size {bad_fiber[1]} in an n={bad_fiber[0]} model",
-        )
-    )
-
+    fibers = [(g, f) for g in models for f in decompose(g).fibers]
+    t1_models = _models_of_class("T1", 6)
     status = check_pseudopartition(load_fixture("fig3b"))
-    w = status.witnesses.get("P5")
-    checks.append(
+    return [
+        _holds_on_all(
+            "t2-join-pseudopartition",
+            models,
+            lambda g: None if check_pseudopartition(g).pseudopartition else g.n,
+            f"y(xy) passes P1-P4 on all {len(models)} models",
+            lambda g, n: f"P1-P4 fail on an n={n} model",
+        ),
+        _holds_on_all(
+            "t2-fibers-are-squags",
+            fibers,
+            lambda gf: None if check_property(gf[1], "squag") else gf[1].n,
+            f"{len(fibers)} fibers, every one a squag",
+            lambda gf, m: f"non-squag fiber of size {m} in an n={gf[0].n} model",
+        ),
         CheckResult(
             "fig3b-fails-P5",
             status.pseudopartition and not status.p5,
-            f"P1-P4 hold, P5 fails at {w}",
-        )
-    )
-
-    t1_models = _models_of_class("T1", 6)
-    bad_t1 = [g for g in t1_models if not check_pseudopartition(g).all_five]
-    checks.append(
-        CheckResult(
+            f"P1-P4 hold, P5 fails at {status.witnesses.get('P5')}",
+        ),
+        _holds_on_all(
             "t1-join-partition",
-            not bad_t1,
-            f"P1-P5 hold on all {len(t1_models)} models"
-            if not bad_t1
-            else f"fails on an n={bad_t1[0].n} model",
-        )
-    )
-
-    bad_rt = next((g for g in t1_models if plonka_sum(decompose(g)) != g), None)
-    checks.append(
-        CheckResult(
+            t1_models,
+            lambda g: None if check_pseudopartition(g).all_five else g.n,
+            f"P1-P5 hold on all {len(t1_models)} models",
+            lambda g, n: f"fails on an n={n} model",
+        ),
+        _holds_on_all(
             "t1-sum-roundtrip",
-            bad_rt is None,
-            f"sum of decomposition reproduces all {len(t1_models)} models"
-            if bad_rt is None
-            else f"mismatch on an n={bad_rt.n} model",
-        )
-    )
-    return checks
+            t1_models,
+            lambda g: None if plonka_sum(decompose(g)) == g else g.n,
+            f"sum of decomposition reproduces all {len(t1_models)} models",
+            lambda g, n: f"mismatch on an n={n} model",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +577,6 @@ def _suite_reduction() -> list[CheckResult]:
 
 def _suite_cid() -> list[CheckResult]:
     from cigroupoids.plonka import cid_exponent, cie_cyclic, decompose
-    from cigroupoids.search import all_models, variety_identities
 
     checks = []
     squag = load_fixture("fig4a")
@@ -613,41 +589,28 @@ def _suite_cid() -> list[CheckResult]:
         )
     )
 
-    count = 0
-    max_e = 0
-    bad = None
-    for n in range(1, 6):
-        for g in all_models(n, variety_identities("CID")):
-            count += 1
-            e = cid_exponent(g)
-            max_e = max(max_e, e)
-            fibers = decompose(g, power_term(e)).fibers
-            if not all(is_latin_square(f) for f in fibers):
-                bad = g
+    models = _models_of_class("CID", 5)
+    exponents = [cid_exponent(g) for g in models]
     checks.append(
-        CheckResult(
+        _holds_on_all(
             "cid-exponent-latin-fibers",
-            bad is None,
-            f"{count} models up to size 5, max exponent {max_e}, all fibers Latin"
-            if bad is None
-            else f"non-Latin fiber on an n={bad.n} model",
+            zip(models, exponents),
+            lambda ge: None
+            if all(is_latin_square(f) for f in decompose(ge[0], power_term(ge[1])).fibers)
+            else ge[0].n,
+            f"{len(models)} models up to size 5, max exponent {max(exponents)}, all fibers Latin",
+            lambda ge, n: f"non-Latin fiber on an n={n} model",
         )
     )
-
-    bad_n = None
-    for n in (1, 3, 5, 7):
-        g = cie_cyclic(n)
-        if not (
-            check_property(g, "entropic") and check_property(g, "distributive")
-        ):
-            bad_n = n
     checks.append(
-        CheckResult(
+        _holds_on_all(
             "cyclic-odd-entropic-distributive",
-            bad_n is None,
-            "n in {1,3,5,7} all entropic and distributive"
-            if bad_n is None
-            else f"fails at n={bad_n}",
+            [cie_cyclic(n) for n in (1, 3, 5, 7)],
+            lambda g: None
+            if check_property(g, "entropic") and check_property(g, "distributive")
+            else g.n,
+            "n in {1,3,5,7} all entropic and distributive",
+            lambda g, n: f"fails at n={n}",
         )
     )
     return checks

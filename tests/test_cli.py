@@ -298,8 +298,13 @@ def test_plonka_decompose_rejects_non_pseudopartition(capsys):
          "map end is not an integer: '# map 0 z: 0 0 0'"),
         ("# map 0 1: 0 0 0", "# map 0 1: 0 y 0",
          "map image is not an integer: '# map 0 1: 0 y 0'"),
+        # the globals still partition 0..3, but the headers move element 2
+        ("elements 0 1 2\n3\n0 2 1\n2 1 0\n1 0 2\n# fiber 1 elements 3",
+         "elements 0 1\n3\n0 2 1\n2 1 0\n1 0 2\n# fiber 1 elements 2 3",
+         "fiber 0 lists 2 elements for a 3-element table"),
     ],
-    ids=["fiber-header", "map-line", "fiber-element", "map-end", "map-image"],
+    ids=["fiber-header", "map-line", "fiber-element", "map-end", "map-image",
+         "fiber-length"],
 )
 def test_plonka_sum_rejects_malformed_line(capsys, monkeypatch, good, bad, message):
     system = format_system(decompose(adjoin_infinity(load_fixture("fig4a"))))
@@ -410,9 +415,11 @@ def test_csp_solve_parse_error(capsys, tmp_path):
          "tuple entry is not an integer: 't 1.0'", "invalid literal"),
         ("sorts 1\n2\n0 x\n1 1\nvar v 0\n", "table entry is not an integer: '0 x'",
          "invalid literal"),
+        ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon \nend\n",
+         "constraints[0] has an empty scope", "empty sequence"),
     ],
     ids=["missing-sort", "sort-then-var", "var-line", "con-scope", "sort-count",
-         "table-size", "var-sort-id", "tuple-entry", "sort-entry"],
+         "table-size", "var-sort-id", "tuple-entry", "sort-entry", "empty-scope"],
 )
 def test_csp_solve_rejects_malformed_line(capsys, monkeypatch, text, message, old):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -31,6 +31,7 @@ from cigroupoids.core import (
     parse_alg,
     parse_identity,
     parse_term,
+    positional_variables,
     power_term,
     product_algebra,
     term_condition,
@@ -354,7 +355,7 @@ def test_witness_on_squag_two_semilattice():
     w = check_identity_witness(SQUAG, parse_identity("(x (x y)) = (x y)"))
     assert w is not None
     x, y = w["x"], w["y"]
-    assert SQUAG.prod(x, SQUAG.prod(x, y)) != SQUAG.prod(x, y)
+    assert SQUAG.rows[x][SQUAG.rows[x][y]] != SQUAG.rows[x][y]
     # the first failing assignment in scan order is x=0, y=1
     assert w == {"x": 0, "y": 1}
 
@@ -480,8 +481,87 @@ def test_explicit_order_override():
     # default order binds positions to x,y,z; overriding rebinds them
     q = parse_term("(y (x z))")
     assert term_condition(SQUAG, q, "maltsev")
-    assert not term_condition(SQUAG, q, "maltsev", order=("y", "x", "z"))
     assert not term_condition(MEET2, q, "maltsev")
+
+
+def naive_term_condition(g, t, kind, k=None):
+    """Oracle: the term conditions as direct loops over the values of x and y."""
+    arity = {"maltsev": 3, "wnu": k, "nu": k, "edge": (k or 0) + 1}[kind]
+    names = positional_variables(t)
+    assert len(names) == arity
+
+    def f(*args):
+        return eval_term(t, dict(zip(names, args)), g)
+
+    rng = range(g.n)
+    if kind == "maltsev":
+        return all(f(x, y, y) == x and f(y, y, x) == x for x in rng for y in rng)
+    if kind == "edge":
+        patterns = [(0, 1), (0, 2)] + [(p,) for p in range(3, arity)]
+        for x in rng:
+            for y in rng:
+                for xs in patterns:
+                    args = [y] * arity
+                    for p in xs:
+                        args[p] = x
+                    if f(*args) != y:
+                        return False
+        return True
+    for x in rng:
+        if f(*[x] * arity) != x:
+            return False
+    for x in rng:
+        for y in rng:
+            vals = []
+            for pos in range(arity):
+                args = [x] * arity
+                args[pos] = y
+                vals.append(f(*args))
+            if any(v != vals[0] for v in vals[1:]):
+                return False
+            if kind == "nu" and vals[0] != x:
+                return False
+    return True
+
+
+def _random_term(rng, names, size):
+    """A random term with `size` leaves that uses every name in names."""
+    leaves = list(names) + [rng.choice(names) for _ in range(size - len(names))]
+    rng.shuffle(leaves)
+    terms = [Var(v) for v in leaves]
+    while len(terms) > 1:
+        i = rng.randrange(len(terms) - 1)
+        terms[i : i + 2] = [Prod(terms[i], terms[i + 1])]
+    return terms[0]
+
+
+@pytest.mark.parametrize("kind", ["maltsev", "wnu", "nu", "edge"])
+def test_term_condition_matches_naive_oracle(kind):
+    rng = random.Random(f"term-condition-{kind}")
+    verdicts = set()
+    for _ in range(300):
+        k = rng.choice((2, 3, 4))
+        arity = {"maltsev": 3, "wnu": k, "nu": k, "edge": k + 1}[kind]
+        t = _random_term(rng, ("x", "y", "z", "u", "v", "w")[:arity], arity + rng.randrange(3))
+        n = rng.randint(1, 4)
+        # semilattices, squags and random idempotent tables, where the
+        # conditions hold often, and random tables, where they rarely do
+        shape = rng.randrange(4)
+        rows = [
+            [
+                a if a == b and shape < 3
+                else min(a, b) if shape == 0
+                else (-(a + b)) % n if shape == 1
+                else rng.randrange(n)
+                for b in range(n)
+            ]
+            for a in range(n)
+        ]
+        g = CayleyTable(rows)
+        got = term_condition(g, t, kind, None if kind == "maltsev" else k)
+        assert got == naive_term_condition(g, t, kind, k), (kind, k, t, rows)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # --- file format ---------------------------------------------------------
@@ -538,5 +618,5 @@ def test_product_algebra_componentwise():
         for b in range(2):
             for c in range(3):
                 for d in range(2):
-                    got = p.prod(a * 2 + b, c * 2 + d)
-                    assert got == SQUAG.prod(a, c) * 2 + MEET2.prod(b, d)
+                    got = p.rows[a * 2 + b][c * 2 + d]
+                    assert got == SQUAG.rows[a][c] * 2 + MEET2.rows[b][d]

@@ -83,7 +83,7 @@ def test_instance_validation():
 def test_instance_search_space():
     inst = CSPInstance(("x", "y"), (MEET2, SQUAG), (0, 1), ())
     assert inst.search_space() == 6
-    assert inst.sort_of("y") == 1
+    assert inst.domain[inst.variables.index("y")] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ def test_reduce_forces_absorbing_top():
     assert red.a == {"v": 3}
     assert red.b_sets == {"v": (0, 1, 2, 3)}
     assert red.b_prime == {"v": (3,)}
-    assert red.reduced.sorts[red.reduced.sort_of("v")].n == 1
+    assert red.reduced.sorts[red.reduced.domain[red.reduced.variables.index("v")]].n == 1
     assert solve_brute(red.reduced) == {"v": 0}
 
 
@@ -452,7 +452,7 @@ def test_reduce_into_squag_fiber():
     red = reduce_instance(inst)
     assert red.a["v"] in (0, 1, 2)
     assert red.a == {"v": 0}
-    fiber = red.reduced.sorts[red.reduced.sort_of("v")]
+    fiber = red.reduced.sorts[red.reduced.domain[red.reduced.variables.index("v")]]
     assert fiber == SQUAG
     assert solve_brute(red.reduced) is not None
 

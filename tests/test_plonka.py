@@ -228,8 +228,8 @@ def test_hand_built_two_squag_sum():
     g = plonka_sum(sys)
     assert g.n == 6
     # products across fibers land in the top copy through the identity map
-    assert g.prod(0, 3) == SQUAG.prod(0, 0) + 3
-    assert g.prod(1, 5) == SQUAG.prod(1, 2) + 3
+    assert g.rows[0][3] == SQUAG.rows[0][0] + 3
+    assert g.rows[1][5] == SQUAG.rows[1][2] + 3
     from cigroupoids.bolmoufang import bm, decode
 
     assert check_identity(g, decode(bm("A14")))

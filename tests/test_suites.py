@@ -4,9 +4,20 @@ import itertools
 from collections import Counter
 
 from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, classify_bm, decode
-from cigroupoids.core import load_fixture
+from cigroupoids.core import (
+    COMMUTATIVE_LAW,
+    CayleyTable,
+    check_identity_witness,
+    load_fixture,
+)
 from cigroupoids.search import all_models, canonical_form, find_separating_model
-from cigroupoids.suites import _models_of_class, separated_at
+from cigroupoids.suites import (
+    CheckResult,
+    _holds_on_all,
+    _identity_on_models,
+    _models_of_class,
+    separated_at,
+)
 
 PROFILES = [(n, classify_bm(g)) for n in range(1, 5) for g in all_models(n, ())]
 
@@ -33,6 +44,31 @@ def test_separated_at_matches_search_within_s1():
     for a, b in pairs:
         assert separated_at(a, b, PROFILES) is None
         assert _oracle_n(a, b) is None
+
+
+def test_holds_on_all_reports_the_first_failing_item():
+    # the second (n=3) and third (n=2) models are not commutative
+    models = [CayleyTable([[0, 0], [0, 1]]), load_fixture("fig1"), load_fixture("leftzero")]
+    witnesses = [check_identity_witness(g, COMMUTATIVE_LAW) for g in models]
+    assert witnesses[0] is None and None not in witnesses[1:]
+    row = _identity_on_models("commutes", models, COMMUTATIVE_LAW)
+    assert row == CheckResult("commutes", False, f"fails on an n=3 model at {witnesses[1]}")
+
+    seen = []
+
+    def fails(g):
+        seen.append(g)
+        return check_identity_witness(g, COMMUTATIVE_LAW)
+
+    row = _holds_on_all("commutes", models, fails, "ok", lambda g, w: (g.n, w))
+    assert row == CheckResult("commutes", False, (3, witnesses[1]))
+    assert seen == models[:2]
+
+
+def test_holds_on_all_passes_with_the_ok_text():
+    models = [CayleyTable([[0]]), CayleyTable([[0, 0], [0, 1]])]
+    row = _identity_on_models("commutes", models, COMMUTATIVE_LAW)
+    assert row == CheckResult("commutes", True, "holds on all 2 models")
 
 
 def test_t2_fixtures_are_among_the_enumerated_t2_models():
