@@ -9,10 +9,11 @@ the study of operations that need not associate.
 Every term is evaluated from the postfix ops of `compile_term`, which are
 turned once per distinct ops tuple into a straight-line Python function, one
 statement per product: `term_function` computes one value for one assignment,
-and identity checking runs both sides of an identity inside one loop over the
-assignments, stopping at the first that tells them apart. Term conditions
-are sets of identities in x and y, so term_condition decides them through
-the same scan.
+`instance_function` settles one ground instance of an identity on a partial
+table, and identity checking runs both sides of an identity inside one loop
+over the assignments, stopping at the first that tells them apart. Term
+conditions are sets of identities in x and y, so term_condition decides them
+through the same scan.
 """
 
 from __future__ import annotations
@@ -364,7 +365,8 @@ def compile_term(t: Term, order: tuple[str, ...]) -> tuple[int, ...]:
 
     This is the only route to evaluation: every term the package evaluates
     is compiled here, then turned into Python by term_function for one
-    assignment or by the identity scan of check_identity_witness.
+    assignment, by instance_function for one ground instance of an identity
+    or by the identity scan of check_identity_witness.
     """
     ops: list[int] = []
     for u in postorder(t):
@@ -416,6 +418,30 @@ def term_function(ops: tuple[int, ...], arity: int) -> Callable[..., int]:
     value = _straight_line(ops, body)
     params = "".join(f", v{i}" for i in range(arity))
     return _define([f"def f(r{params}):"] + [f"    {s}" for s in body] + [f"    return {value}"])
+
+
+@functools.lru_cache(maxsize=1024)
+def instance_function(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) -> Callable:
+    """f(rows, n, assignment): one ground instance of lhs ≈ rhs on a partial table.
+
+    Entries n and above of rows stand for unknown cells. f returns -1 when
+    both sides are the same element, -2 when they are different elements,
+    and otherwise the larger side minus n: the cell the instance waits on.
+    """
+    body: list[str] = []
+    left = _straight_line(lhs, body)
+    right = _straight_line(rhs, body)
+    asg = "".join(f"v{i}, " for i in range(arity))
+    return _define(
+        ["def f(r, n, a):", f"    {asg}= a"]
+        + [f"    {s}" for s in body]
+        + [
+            f"    m = {left} if {left} > {right} else {right}",
+            "    if m >= n:",
+            "        return m - n",
+            f"    return -1 if {left} == {right} else -2",
+        ]
+    )
 
 
 @functools.lru_cache(maxsize=1024)

@@ -140,6 +140,12 @@ def single_sorted_instance(
 # Invariance
 
 
+def _commutes(g: CayleyTable) -> bool:
+    """Whether g equals its transpose. Then t2·t1 = t1·t2 coordinatewise,
+    so one product per unordered pair of tuples suffices."""
+    return g.rows == tuple(zip(*g.rows))
+
+
 def is_invariant(r: Relation, g: CayleyTable) -> bool:
     """Closure of the tuple set under the coordinatewise product of pairs."""
     if any(s != r.signature[0] for s in r.signature):
@@ -149,9 +155,12 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
             if not (0 <= e < g.n):
                 raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
     tuples = r.tuples
-    for t1 in tuples:
-        for t2 in tuples:
-            if tuple(g.rows[a][b] for a, b in zip(t1, t2)) not in tuples:
+    rows = g.rows
+    commutative = _commutes(g)
+    listed = list(tuples)
+    for i, t1 in enumerate(listed):
+        for t2 in listed[i:] if commutative else listed:
+            if tuple(rows[a][b] for a, b in zip(t1, t2)) not in tuples:
                 return False
     return True
 
@@ -367,15 +376,19 @@ def reduce_instance(
 
 def close_under(template: CayleyTable, seeds: Iterable[tuple[int, ...]]) -> frozenset:
     """Smallest tuple set containing seeds closed under the coordinatewise op."""
+    rows = template.rows
+    # Each tuple taken off the frontier meets itself and every tuple taken
+    # before it, so each pair is met once.
+    both = not _commutes(template)
     out = set(tuple(t) for t in seeds)
     frontier = list(out)
+    done: list[tuple[int, ...]] = []
     while frontier:
         t1 = frontier.pop()
-        for t2 in list(out):
-            for p in (
-                tuple(template.rows[a][b] for a, b in zip(t1, t2)),
-                tuple(template.rows[b][a] for a, b in zip(t1, t2)),
-            ):
+        done.append(t1)
+        for t2 in done:
+            for x, y in ((t1, t2), (t2, t1)) if both else ((t1, t2),):
+                p = tuple(rows[a][b] for a, b in zip(x, y))
                 if p not in out:
                     out.add(p)
                     frontier.append(p)

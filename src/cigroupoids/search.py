@@ -8,23 +8,36 @@ below n is u. The ordinary term evaluator therefore returns a value below n
 when a term's value is determined, and otherwise the sentinel of the first
 unfilled cell the evaluation needed.
 
-Required identities are ground once, over every assignment, and settled
+Required identities are ground once, over every assignment. Both sides of
+each ground instance are hash-consed modulo the base laws the spec assumes
+(commutativity, idempotence): an instance whose sides are equal there holds
+in every table of the search and is dropped, and of the instances with the
+same unordered pair of sides only one is kept. Each kept instance is decided
+by one compiled function (`core.instance_function`) that computes both sides
+and returns agree, fail or the cell it waits on. The instances are settled
 once at the root, before any cell is filled. Settling an instance decides
-it or parks it: one whose two sides are known and differ prunes the
-branch, one whose sides agree is dropped, and one still undecided moves to
-the watch list of an unfilled cell it is blocked on. Filling a cell
-settles only that cell's watchers (the scheme of Mace4 and SEM), and a
-trail undoes the moves on backtrack. Every instance is thus checked at the
-first node where both sides are determined, as if all pending instances
-were re-evaluated after each cell. With no free cells (n = 1, idempotent)
-the root settles every instance and the search is a single leaf.
+it or parks it: one whose two sides are known and differ prunes the branch,
+one whose sides agree is dropped, and one still undecided moves to the
+watch list of an unfilled cell it is blocked on. Filling a cell settles only
+that cell's watchers (the scheme of Mace4 and SEM), and a trail undoes the
+moves on backtrack. Every instance is thus checked at the first node where
+both sides are determined, as if all pending instances were re-evaluated
+after each cell. With no free cells (n = 1, idempotent) the root settles
+every instance and the search is a single leaf.
+
+A node is also pruned when its table is larger than its image under some
+transposition of two elements on the determined prefix. Each branch passes
+down the transpositions still tied there, each with the position where its
+comparison stopped: one whose image was found larger stays larger below,
+so children resume only the tied comparisons.
 
 Leaves are emitted only when they equal their own canonical form, which
 makes the output stream duplicate-free and lexicographically sorted without
 any post-hoc merge. The canonical form is the exact lexicographically least
 relabeling, found by branch and bound over relabelings: labels are placed
 one at a time and a branch is cut as soon as the known prefix of its
-image's first row exceeds the best image found so far.
+image's first row exceeds the best image found so far. When that row ties
+and is fully known, the bound goes on row by row (see `canonical_form`).
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
@@ -43,7 +56,7 @@ from cigroupoids.core import (
     CayleyTable,
     Identity,
     check_identity,
-    term_function,
+    instance_function,
 )
 from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode
 
@@ -55,55 +68,87 @@ def canonical_form(g: CayleyTable) -> CayleyTable:
     """Lexicographically least relabeling; equal iff isomorphic.
 
     Branch and bound over relabelings: new labels 0, 1, ... are handed out
-    to old elements one at a time. With k labels placed, entry j < k of row
-    0 of the image is known exactly when the old element it names is
-    placed, and is at least k otherwise. A branch whose known prefix is
-    already larger than the best image found so far is cut; full images
-    are compared only at the leaves.
+    to old elements one at a time. With k labels placed, entry j < k of a
+    placed row of the image is known exactly when the old element it names
+    is placed, and is at least k otherwise. A branch whose known prefix of
+    row 0 is already larger than the best image found so far is cut.
+
+    A placed row whose known prefix ties the best image is known in full
+    when every label is placed, or when its unplaced columns all give one
+    placed value, as the bottom of a semilattice does; the next row's
+    prefix is then compared. Known rows stay known and equal to the best
+    image below the node where they were found, so each branch passes their
+    number down. At a leaf the whole image has been compared, and it
+    replaces the best image from its first smaller row.
     """
     n = g.n
     rows = g.rows
     best = [list(row) for row in rows]
     label = [-1] * n  # old element -> new label, -1 while unplaced
     order: list[int] = []  # new label -> old element
+    # flat[e]: the one value of row e off its diagonal, or -1. The bound
+    # goes on past a tied row 0 only when that row is flat, so relabelings
+    # of a table with no flat row skip the column scan.
+    flat = [-1] * n
+    if n > 1:
+        for e, row in enumerate(rows):
+            z = row[e == 0]
+            if row.count(z) - (row[e] == z) == n - 1:
+                flat[e] = z
 
-    def prefix_larger(k: int) -> bool:
-        top = rows[order[0]]
-        first = best[0]
-        for j in range(k):
-            v = label[top[order[j]]]
-            b = first[j]
-            if v < 0:
-                return b < k
-            if v != b:
-                return v > b
-        return False
-
-    def leaf() -> None:
-        for i in range(n):
+    def bound(k: int, eq: int) -> int:
+        # -1 to cut; otherwise how many leading image rows are known and
+        # equal to best, given that the first eq of them are
+        i = eq
+        while True:
             row = rows[order[i]]
-            image = [label[row[c]] for c in order]
-            if image != best[i]:
-                if image < best[i]:
-                    best[i:] = [image] + [
-                        [label[rows[a][c]] for c in order] for a in order[i + 1 :]
-                    ]
-                return
+            want = best[i]
+            for j in range(k):
+                v = label[row[order[j]]]
+                b = want[j]
+                if v < 0:
+                    return -1 if b < k else i
+                if v != b:
+                    return -1 if v > b else i
+            if k < n:
+                z = flat[order[i]]
+                if z < 0:
+                    if i == 0:
+                        return 0
+                    for c in range(n):
+                        if label[c] < 0:
+                            if z < 0:
+                                z = row[c]
+                            elif row[c] != z:
+                                return i
+                v = label[z]
+                if v < 0:
+                    return i
+                for j in range(k, n):
+                    b = want[j]
+                    if v != b:
+                        return -1 if v > b else i
+            i += 1
+            if i == k:
+                return k
 
-    def place(k: int) -> None:
+    def place(k: int, eq: int) -> None:
         if k == n:
-            leaf()
+            # rows before eq equal best, and row eq, if any, is smaller
+            if eq < n:
+                best[eq:] = [[label[rows[a][c]] for c in order] for a in order[eq:]]
             return
         for e in range(n):
             if label[e] < 0:
                 label[e] = k
                 order.append(e)
-                if not prefix_larger(k + 1):
-                    place(k + 1)
+                known = bound(k + 1, eq)
+                if known >= 0:
+                    place(k + 1, known)
                 order.pop()
                 label[e] = -1
 
-    place(0)
+    place(0, 0)
     return CayleyTable(best)
 
 
@@ -134,6 +179,54 @@ def _free_cells(n: int, commutative: bool, idempotent: bool) -> list[tuple[int, 
     return cells
 
 
+def _ground_instances(spec: SearchSpec) -> list[tuple[Callable, tuple[int, ...]]]:
+    """One ground instance of the required identities per distinct constraint.
+
+    Both sides of every instance are hash-consed modulo the base laws the
+    spec assumes: a product of two equal sides is that side under
+    idempotence, and the two factors are unordered under commutativity.
+    Elements are ids 0..n-1 and each distinct product gets the next id.
+    The partial table obeys those laws wherever values are determined, so a
+    side is determined at the same nodes as its hash-consed form, with the
+    same value. Instances whose sides are equal there never fail and are
+    dropped, and of the instances with the same unordered pair of sides only
+    the first is kept: the others are decided at the same nodes the same
+    way. Each is (f, a), f from `instance_function` and a the assignment.
+    """
+    n = spec.n
+    ids: dict[tuple[int, int], int] = {}
+
+    def node(left: int, right: int) -> int:
+        if spec.idempotent and left == right:
+            return left
+        key = (right, left) if spec.commutative and right < left else (left, right)
+        found = ids.get(key)
+        if found is None:
+            found = ids[key] = n + len(ids)
+        return found
+
+    kept: dict[tuple[int, int], tuple[Callable, tuple[int, ...]]] = {}
+    for ident in spec.require:
+        names, lhs, rhs = ident.compiled
+        asgs = list(itertools.product(range(n), repeat=len(names)))
+        columns = list(zip(*asgs))
+        sides = []
+        for ops in (lhs, rhs):
+            stack: list = []
+            for op in ops:
+                if op >= 0:
+                    stack.append(columns[op])
+                else:
+                    right = stack.pop()
+                    stack[-1] = list(map(node, stack[-1], right))
+            sides.append(stack[0])
+        f = instance_function(lhs, rhs, len(names))
+        for asg, a, b in zip(asgs, *sides):
+            if a != b:
+                kept.setdefault((a, b) if a < b else (b, a), (f, asg))
+    return list(kept.values())
+
+
 def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     """One representative per isomorphism class, in lexicographic order."""
     n = spec.n
@@ -153,15 +246,8 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
         if spec.commutative:
             rows[j][i] = n + k
 
-    # Ground instances (lhs, rhs, assignment), each side compiled to a
-    # function of (rows, *assignment). watch[k] holds those blocked on cell
-    # k; they move forward as cells are filled.
-    instances: list[tuple] = []
-    for ident in spec.require:
-        names, lhs, rhs = ident.compiled
-        k = len(names)
-        lhs, rhs = term_function(lhs, k), term_function(rhs, k)
-        instances.extend((lhs, rhs, asg) for asg in itertools.product(range(n), repeat=k))
+    # watch[k] holds the ground instances blocked on cell k; they move
+    # forward as cells are filled.
     watch: list[list[tuple]] = [[] for _ in cells]
 
     def settle(insts: list[tuple], trail: list[list[tuple]]) -> bool:
@@ -169,15 +255,13 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
         # cell it is blocked on, recording the move on the trail; False as
         # soon as one instance fails.
         for inst in insts:
-            lhs, rhs, asg = inst
-            a = lhs(rows, *asg)
-            b = rhs(rows, *asg)
-            blocked = a if a > b else b
-            if blocked >= n:
-                later = watch[blocked - n]
+            f, asg = inst
+            c = f(rows, n, asg)
+            if c >= 0:
+                later = watch[c]
                 later.append(inst)
                 trail.append(later)
-            elif a != b:
+            elif c < -1:
                 return False
         return True
 
@@ -186,34 +270,33 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
         for b in range(a + 1, n):
             perm = list(range(n))
             perm[a], perm[b] = b, a
-            transpositions.append(tuple(perm))
+            transpositions.append(perm)
+    # the cells in row-major order, the order tables are compared in
+    positions = [(i, j) for i in range(n) for j in range(n)]
 
-    def not_minimal_prefix() -> bool:
-        # Prune when some transposed image is lexicographically smaller on
-        # the already-determined prefix; every completion would inherit the
-        # same non-minimal first difference.
-        for perm in transpositions:
-            for i in range(n):
-                row = rows[i]
-                image = rows[perm[i]]
-                for j in range(n):
-                    v = row[j]
-                    if v >= n:
-                        break
-                    w = image[perm[j]]
-                    if w >= n:
-                        break
-                    w = perm[w]
-                    if v != w:
-                        if v > w:
-                            return True
-                        break
-                else:
-                    continue
-                break
-        return False
+    def still_tied(pending: list[tuple]) -> list[tuple] | None:
+        # Compare the table with each pending transposed image on the
+        # determined prefix, resuming where the last comparison stopped.
+        # None when an image is smaller there: every completion inherits
+        # that first difference. An image found larger stays larger below,
+        # so only the tied ones, with where they stopped, are passed on.
+        tied = []
+        for perm, start in pending:
+            for p in range(start, n * n):
+                i, j = positions[p]
+                v = rows[i][j]
+                w = rows[perm[i]][perm[j]]
+                if v >= n or w >= n:
+                    tied.append((perm, p))
+                    break
+                w = perm[w]
+                if v != w:
+                    if v > w:
+                        return None
+                    break
+        return tied
 
-    def descend(depth: int) -> Iterator[CayleyTable]:
+    def descend(depth: int, pending: list[tuple]) -> Iterator[CayleyTable]:
         if depth == len(cells):
             g = CayleyTable(r[:n] for r in rows[:n])
             if g == canonical_form(g):
@@ -227,8 +310,10 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
             if spec.commutative:
                 rows[j][i] = v
             trail: list[list[tuple]] = []
-            if settle(watchers, trail) and not not_minimal_prefix():
-                yield from descend(depth + 1)
+            if settle(watchers, trail):
+                tied = still_tied(pending)
+                if tied is not None:
+                    yield from descend(depth + 1, tied)
             for later in trail:
                 later.pop()
         rows[i][j] = n + depth
@@ -236,8 +321,8 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
             rows[j][i] = n + depth
 
     # the root's moves are never undone, so its trail is thrown away
-    if settle(instances, []):
-        yield from descend(0)
+    if settle(_ground_instances(spec), []):
+        yield from descend(0, [(perm, 0) for perm in transpositions])
 
 
 @functools.lru_cache(maxsize=1024)

@@ -120,6 +120,16 @@ def test_equality_graph_invariant():
     assert is_invariant(r, SQUAG)
 
 
+def test_noncommutative_invariance_checks_both_orders():
+    # {0, 1} keeps 0·0, 1·1 and one of the two cross products; the other
+    # leaves it, whichever of the two tuples the scan takes first
+    for cross in ((0, 2), (2, 0)):
+        g = CayleyTable([[0, cross[0], 0], [cross[1], 1, 1], [2, 2, 2]])
+        r = Relation.single_sorted({(0,), (1,)}, 1)
+        assert not is_invariant(r, g)
+        assert not naive_invariant(r.tuples, g)
+
+
 def test_is_invariant_sort_mismatch():
     with pytest.raises(SortMismatch):
         is_invariant(Relation(2, (0, 1), frozenset({(0, 0)})), SQUAG)
@@ -645,6 +655,41 @@ def test_closure_frozen_values():
     assert close_under(SQUAG, {(0, 1), (1, 0)}) == frozenset(
         {(0, 1), (1, 0), (2, 2)}
     )
+
+
+def naive_close_under(template, seeds):
+    """The closure with both products t1·t2 and t2·t1 of every pair."""
+    out = set(tuple(t) for t in seeds)
+    frontier = list(out)
+    while frontier:
+        t1 = frontier.pop()
+        for t2 in list(out):
+            for p in (
+                tuple(template.rows[a][b] for a, b in zip(t1, t2)),
+                tuple(template.rows[b][a] for a, b in zip(t1, t2)),
+            ):
+                if p not in out:
+                    out.add(p)
+                    frontier.append(p)
+    return frozenset(out)
+
+
+def test_closure_matches_two_product_oracle():
+    rng = random.Random(368)
+    templates = REDUCTION_TEMPLATES + [load_fixture("leftzero")]
+    for n in (2, 3, 4):
+        for _ in range(4):
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            rows[0][1], rows[1][0] = 0, 1  # noncommutative
+            templates.append(CayleyTable(rows))
+    for template in templates:
+        for _ in range(25):
+            arity = rng.randint(1, 3)
+            seeds = [
+                tuple(rng.randrange(template.n) for _ in range(arity))
+                for _ in range(rng.randint(1, 3))
+            ]
+            assert close_under(template, seeds) == naive_close_under(template, seeds)
 
 
 @given(

@@ -9,7 +9,9 @@ import pytest
 from cigroupoids.bolmoufang import bm, decode
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
+    COMMUTATIVE_LAW,
     DISTRIBUTIVE_LAW,
+    IDEMPOTENT_LAW,
     SQUAG_LAW,
     TWO_SEMILATTICE_LAW,
     BoundExceeded,
@@ -22,6 +24,7 @@ from cigroupoids.core import (
 )
 from cigroupoids.search import (
     SearchSpec,
+    _ground_instances,
     all_models,
     canonical_form,
     count_models,
@@ -138,6 +141,54 @@ def test_canonical_matches_naive_oracle_tie_heavy():
             assert canonical_form(g) == naive_canonical(g), g
 
 
+# Tables whose rows are one value off the diagonal, so that the canonical
+# form's bound goes on past row 0: the models of T2 and SL, chains, flat
+# semilattices (all products of distinct elements are the bottom) and
+# left-zero bands, where every relabeling ties.
+def chain(n):
+    return CayleyTable([[min(a, b) for b in range(n)] for a in range(n)])
+
+
+def flat_semilattice(n):
+    return CayleyTable([[a if a == b else 0 for b in range(n)] for a in range(n)])
+
+
+def left_zero(n):
+    return CayleyTable([[a] * n for a in range(n)])
+
+
+def relabelings(rng, g, count):
+    yield g
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield permute(g, perm)
+
+
+@pytest.mark.parametrize("variety", ["T2", "SL"])
+def test_canonical_matches_naive_oracle_on_models(variety):
+    rng = random.Random(2014)
+    for n in range(1, 7):
+        models = all_models(n, variety_identities(variety))
+        assert models
+        for g in models:
+            want = naive_canonical(g)
+            for h in relabelings(rng, g, 2):
+                assert canonical_form(h) == want, h
+
+
+@pytest.mark.parametrize(
+    "family, top", [(chain, 6), (flat_semilattice, 6), (left_zero, 5)]
+)
+def test_canonical_matches_naive_oracle_on_flat_rows(family, top):
+    rng = random.Random(60)
+    for n in range(1, top + 1):
+        g = family(n)
+        want = naive_canonical(g)
+        for h in relabelings(rng, g, 4):
+            assert canonical_form(h) == want, h
+
+
 # --- enumeration ---------------------------------------------------------
 
 
@@ -233,6 +284,41 @@ def test_watch_lists_match_naive_oracle(n, require, commutative, idempotent):
     assert fast
 
 
+def test_base_laws_merge_instances_only_where_the_spec_assumes_them():
+    # Modulo commutativity every instance of xy = yx is trivially true, and
+    # modulo idempotence so is every instance of xx = x. Where the base does
+    # not assume the law, its instances are real constraints: the models are
+    # exactly the 7 commutative idempotent groupoids at n = 3.
+    cases = [
+        (COMMUTATIVE_LAW, dict(commutative=False), 138),
+        (IDEMPOTENT_LAW, dict(idempotent=False), 129),
+    ]
+    for law, base, unconstrained in cases:
+        assert len(list(enumerate_models(SearchSpec(3, **base)))) == unconstrained
+        got = list(enumerate_models(SearchSpec(3, (law,), **base)))
+        assert got == list(enumerate_models(SearchSpec(3))) == naive_enumerate(3)
+
+
+# Ground instances of each variety's identities at n = 6, out of n^k per
+# identity, that are kept once equal sides and repeated pairs of sides
+# modulo commutativity and idempotence are merged.
+KEPT_INSTANCES_N6 = {"T2": (216, 90), "T1": (432, 180), "S2": (648, 90),
+                     "2SL": (1296, 270), "X": (1728, 345), "C": (648, 0)}
+
+
+@pytest.mark.parametrize("variety", sorted(KEPT_INSTANCES_N6))
+def test_ground_instances_kept_per_distinct_pair(variety):
+    require = variety_identities(variety)
+    total = sum(6 ** len(ident.compiled[0]) for ident in require)
+    kept = _ground_instances(SearchSpec(6, require))
+    assert (total, len(kept)) == KEPT_INSTANCES_N6[variety]
+    # the same identities keep more instances on a base without
+    # commutativity, and no fewer without idempotence (C's identities
+    # follow from commutativity alone)
+    assert len(_ground_instances(SearchSpec(6, require, commutative=False))) > len(kept)
+    assert len(_ground_instances(SearchSpec(6, require, idempotent=False))) >= len(kept)
+
+
 def test_identity_failing_before_any_cell_is_filled():
     # x = y has no product, so the root decides every ground instance: one
     # fails at n = 3 before cell 0 is filled, and at n = 1, where there is no
@@ -304,6 +390,42 @@ def test_golden_stream(variety, n, commutative, idempotent, count, digest):
         commutative=commutative,
         idempotent=idempotent,
     )
+    h = hashlib.sha256()
+    got = 0
+    for g in enumerate_models(spec):
+        h.update(format_alg(g).encode())
+        got += 1
+    assert (got, h.hexdigest()) == (count, digest)
+
+
+# Golden streams of required identities on bases that are not commutative
+# or not idempotent, recorded before ground instances were merged modulo
+# the base laws: there, instances that agree only up to commutativity or
+# idempotence are different constraints and must all be kept.
+C15 = decode(bm("C15"))
+GOLDEN_BASE_STREAMS = [
+    ("CID", (DISTRIBUTIVE_LAW,), 1, False, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("CID", (DISTRIBUTIVE_LAW,), 2, False, True, 3, "3ed4a642113cf42947a03faf5b936d1901a2ebd6782abb62ef33249e8983adf0"),
+    ("CID", (DISTRIBUTIVE_LAW,), 3, False, True, 17, "6c658fac48ad3d03e77db8e07112b8410a075332702db734db8d041e6f1e4a77"),
+    ("C15", (C15,), 1, False, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("C15", (C15,), 2, False, True, 3, "3ed4a642113cf42947a03faf5b936d1901a2ebd6782abb62ef33249e8983adf0"),
+    ("C15", (C15,), 3, False, True, 13, "70bc284c3c21b63f7ec426ad2a3647f57603c566edb0d31f9591eed6001ba2e2"),
+    ("assoc", (ASSOCIATIVE_LAW,), 1, True, False, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("assoc", (ASSOCIATIVE_LAW,), 2, True, False, 3, "d16165faf16da407cb4a9b0693e8aef3b3fcc4b5729fd278d11fa479d56c93f1"),
+    ("assoc", (ASSOCIATIVE_LAW,), 3, True, False, 12, "9749ea25bc390d0f2df2675f0a63a23d6669c8201eb8a2304b7aa5aa1e0182c0"),
+    ("2SL-law", (TWO_SEMILATTICE_LAW,), 1, True, False, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+    ("2SL-law", (TWO_SEMILATTICE_LAW,), 2, True, False, 2, "387417d78c4e1f6b9532a6cf08cfc3940f1e0087e044f48d6dfc26ff259164e1"),
+    ("2SL-law", (TWO_SEMILATTICE_LAW,), 3, True, False, 7, "73300b6b05e2b00830e89010465c7028f118cd32ff217c9d2d628cb28dc21229"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, require, n, commutative, idempotent, count, digest",
+    GOLDEN_BASE_STREAMS,
+    ids=[f"{name}-n{n}-c{int(c)}-i{int(i)}" for name, _, n, c, i, _, _ in GOLDEN_BASE_STREAMS],
+)
+def test_golden_stream_off_the_ci_base(name, require, n, commutative, idempotent, count, digest):
+    spec = SearchSpec(n, require, commutative=commutative, idempotent=idempotent)
     h = hashlib.sha256()
     got = 0
     for g in enumerate_models(spec):
