@@ -19,16 +19,27 @@ pushing both into the join fiber first.
 The candidate join used throughout the workbench is x∨y = y·(x·y).
 
 P1..P5 are written once, as the rows of `LAWS`: a law's name and the
-tuples where it fails on the tabulated join, in the law's own scan order,
-so the first failing tuple is the witness. `decompose` and
-`csp.reduce_instance` share one split of the table into σ-fibers, which
-tabulates the join, checks P1..P5 and validates σ once each.
+tuples where it fails on the tabulated join, in the lexicographic order of
+the law's variables as listed above, so the first failing tuple is the
+witness. The scans compare whole rows rather than single elements. P2 and
+P4 compare, for each pair of leading variables, one row of the join
+matrix with one row mapped through the join. P3 can fail only at pairs
+with y∨z ≠ z∨y; they are collected once and each x is compared on them
+only. P5 says that each map x -> x∨y is a homomorphism; for each x1 and
+y it compares (x1·x2)∨y with (x1∨y)·(x2∨y) for all x2 at once. Only a
+comparison that fails is scanned element by element, so each witness is
+the one a scan over every tuple would find.
+`decompose` and `csp.reduce_instance` share one split of the table into
+σ-fibers, which tabulates the join, checks P1..P5 and validates σ once
+each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, product, starmap
+from operator import itemgetter, ne
 
 from cigroupoids.congruences import (
     NotACongruence,
@@ -83,27 +94,86 @@ def join_matrix(g: CayleyTable, join: Term) -> list[list[int]]:
     return [[f(rows, a, b) for b in range(g.n)] for a in range(g.n)]
 
 
+# The laws compare rows read through an itemgetter over n keys, or rows of
+# j converted the same way, so both sides of a comparison have one shape:
+# a tuple, or for n = 1 the bare value. Only a comparison that fails is
+# scanned element by element for the law's failing tuples.
+
+
+def _p2(r, j, k):
+    # (x∨y)∨z = x∨(y∨z): row x∨y of j against row y of j mapped through row x
+    rows = list(map(itemgetter(*k), j))
+    through = list(starmap(itemgetter, j))
+    for x in k:
+        jx = j[x]
+        for y in k:
+            if rows[jx[y]] != through[y](jx):
+                lhs, rhs = j[jx[y]], j[y]
+                yield from ((x, y, z) for z in k if lhs[z] != jx[rhs[z]])
+
+
+def _p3(r, j, k):
+    # x∨(y∨z) = x∨(z∨y) can fail only at the pairs with y∨z != z∨y, and at
+    # x it fails exactly when row x of j separates y∨z from z∨y for one of
+    # them: collect those pairs once, then compare each row of j on them.
+    flat = list(chain.from_iterable(j))
+    swapped = list(chain.from_iterable(zip(*j)))
+    unequal = list(map(ne, flat, swapped))
+    values = set(zip(compress(flat, unequal), compress(swapped, unequal)))
+    if not values:
+        return
+    left, right = (itemgetter(*side) for side in zip(*values))
+    for x in k:
+        jx = j[x]
+        if left(jx) != right(jx):
+            yield from (
+                (x, y, z) for y, z in compress(product(k, repeat=2), unequal)
+                if jx[j[y][z]] != jx[j[z][y]]
+            )
+
+
+def _p4(r, j, k):
+    # y∨(x1·x2) = (y∨x1)∨x2: row x1 of r mapped through row y of j against
+    # row y∨x1 of j
+    rows = list(map(itemgetter(*k), j))
+    through = list(starmap(itemgetter, r))
+    for y in k:
+        jy = j[y]
+        for x1 in k:
+            if through[x1](jy) != rows[jy[x1]]:
+                lhs, rhs = r[x1], j[jy[x1]]
+                yield from ((y, x1, x2) for x2 in k if jy[lhs[x2]] != rhs[x2])
+
+
+def _p5(r, j, k):
+    # (x1·x2)∨y = (x1∨y)·(x2∨y) says that column y of j, the map x -> x∨y,
+    # is a homomorphism: row x1 of r mapped through the column against the
+    # column mapped through row x1∨y of r. Each x1 compares every y, then
+    # yields its failures in (x2, y) order.
+    cols = list(zip(*j))
+    maps = list(starmap(itemgetter, cols))
+    through = list(starmap(itemgetter, r))
+    for x1 in k:
+        row, jx1 = through[x1], j[x1]
+        fails = [y for y in k if row(cols[y]) != maps[y](r[jx1[y]])]
+        if fails:
+            yield from sorted(
+                (x1, x2, y) for y in fails for x2 in k
+                if j[r[x1][x2]][y] != r[jx1[y]][j[x2][y]]
+            )
+
+
 # P1..P5 as rows: (name, the tuples where the law fails), given the table
-# rows r, the join matrix j and the carrier k = range(n). Each law scans its
-# own variables in its own order, and its first failing tuple is its witness.
+# rows r, the join matrix j and the carrier k = range(n). Each law yields
+# its failing tuples in the lexicographic order of its own variables, as
+# written in the module docstring, so its first failing tuple is its
+# witness whichever way the law compares.
 LAWS = (
     ("P1", lambda r, j, k: ((x,) for x in k if j[x][x] != x)),
-    ("P2", lambda r, j, k: (
-        (x, y, z) for x in k for y in k for z in k
-        if j[j[x][y]][z] != j[x][j[y][z]]
-    )),
-    ("P3", lambda r, j, k: (
-        (x, y, z) for x in k for y in k for z in k
-        if j[x][j[y][z]] != j[x][j[z][y]]
-    )),
-    ("P4", lambda r, j, k: (
-        (y, x1, x2) for y in k for x1 in k for x2 in k
-        if j[y][r[x1][x2]] != j[j[y][x1]][x2]
-    )),
-    ("P5", lambda r, j, k: (
-        (x1, x2, y) for x1 in k for x2 in k for y in k
-        if j[r[x1][x2]][y] != r[j[x1][y]][j[x2][y]]
-    )),
+    ("P2", _p2),
+    ("P3", _p3),
+    ("P4", _p4),
+    ("P5", _p5),
 )
 
 

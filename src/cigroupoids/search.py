@@ -230,9 +230,17 @@ def _ground_instances(spec: SearchSpec) -> list[tuple[Callable, tuple[int, ...]]
 def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     """One representative per isomorphism class, in lexicographic order."""
     n = spec.n
-    bound = MAX_N_CONSTRAINED if spec.require else MAX_N_UNCONSTRAINED
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds the supported bound {bound}")
+    # grounding takes n^k assignments per identity, so n is bounded first
+    if n > MAX_N_CONSTRAINED:
+        raise BoundExceeded(f"n={n} exceeds the supported bound {MAX_N_CONSTRAINED}")
+    instances = _ground_instances(spec)
+    # identities whose instances all hold by the base laws constrain nothing,
+    # so the search is as large as the one that requires nothing
+    if not instances and n > MAX_N_UNCONSTRAINED:
+        raise BoundExceeded(
+            f"n={n} exceeds the supported bound {MAX_N_UNCONSTRAINED} "
+            "for a search that no ground instance constrains"
+        )
 
     cells = _free_cells(n, spec.commutative, spec.idempotent)
     size = n + len(cells)
@@ -321,7 +329,7 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
             rows[j][i] = n + depth
 
     # the root's moves are never undone, so its trail is thrown away
-    if settle(_ground_instances(spec), []):
+    if settle(instances, []):
         yield from descend(0, [(perm, 0) for perm in transpositions])
 
 

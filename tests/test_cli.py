@@ -156,6 +156,15 @@ def test_enumerate_variety_squag_order_four_empty(capsys):
     assert out.strip() == "# count=0"
 
 
+def test_enumerate_unconstrained_variety_past_its_bound_fails_fast(capsys):
+    rc, out, err = run(capsys, "alg", "enumerate", "-n", "6", "--variety", "C")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: BoundExceeded: n=6 exceeds the supported bound 5"
+        " for a search that no ground instance constrains\n"
+    )
+
+
 @pytest.mark.parametrize("max_n", ["0", "-3"])
 def test_separate_rejects_max_n_below_one(capsys, max_n):
     rc, out, err = run(capsys, "alg", "separate", "--unsat", "A14", "--max-n", max_n)

@@ -96,6 +96,15 @@ def test_principal_is_compatible():
                 assert ok
 
 
+@pytest.mark.parametrize("size", [2, 4, 5])
+def test_is_compatible_rejects_a_partition_of_another_size(size):
+    # the scan over related pairs once answered (False, (0, 0, 0, 1)) for
+    # the 4- and 5-element partitions and raised IndexError for the other
+    part = PartitionCongruence(size, [0, 0] + [1] * (size - 2))
+    with pytest.raises(ValueError, match=f"partition of {size} elements .* table of 3 elements"):
+        is_compatible(SQUAG, part)
+
+
 def test_squag_simple():
     lat = all_congruences(SQUAG)
     assert len(lat.elements) == 2

@@ -456,6 +456,15 @@ def test_bounds_enforced():
         find_separating_model([SQUAG_LAW], [], max_n=7)
 
 
+def test_bound_follows_the_instances_kept():
+    # C's identities keep none of their ground instances once sides are
+    # merged modulo commutativity and idempotence, so C at n=6 is the
+    # unconstrained CI search and fails fast; T2 keeps 90 and is allowed.
+    with pytest.raises(BoundExceeded, match="no ground instance"):
+        count_models(6, "C")
+    assert count_models(6, "T2") == 76
+
+
 def test_all_models_one_cache_key_per_value():
     all_models.cache_clear()
     all_models(3, ())
