@@ -4,11 +4,10 @@ A congruence is stored as a block-id array: block_of[x] is the id of the
 class containing x, with ids normalized so that they appear in increasing
 order of least element. `PartitionCongruence.__post_init__` is the one
 place that normalizes: `from_pairs`, `principal_congruence`, `join` and
-`meet` pass raw labels (union-find roots, pairs of block ids), so each
-partition is normalized exactly once and no instance breaks the
-convention. Equivalences are generated through one union-find, `_find`
-with path halving, shared by `from_pairs`, `principal_congruence` and
-`join`.
+`meet` pass raw labels (union-find roots, class labels, pairs of block
+ids), so each partition is normalized exactly once and no instance breaks
+the convention. `from_pairs` and `join` generate equivalences through one
+union-find, `_find` with path halving.
 
 A partition is a congruence exactly when every translation x -> a·x and
 x -> x·a maps blocks into blocks (Freese 2008, below). `is_compatible`
@@ -26,7 +25,17 @@ one sweep from the identity reaches them all: each element found is joined
 once with each principal congruence, never with the other elements, which
 takes O(L*P) joins for L congruences and P principal ones. The sweep goes
 level by level, from most blocks to fewest, since f∨p ≠ f has fewer blocks
-than f.
+than f. Cg(a, b) ≤ f holds exactly when f relates a and b, so each
+principal congruence keeps the first pair (a, b) that generates it, and
+the sweep joins f with p only when f separates that pair: every join it
+makes is a step up. Its levels are keyed on the normalized block arrays.
+
+`principal_congruence` closes a merged pair under the translations
+x -> c·x and x -> x·c, the rows and the columns of the table, each
+distinct map once: on a commutative table they coincide, which halves the
+work. A translate is tested far more often than two classes merge (at
+most n - 1 times), so the closure keeps a class label per element, where
+a test is two lookups, and a merge relabels one class.
 
 Meet-semidistributivity, SD(∧), says x∧y = x∧z implies x∧(y∨z) = x∧y.
 `is_sd_meet` groups, for each x, the elements z by the meet x∧z and checks
@@ -152,33 +161,34 @@ def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tupl
 
 
 def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
-    """Smallest congruence identifying a and b.
+    """Smallest congruence identifying a and b; a ValueError names an
+    element outside the carrier.
 
-    Standard closure: merge a with b, then repeatedly close merged pairs
-    under the translations x -> x*c and x -> c*x; the union-find supplies
-    transitivity for free.
+    Merge a with b, then close each merged pair under the distinct
+    translations; relabeling a whole class gives transitivity for free.
     """
     n = g.n
+    for x in (a, b):
+        if not 0 <= x < n:
+            raise ValueError(f"element {x} is outside 0..{n - 1}")
     rows = g.rows
-    parent = list(range(n))
-    work: list[tuple[int, int]] = []
-
-    def union(x: int, y: int) -> None:
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx != ry:
-            parent[rx] = ry
-            work.append((x, y))
-
-    union(a, b)
-    # each merge event propagates its own translates; transitivity then
-    # carries the translates of every derived pair, so one worklist pass
-    # reaches the fixpoint
+    # x -> c*x is row c and x -> x*c column c; a map that repeats is tested once
+    maps = tuple(dict.fromkeys(rows + tuple(zip(*rows))))
+    label = list(range(n))  # label[x]: an element of x's class
+    label[b] = a
+    work = [(a, b)]
+    # each merge propagates its own translates; transitivity then carries
+    # the translates of every derived pair, so one worklist pass reaches
+    # the fixpoint
     while work:
         x, y = work.pop()
-        for c in range(n):
-            union(rows[x][c], rows[y][c])
-            union(rows[c][x], rows[c][y])
-    return PartitionCongruence(n, [_find(parent, x) for x in range(n)])
+        for t in maps:
+            u, v = t[x], t[y]
+            i, j = label[u], label[v]
+            if i != j:
+                label = [i if k == j else k for k in label]
+                work.append((u, v))
+    return PartitionCongruence(n, label)
 
 
 def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
@@ -229,27 +239,36 @@ def all_congruences(g: CayleyTable) -> CongruenceLattice:
     n = g.n
     if n > MAX_N_CONGRUENCES:
         raise BoundExceeded(f"n={n} exceeds the congruence bound {MAX_N_CONGRUENCES}")
-    principals = sorted(
-        {principal_congruence(g, a, b) for a in range(n) for b in range(a + 1, n)},
-        key=_lattice_order,
-        reverse=True,
-    )
-    # levels[k] maps each element with k blocks found so far to its depth
-    levels: list[dict[PartitionCongruence, int]] = [{} for _ in range(n + 1)]
-    levels[n][identity_congruence(n)] = 0
+    # each distinct principal congruence with the first pair that generates it
+    generators: dict[PartitionCongruence, tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            generators.setdefault(principal_congruence(g, a, b), (a, b))
+    principals = sorted(generators, key=_lattice_order, reverse=True)
+    steps = [(p, *generators[p]) for p in principals]
+    # levels[k] maps the block array of each element with k blocks found so
+    # far to the element and its depth
+    levels: list[dict[tuple[int, ...], list]] = [{} for _ in range(n + 1)]
+    bottom = identity_congruence(n)
+    levels[n][bottom.block_of] = [bottom, 0]
     elements: list[PartitionCongruence] = []
     depths: list[int] = []
     for level in reversed(levels):
-        for f in sorted(level, key=_lattice_order, reverse=True):
-            d = level[f]
+        for key in sorted(level, reverse=True):
+            f, d = level[key]
             elements.append(f)
             depths.append(d)
-            for p in principals:
-                e = join(f, p)
-                if e != f:
+            for p, a, b in steps:
+                # Cg(a, b) <= f exactly when f relates a and b; otherwise
+                # f∨p lies strictly above f
+                if key[a] != key[b]:
+                    e = join(f, p)
                     up = levels[e.num_blocks]
-                    if up.get(e, 0) <= d:
-                        up[e] = d + 1
+                    seen = up.get(e.block_of)
+                    if seen is None:
+                        up[e.block_of] = [e, d + 1]
+                    elif seen[1] <= d:
+                        seen[1] = d + 1
     return CongruenceLattice(n, tuple(elements), tuple(depths), tuple(principals))
 
 

@@ -269,13 +269,18 @@ class PlonkaSystem:
     globals[s] lists the parent elements of fiber s in ascending order;
     fibers[s] is that block's sub-table in local indices. fiber_maps, when
     present, sends (s, t) with s below t in the replica to the tuple of
-    local images in fiber t.
+    local images in fiber t. Maps are validated here, where every system
+    is built, so `plonka_sum` trusts them.
     """
 
     replica: CayleyTable
     fibers: tuple[CayleyTable, ...]
     globals: tuple[tuple[int, ...], ...]
     fiber_maps: dict[tuple[int, int], tuple[int, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.fiber_maps is not None:
+            _validate_maps(self.replica, self.fibers, self.fiber_maps)
 
     @property
     def size(self) -> int:
@@ -312,7 +317,6 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
                         raise NotACongruence("fiber map leaves its target", (x, b))
                     images.append(local[y])
                 maps[(s, t)] = tuple(images)
-        _validate_maps(replica, fibers, maps)
     return PlonkaSystem(replica, fibers, tuple(blocks), maps)
 
 
@@ -369,7 +373,6 @@ def make_system(
     for f in fibers:
         globals_.append(tuple(range(next_id, next_id + f.n)))
         next_id += f.n
-    _validate_maps(replica, fibers, maps)
     return PlonkaSystem(replica, tuple(fibers), tuple(globals_), maps)
 
 
@@ -377,7 +380,6 @@ def plonka_sum(sys: PlonkaSystem) -> CayleyTable:
     """Compose the fibers back into one table on the union of the globals."""
     if sys.fiber_maps is None:
         raise MissingFiberMaps("system carries no fiber maps")
-    _validate_maps(sys.replica, sys.fibers, sys.fiber_maps)
     n = sys.size
     for s, (blk, f) in enumerate(zip(sys.globals, sys.fibers)):
         if len(blk) != f.n:

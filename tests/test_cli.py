@@ -322,6 +322,22 @@ def test_plonka_sum_rejects_malformed_line(capsys, monkeypatch, good, bad, messa
     assert run(capsys, "plonka", "sum", "-") == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        ("# map 0 0: 0 1 2", "# map 0 0: 0 2 1", "map 0 -> 0 is not the identity"),
+        ("# map 0 1: 0 0 0", "# map 0 1: 0 0 1", "map 0 -> 1 has the wrong shape"),
+        ("# map 0 1: 0 0 0\n", "", "MissingFiberMaps: no map for 0 -> 1"),
+    ],
+    ids=["not-identity", "wrong-shape", "missing-map"],
+)
+def test_plonka_sum_rejects_invalid_maps(capsys, monkeypatch, good, bad, message):
+    system = format_system(decompose(adjoin_infinity(load_fixture("fig4a"))))
+    assert good in system
+    monkeypatch.setattr(sys, "stdin", io.StringIO(system.replace(good, bad)))
+    assert run(capsys, "plonka", "sum", "-") == (2, "", f"error: {message}\n")
+
+
 def test_plonka_adjoin_infinity(capsys):
     rc, out, _ = run(capsys, "plonka", "adjoin-infinity", "fig4a")
     assert rc == 0

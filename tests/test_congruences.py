@@ -75,16 +75,12 @@ def test_adjoined_top_principal():
     assert got.blocks() == [(0, 1, 2), (3,)]
 
 
-def test_principal_matches_oracle():
-    for name in ("fig2a", "fig2b", "fig3a", "fig4a", "fig4b", "fig4c"):
-        g = load_fixture(name)
-        for a in range(g.n):
-            for b in range(a, g.n):
-                assert principal_congruence(g, a, b) == naive_principal(g, a, b), (
-                    name,
-                    a,
-                    b,
-                )
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_principal_rejects_an_element_outside_the_carrier(bad):
+    # -1 once wrapped round to the last element and 3 raised IndexError
+    for pair in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match=f"element {bad} is outside 0..2"):
+            principal_congruence(SQUAG, *pair)
 
 
 def test_principal_is_compatible():
@@ -320,13 +316,37 @@ def test_lattice_matches_oracles(g):
     assert is_sd_meet(lat) == naive_sd_meet(elements)
 
 
+def test_principal_matches_oracle():
+    # the oracle tables include left-zero bands and products that are not
+    # commutative, where the rows and the columns differ or repeat
+    for name, g in ORACLE_TABLES:
+        for a in range(g.n):
+            for b in range(a, g.n):
+                assert principal_congruence(g, a, b) == naive_principal(g, a, b), (name, a, b)
+
+
 def test_principals_are_the_distinct_nontrivial_principal_congruences():
     for g in ORACLE_GS:
         lat = all_congruences(g)
-        expected = {principal_congruence(g, a, b) for a, b in itertools.combinations(range(g.n), 2)}
+        expected = {naive_principal(g, a, b) for a, b in itertools.combinations(range(g.n), 2)}
         assert set(lat.principals) == expected
         assert len(lat.principals) == len(expected)
         assert list(lat.principals) == [e for e in lat.elements if e in expected]
+
+
+def test_sweep_joins_only_where_it_steps_up(monkeypatch):
+    # f∨p is computed exactly when f separates the pair generating p, and
+    # then it lies strictly above f
+    import cigroupoids.congruences as congruences
+
+    for g in ORACLE_GS:
+        made = []
+        monkeypatch.setattr(congruences, "join", lambda f, p: made.append((f, p)) or join(f, p))
+        lat = all_congruences(g)
+        monkeypatch.undo()
+        assert all(join(f, p) != f for f, p in made)
+        expected = [(f, p) for f in lat.elements for p in lat.principals if not naive_leq(p, f)]
+        assert made == expected
 
 
 def test_join_and_meet_match_oracles():

@@ -221,6 +221,26 @@ def test_sum_requires_maps():
         plonka_sum(sys)
 
 
+def test_maps_are_validated_once_where_the_system_is_built(monkeypatch):
+    import cigroupoids.plonka as plonka
+
+    calls = []
+    validate = plonka._validate_maps
+    monkeypatch.setattr(plonka, "_validate_maps", lambda *args: calls.append(1) or validate(*args))
+    assert plonka_sum(decompose(AINF)) == AINF
+    assert len(calls) == 1
+    text = format_system(decompose(AINF))
+    assert len(calls) == 2
+    assert plonka_sum(parse_system(text)) == AINF
+    assert len(calls) == 3
+
+
+def test_parse_system_rejects_a_map_that_is_not_the_identity():
+    text = format_system(decompose(AINF)).replace("# map 0 0: 0 1 2", "# map 0 0: 0 2 1")
+    with pytest.raises(ValueError, match="map 0 -> 0 is not the identity"):
+        parse_system(text)
+
+
 def test_hand_built_two_squag_sum():
     chain = CayleyTable([[0, 1], [1, 1]])
     ident = (0, 1, 2)
