@@ -90,24 +90,6 @@ ALL_BM: tuple[BMIdentity, ...] = tuple(
 )
 
 
-def enumerate_bm() -> list[tuple[BMIdentity, Identity]]:
-    """All 60 names with their decoded identities, in (letter, i, j) order."""
-    return [(b, decode(b)) for b in ALL_BM]
-
-
-_DUAL_LETTER = {"A": "F", "B": "E", "C": "C", "D": "D", "E": "B", "F": "A"}
-_DUAL_BRACKET = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
-
-
-def dual(b: BMIdentity) -> BMIdentity:
-    """Mirror-image identity: reverse the word and flip all bracketings.
-
-    Swapping i and j keeps the names in i < j normal form, so the map is an
-    involution on the sixty names.
-    """
-    return BMIdentity(_DUAL_LETTER[b.letter], _DUAL_BRACKET[b.j], _DUAL_BRACKET[b.i])
-
-
 # Name -> position of that identity's bit in a classify_bm profile.
 BM_INDEX: dict[str, int] = {b.name: k for k, b in enumerate(ALL_BM)}
 

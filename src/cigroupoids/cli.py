@@ -25,6 +25,7 @@ from cigroupoids.core import (
     Identity,
     PROPERTY_LAWS,
     check_identity_witness,
+    check_property,
     format_alg,
     is_latin_square,
     load_alg,
@@ -35,10 +36,18 @@ from cigroupoids.core import (
 )
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, read as UTF-8 whatever the locale, or of stdin ('-')."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_table(path: str) -> CayleyTable:
     """Read a Cayley table from a file, stdin ('-'), or a bundled fixture."""
     if path == "-":
-        return parse_alg(sys.stdin.read())
+        return parse_alg(_read_text(path))
     if os.path.exists(path):
         return load_alg(path)
     stem = os.path.basename(path)
@@ -109,10 +118,12 @@ def _cmd_alg_classify(args, fmt: str) -> int:
 
     g = _load_table(args.table)
     bits = classify_bm(g)
+    # the classes are varieties of commutative idempotent groupoids
+    ci = check_property(g, "commutative") and check_property(g, "idempotent")
     classes = [
         cls
         for cls in TABLE1_CLASSES
-        if all(bits[BM_INDEX[name]] for name in TABLE1_CLASSES[cls])
+        if ci and all(bits[BM_INDEX[name]] for name in TABLE1_CLASSES[cls])
     ]
     if fmt == "tsv":
         rows = [(b.name, str(int(bit))) for b, bit in zip(ALL_BM, bits)]
@@ -191,7 +202,7 @@ def _cmd_plonka_check(args, fmt: str) -> int:
 
     g = _load_table(args.table)
     status = check_pseudopartition(g, _join_term(args.join))
-    flags = [(name, name not in status.witnesses) for name, _ in LAWS]
+    flags = [(name, status.holds(name)) for name, _ in LAWS]
     if fmt == "tsv":
         rows = []
         for name, ok in flags:
@@ -221,12 +232,7 @@ def _cmd_plonka_decompose(args, fmt: str) -> int:
 def _cmd_plonka_sum(args, fmt: str) -> int:
     from cigroupoids.plonka import parse_system, plonka_sum
 
-    if args.system == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.system) as fh:
-            text = fh.read()
-    print(format_alg(plonka_sum(parse_system(text))), end="")
+    print(format_alg(plonka_sum(parse_system(_read_text(args.system)))), end="")
     return 0
 
 
@@ -256,10 +262,7 @@ def _cmd_cie(args, fmt: str) -> int:
 def _load_instance(path: str):
     from cigroupoids.csp import parse_csp
 
-    if path == "-":
-        return parse_csp(sys.stdin.read())
-    with open(path) as fh:
-        return parse_csp(fh.read(), base_dir=os.path.dirname(path) or ".")
+    return parse_csp(_read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def _cmd_csp_gen(args, fmt: str) -> int:

@@ -93,14 +93,15 @@ def _find(parent: list[int], x: int) -> int:
 
 @dataclass(frozen=True)
 class PartitionCongruence:
-    n: int
     block_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
         """Relabel any hashable labels to the normalized block ids."""
-        if len(self.block_of) != self.n:
-            raise ValueError("block array length must equal n")
         object.__setattr__(self, "block_of", _normalize(self.block_of))
+
+    @property
+    def n(self) -> int:
+        return len(self.block_of)
 
     @property
     def num_blocks(self) -> int:
@@ -117,7 +118,7 @@ class PartitionCongruence:
 
 
 def identity_congruence(n: int) -> PartitionCongruence:
-    return PartitionCongruence(n, tuple(range(n)))
+    return PartitionCongruence(tuple(range(n)))
 
 
 def from_pairs(n: int, pairs) -> PartitionCongruence:
@@ -127,7 +128,7 @@ def from_pairs(n: int, pairs) -> PartitionCongruence:
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
-    return PartitionCongruence(n, [_find(parent, x) for x in range(n)])
+    return PartitionCongruence([_find(parent, x) for x in range(n)])
 
 
 def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tuple | None]:
@@ -188,7 +189,7 @@ def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
             if i != j:
                 label = [i if k == j else k for k in label]
                 work.append((u, v))
-    return PartitionCongruence(n, label)
+    return PartitionCongruence(label)
 
 
 def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
@@ -196,17 +197,17 @@ def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
     p_of = p.block_of
     parent = list(range(p.n))  # over p's block ids
     first: dict[int, int] = {}  # q-block -> p-block of its least element
-    for a, b in zip(p_of, q.block_of):
+    for a, b in zip(p_of, q.block_of, strict=True):
         r = first.setdefault(b, a)
         if r != a:
             ra, rb = _find(parent, r), _find(parent, a)
             if ra != rb:
                 parent[ra] = rb
-    return PartitionCongruence(p.n, [_find(parent, a) for a in p_of])
+    return PartitionCongruence([_find(parent, a) for a in p_of])
 
 
 def meet(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
-    return PartitionCongruence(p.n, list(zip(p.block_of, q.block_of)))
+    return PartitionCongruence(list(zip(p.block_of, q.block_of, strict=True)))
 
 
 def _lattice_order(e: PartitionCongruence) -> tuple:

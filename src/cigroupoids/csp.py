@@ -54,20 +54,17 @@ class NotInvariant(Exception):
 
 @dataclass(frozen=True)
 class Relation:
-    arity: int
     signature: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if len(self.signature) != self.arity:
-            raise ValueError("signature length must equal arity")
         for t in self.tuples:
-            if len(t) != self.arity:
+            if len(t) != len(self.signature):
                 raise ValueError(f"tuple {t} has the wrong arity")
 
     @staticmethod
     def single_sorted(tuples: Iterable[tuple[int, ...]], arity: int, sort: int = 0) -> "Relation":
-        return Relation(arity, (sort,) * arity, frozenset(tuples))
+        return Relation((sort,) * arity, frozenset(tuples))
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
@@ -92,8 +89,8 @@ class CSPInstance:
         for i, (scope, rel) in enumerate(self.constraints):
             if not scope:
                 raise ValueError(f"constraints[{i}] has an empty scope")
-            if len(scope) != rel.arity:
-                raise ValueError(f"scope {scope} does not match arity {rel.arity}")
+            if len(scope) != len(rel.signature):
+                raise ValueError(f"scope {scope} does not match arity {len(rel.signature)}")
             for pos, v in enumerate(scope):
                 if v not in index:
                     raise ValueError(f"unknown variable {v!r} in scope")
@@ -342,11 +339,11 @@ def reduce_instance(
             for t in tuples
             if all(e in b_prime[v] for e, v in zip(t, scope))
         ]
-        new_cons.append((tuple(scope), Relation(len(scope), sig, frozenset(kept))))
+        new_cons.append((tuple(scope), Relation(sig, frozenset(kept))))
     for v in inst.variables:
         if not b_sets[v]:
             # an empty unary pins the unsatisfiability in-instance
-            new_cons.append(((v,), Relation(1, (domain[var_pos[v]],), frozenset())))
+            new_cons.append(((v,), Relation((domain[var_pos[v]],), frozenset())))
 
     reduced = CSPInstance(inst.variables, fibers, tuple(domain), tuple(new_cons))
 
@@ -490,7 +487,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
                 raise ValueError("unterminated constraint block")
             pos += 1  # skip 'end'
             sig = tuple(domain[variables.index(v)] for v in scope)
-            cons.append((scope, Relation(len(scope), sig, frozenset(tuples))))
+            cons.append((scope, Relation(sig, frozenset(tuples))))
         else:
             raise ValueError(f"unrecognized line {ln!r}")
     return CSPInstance(tuple(variables), tuple(sorts), tuple(domain), tuple(cons))

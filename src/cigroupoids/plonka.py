@@ -32,12 +32,18 @@ the one a scan over every tuple would find.
 `decompose` and `csp.reduce_instance` share one split of the table into
 σ-fibers, which tabulates the join, checks P1..P5 and validates σ once
 each.
+
+A `PlonkaSystem`'s contract is checked in its `__post_init__` only, which
+every builder goes through: one fiber and one globals entry per replica
+element, each globals entry as long as its fiber, globals partitioning
+0..n-1, a semilattice replica, and maps, when present, on exactly the
+pairs s ≤ t, each the identity on s -> s, a homomorphism, and composing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, product, starmap
 from operator import itemgetter, ne
 
@@ -179,25 +185,25 @@ LAWS = (
 
 @dataclass(frozen=True)
 class P5Status:
-    p1: bool
-    p2: bool
-    p3: bool
-    p4: bool
-    p5: bool
-    witnesses: dict[str, tuple] = field(default_factory=dict, compare=False)
+    """P1..P5 on one table: each law that fails maps to its first failing
+    tuple, so a law holds exactly when it has no witness."""
+
+    witnesses: dict[str, tuple]
+
+    def holds(self, name: str) -> bool:
+        return name not in self.witnesses
 
     @property
     def pseudopartition(self) -> bool:
-        return self.p1 and self.p2 and self.p3 and self.p4
+        return self.witnesses.keys() <= {"P5"}
 
     @property
     def all_five(self) -> bool:
-        return self.pseudopartition and self.p5
+        return not self.witnesses
 
     def __str__(self) -> str:
-        bits = [self.p1, self.p2, self.p3, self.p4, self.p5]
         return " ".join(
-            f"P{i}:{'ok' if b else 'FAIL'}" for i, b in enumerate(bits, start=1)
+            f"{name}:{'ok' if self.holds(name) else 'FAIL'}" for name, _ in LAWS
         )
 
 
@@ -207,7 +213,7 @@ def _status_from_matrix(g: CayleyTable, jm: list[list[int]]) -> P5Status:
         w = next(failures(g.rows, jm, range(g.n)), None)
         if w is not None:
             wit[name] = w
-    return P5Status(*(name not in wit for name, _ in LAWS), wit)
+    return P5Status(wit)
 
 
 def check_pseudopartition(g: CayleyTable, join: Term = STANDARD_JOIN) -> P5Status:
@@ -269,8 +275,18 @@ class PlonkaSystem:
     globals[s] lists the parent elements of fiber s in ascending order;
     fibers[s] is that block's sub-table in local indices. fiber_maps, when
     present, sends (s, t) with s below t in the replica to the tuple of
-    local images in fiber t. Maps are validated here, where every system
-    is built, so `plonka_sum` trusts them.
+    local images in fiber t.
+
+    Every builder (`decompose`, `make_system`, `parse_system`) goes
+    through `__post_init__`, so the contract is checked there and nowhere
+    else, and `plonka_sum` trusts any system it is given:
+    - one fiber and one globals entry per replica element;
+    - each globals entry as long as its fiber;
+    - the globals partition 0..n-1;
+    - the replica is a semilattice;
+    - the maps, when present, are exactly the pairs s ≤ t of the replica,
+      each a homomorphism of the right shape, the identity on s -> s, and
+      closed under composition (`_validate_maps`).
     """
 
     replica: CayleyTable
@@ -279,6 +295,15 @@ class PlonkaSystem:
     fiber_maps: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
+        if not len(self.fibers) == len(self.globals) == self.replica.n:
+            raise ValueError("one fiber and one globals entry per replica element")
+        for s, (blk, f) in enumerate(zip(self.globals, self.fibers)):
+            if len(blk) != f.n:
+                raise ValueError(f"fiber {s} lists {len(blk)} elements for a {f.n}-element table")
+        if sorted(chain.from_iterable(self.globals)) != list(range(self.size)):
+            raise ValueError("fiber globals must partition 0..n-1")
+        if not check_property(self.replica, "semilattice"):
+            raise ValueError("replica must be a semilattice")
         if self.fiber_maps is not None:
             _validate_maps(self.replica, self.fibers, self.fiber_maps)
 
@@ -299,11 +324,9 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
     # σ is a congruence, so the classes multiply like their least elements
     reps = [blk[0] for blk in blocks]
     replica = CayleyTable([[part.block_of[g.rows[a][b]] for b in reps] for a in reps])
-    if not check_property(replica, "semilattice"):
-        raise NotPseudopartition("quotient is not a semilattice")
 
     maps: dict[tuple[int, int], tuple[int, ...]] | None = None
-    if status.p5:
+    if status.holds("P5"):
         maps = {}
         for s in range(k):
             for t in range(k):
@@ -326,30 +349,26 @@ def _validate_maps(
     maps: dict[tuple[int, int], tuple[int, ...]],
 ) -> None:
     k = replica.n
-    for s in range(k):
-        for t in range(k):
-            if replica.rows[s][t] != t:
-                continue
-            if (s, t) not in maps:
-                raise MissingFiberMaps(f"no map for {s} -> {t}")
-            phi = maps[(s, t)]
-            if len(phi) != fibers[s].n or not all(0 <= v < fibers[t].n for v in phi):
-                raise ValueError(f"map {s} -> {t} has the wrong shape")
-            if s == t and phi != tuple(range(fibers[s].n)):
-                raise ValueError(f"map {s} -> {s} is not the identity")
-            for i in range(fibers[s].n):
-                for j in range(fibers[s].n):
-                    if phi[fibers[s].rows[i][j]] != fibers[t].rows[phi[i]][phi[j]]:
-                        raise ValueError(
-                            f"map {s} -> {t} is not a homomorphism at ({i}, {j})"
-                        )
-    for s in range(k):
-        for t in range(k):
-            if replica.rows[s][t] != t:
-                continue
-            for u in range(k):
-                if replica.rows[t][u] != u:
-                    continue
+    up = [(s, t) for s in range(k) for t in range(k) if replica.rows[s][t] == t]
+    for s, t in up:
+        if (s, t) not in maps:
+            raise MissingFiberMaps(f"no map for {s} -> {t}")
+        phi = maps[(s, t)]
+        if len(phi) != fibers[s].n or not all(0 <= v < fibers[t].n for v in phi):
+            raise ValueError(f"map {s} -> {t} has the wrong shape")
+        if s == t and phi != tuple(range(fibers[s].n)):
+            raise ValueError(f"map {s} -> {s} is not the identity")
+        for i in range(fibers[s].n):
+            for j in range(fibers[s].n):
+                if phi[fibers[s].rows[i][j]] != fibers[t].rows[phi[i]][phi[j]]:
+                    raise ValueError(f"map {s} -> {t} is not a homomorphism at ({i}, {j})")
+    stray = set(maps).difference(up)
+    if stray:
+        s, t = min(stray)
+        raise ValueError(f"stray map {s} -> {t}: the replica has no {s} ≤ {t}")
+    for s, t in up:
+        for u in range(k):
+            if replica.rows[t][u] == u:
                 st, tu, su = maps[(s, t)], maps[(t, u)], maps[(s, u)]
                 if tuple(tu[v] for v in st) != su:
                     raise ValueError(f"maps do not compose: {s} -> {t} -> {u}")
@@ -360,17 +379,13 @@ def make_system(
     fibers: list[CayleyTable] | tuple[CayleyTable, ...],
     maps: dict[tuple[int, int], tuple[int, ...]],
 ) -> PlonkaSystem:
-    """Assemble a system by hand; globals are assigned consecutively."""
-    if not check_property(replica, "semilattice"):
-        raise ValueError("replica must be a semilattice")
-    if len(fibers) != replica.n:
-        raise ValueError("one fiber per replica element")
+    """Assemble a system by hand: identity maps fill in the diagonal and
+    globals are assigned consecutively; the system checks the rest."""
     maps = dict(maps)
-    for s in range(replica.n):
-        maps.setdefault((s, s), tuple(range(fibers[s].n)))
     globals_: list[tuple[int, ...]] = []
     next_id = 0
-    for f in fibers:
+    for s, f in enumerate(fibers):
+        maps.setdefault((s, s), tuple(range(f.n)))
         globals_.append(tuple(range(next_id, next_id + f.n)))
         next_id += f.n
     return PlonkaSystem(replica, tuple(fibers), tuple(globals_), maps)
@@ -381,12 +396,6 @@ def plonka_sum(sys: PlonkaSystem) -> CayleyTable:
     if sys.fiber_maps is None:
         raise MissingFiberMaps("system carries no fiber maps")
     n = sys.size
-    for s, (blk, f) in enumerate(zip(sys.globals, sys.fibers)):
-        if len(blk) != f.n:
-            raise ValueError(f"fiber {s} lists {len(blk)} elements for a {f.n}-element table")
-    flat = sorted(x for blk in sys.globals for x in blk)
-    if flat != list(range(n)):
-        raise ValueError("fiber globals must partition 0..n-1")
     place = {}
     for s, blk in enumerate(sys.globals):
         for i, x in enumerate(blk):
@@ -493,8 +502,6 @@ def parse_system(text: str) -> PlonkaSystem:
             replica_lines.append(ln)
     flush()
     replica = parse_alg("\n".join(replica_lines))
-    if len(fibers) != replica.n or len(globals_) != replica.n:
-        raise ValueError("fiber count does not match the replica size")
     return PlonkaSystem(
         replica, tuple(fibers), tuple(globals_), maps if maps else None
     )

@@ -388,7 +388,7 @@ def _suite_t2_structure() -> list[CheckResult]:
         ),
         CheckResult(
             "fig3b-fails-P5",
-            status.pseudopartition and not status.p5,
+            status.pseudopartition and not status.holds("P5"),
             f"P1-P4 hold, P5 fails at {status.witnesses.get('P5')}",
         ),
         _holds_on_all(

@@ -8,22 +8,33 @@ from cigroupoids.bolmoufang import (
     ALL_BM,
     CLASS_NAMES,
     TABLE1_CLASSES,
+    BMIdentity,
     bm,
     classify_bm,
     decode,
-    dual,
-    enumerate_bm,
     inclusion_order,
     is_subvariety,
     profile_string,
 )
 from cigroupoids.core import check_identity, load_fixture
 
+_DUAL_LETTER = {"A": "F", "B": "E", "C": "C", "D": "D", "E": "B", "F": "A"}
+_DUAL_BRACKET = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+
+
+def dual(b: BMIdentity) -> BMIdentity:
+    """Mirror-image identity: reverse the word and flip all bracketings.
+
+    Swapping i and j keeps the names in i < j normal form, so the map is an
+    involution on the sixty names.
+    """
+    return BMIdentity(_DUAL_LETTER[b.letter], _DUAL_BRACKET[b.j], _DUAL_BRACKET[b.i])
+
 
 def test_sixty_distinct():
-    items = enumerate_bm()
+    items = [decode(b) for b in ALL_BM]
     assert len(items) == 60
-    term_pairs = {(str(i.lhs), str(i.rhs)) for _, i in items}
+    term_pairs = {(str(i.lhs), str(i.rhs)) for i in items}
     assert len(term_pairs) == 60
 
 
@@ -51,13 +62,12 @@ def test_frozen_decodes():
 
 def test_decode_is_shared():
     # one Identity per name, so its compiled form is built once
-    for b, ident in enumerate_bm():
-        assert decode(b) is ident
-        assert decode(bm(b.name)) is ident
+    for b in ALL_BM:
+        assert decode(bm(b.name)) is decode(b)
 
 
 def test_variables_in_first_occurrence_order():
-    for b, ident in enumerate_bm():
+    for ident in map(decode, ALL_BM):
         from cigroupoids.core import variables
 
         assert variables(ident.lhs)[0] == "x"

@@ -139,6 +139,19 @@ def test_classify_semilattice_hits_every_class(capsys, monkeypatch):
     ]
 
 
+
+@pytest.mark.parametrize("table", ["fig1", "leftzero"])
+def test_classify_names_no_class_for_a_table_that_is_not_ci(capsys, table):
+    # neither table is commutative; the left-zero band xy = x satisfies all
+    # sixty identities
+    rc, out, _ = run(capsys, "alg", "classify", table)
+    lines = out.splitlines()
+    assert (rc, len(lines[0]), lines[1]) == (0, 60, "classes: (none)")
+    rc, out, _ = run(capsys, "--format", "tsv", "alg", "classify", table)
+    lines = out.splitlines()
+    assert (rc, len(lines), lines[-1]) == (0, 61, "classes\t")
+
+
 def test_enumerate_streams_models(capsys):
     rc, out, _ = run(capsys, "alg", "enumerate", "-n", "3")
     assert rc == 0
@@ -335,6 +348,27 @@ def test_plonka_sum_rejects_invalid_maps(capsys, monkeypatch, good, bad, message
     system = format_system(decompose(adjoin_infinity(load_fixture("fig4a"))))
     assert good in system
     monkeypatch.setattr(sys, "stdin", io.StringIO(system.replace(good, bad)))
+    assert run(capsys, "plonka", "sum", "-") == (2, "", f"error: {message}\n")
+
+
+SQUAG_REPLICA_SYSTEM = (
+    "3\n0 2 1\n2 1 0\n1 0 2\n"
+    + "".join(f"# fiber {s} elements {s}\n1\n0\n" for s in range(3))
+    + "".join(f"# map {s} {s}: 0\n" for s in range(3))
+)
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (SQUAG_REPLICA_SYSTEM, "replica must be a semilattice"),
+        (format_system(decompose(adjoin_infinity(load_fixture("fig4a")))) + "# map 1 0: 0\n",
+         "stray map 1 -> 0: the replica has no 1 ≤ 0"),
+    ],
+    ids=["squag-replica", "stray-map"],
+)
+def test_plonka_sum_rejects_a_system_breaking_the_contract(capsys, monkeypatch, system, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(system))
     assert run(capsys, "plonka", "sum", "-") == (2, "", f"error: {message}\n")
 
 
@@ -610,6 +644,24 @@ def _fresh_python(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("command", ["csp solve", "csp reduce", "plonka sum"])
+def test_files_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
+    if command == "plonka sum":
+        text = format_system(decompose(adjoin_infinity(load_fixture("fig4a"))))
+    else:
+        text = "sorts 1\n3\n0 2 1\n2 1 0\n1 0 2\nvar v 0\ncon v\nt 1\nend\n"
+    path = tmp_path / "input.txt"
+    path.write_text("# x ≈ y\n" + text, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cigroupoids.cli", *command.split(), str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _modules_after(command: str | None) -> set[str]:

@@ -96,7 +96,7 @@ def test_principal_is_compatible():
 def test_is_compatible_rejects_a_partition_of_another_size(size):
     # the scan over related pairs once answered (False, (0, 0, 0, 1)) for
     # the 4- and 5-element partitions and raised IndexError for the other
-    part = PartitionCongruence(size, [0, 0] + [1] * (size - 2))
+    part = PartitionCongruence([0, 0] + [1] * (size - 2))
     with pytest.raises(ValueError, match=f"partition of {size} elements .* table of 3 elements"):
         is_compatible(SQUAG, part)
 
@@ -153,10 +153,8 @@ def test_lattice_closed_under_meet_and_join():
 
 
 def test_partition_normalization_enforced():
-    assert PartitionCongruence(3, (1, 0, 0)) == from_pairs(3, [(1, 2)])
-    assert PartitionCongruence(3, (1, 0, 0)).block_of == (0, 1, 1)
-    with pytest.raises(ValueError):
-        PartitionCongruence(3, (0, 1))
+    assert PartitionCongruence((1, 0, 0)) == from_pairs(3, [(1, 2)])
+    assert PartitionCongruence((1, 0, 0)).block_of == (0, 1, 1)
 
 
 # --- oracles: the definitions the lattice code replaced ------------------
@@ -215,7 +213,7 @@ def set_partitions(n):
     """Every partition of range(n), as a normalized block array."""
     def grow(prefix, top):
         if len(prefix) == n:
-            yield PartitionCongruence(n, tuple(prefix))
+            yield PartitionCongruence(tuple(prefix))
             return
         for b in range(top + 2):
             yield from grow(prefix + [b], max(top, b))

@@ -365,12 +365,12 @@ def test_witnesses_golden():
     # to blocks of assignments: every witness (or None) on the nine fixtures
     # and every CI model with n <= 4, against the sixty Bol-Moufang
     # identities and every PROPERTY_LAWS law.
-    from cigroupoids.bolmoufang import enumerate_bm
+    from cigroupoids.bolmoufang import ALL_BM, decode
     from cigroupoids.core import FIXTURE_NAMES, PROPERTY_LAWS
     from cigroupoids.search import all_models
 
     laws = dict.fromkeys(law for group in PROPERTY_LAWS.values() for law in group)
-    idents = [ident for _, ident in enumerate_bm()] + list(laws)
+    idents = [decode(b) for b in ALL_BM] + list(laws)
     tables = [load_fixture(name) for name in FIXTURE_NAMES]
     tables += [g for n in range(1, 5) for g in all_models(n, ())]
     assert (len(idents), len(tables)) == (67, 210)

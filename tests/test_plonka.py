@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -133,7 +134,7 @@ def test_t2_models_pseudopartition():
 def test_fig3b_fails_p5_only():
     st = check_pseudopartition(load_fixture("fig3b"))
     assert st.pseudopartition
-    assert not st.p5
+    assert not st.holds("P5")
     x1, x2, y = st.witnesses["P5"]
     jm = join_matrix(load_fixture("fig3b"), STANDARD_JOIN)
     g = load_fixture("fig3b")
@@ -161,10 +162,10 @@ def test_status_witnesses_present_on_failure():
     # the 2-semilattice of Fig. 2(a) is not in T2, so some P fails
     st = check_pseudopartition(load_fixture("fig2a"))
     assert not st.pseudopartition
-    failed = [name for name, ok in zip(("P1", "P2", "P3", "P4"), (st.p1, st.p2, st.p3, st.p4)) if not ok]
+    failed = [name for name in ("P1", "P2", "P3", "P4") if not st.holds(name)]
     assert failed
     for name in failed:
-        assert name in st.witnesses
+        assert f"{name}:FAIL" in str(st)
 
 
 # --- decomposition and reassembly ---------------------------------------
@@ -267,6 +268,31 @@ def test_singleton_replica_sum_is_fiber():
     one = CayleyTable([[0]])
     sys = make_system(one, (SQUAG,), {})
     assert plonka_sum(sys) == SQUAG
+
+
+
+ONE = CayleyTable([[0]])
+CHAIN2 = CayleyTable([[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_system(CHAIN2, (SQUAG,), {}),
+         "one fiber and one globals entry per replica element"),
+        (lambda: PlonkaSystem(ONE, (SQUAG,), ((0, 1),)),
+         "fiber 0 lists 2 elements for a 3-element table"),
+        (lambda: PlonkaSystem(ONE, (SQUAG,), ((0, 1, 3),)),
+         "fiber globals must partition 0..n-1"),
+        (lambda: make_system(SQUAG, (ONE, ONE, ONE), {}), "replica must be a semilattice"),
+        (lambda: make_system(CHAIN2, (SQUAG, SQUAG), {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)}),
+         "stray map 1 -> 0: the replica has no 1 ≤ 0"),
+    ],
+    ids=["fiber-count", "globals-length", "globals-partition", "replica", "stray-map"],
+)
+def test_system_checks_its_contract_where_it_is_built(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 # --- serialization -------------------------------------------------------

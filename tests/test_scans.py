@@ -107,7 +107,7 @@ def pinned_tables():
 
 
 def random_partition(rng, n):
-    return PartitionCongruence(n, [rng.randrange(max(1, n // 2)) for _ in range(n)])
+    return PartitionCongruence([rng.randrange(max(1, n // 2)) for _ in range(n)])
 
 
 def sigma_candidate(g, join=STANDARD_JOIN):
@@ -123,7 +123,7 @@ def partitions(g, rng):
     """Partitions where both verdicts occur: principal congruences, the
     σ candidate, the identity, the full relation and random partitions."""
     n = g.n
-    out = [identity_congruence(n), PartitionCongruence(n, [0] * n), sigma_candidate(g)]
+    out = [identity_congruence(n), PartitionCongruence([0] * n), sigma_candidate(g)]
     out += [principal_congruence(g, a, b) for a in range(n) for b in range(a + 1, n)]
     out += [random_partition(rng, n) for _ in range(4)]
     return out
@@ -264,7 +264,7 @@ def test_is_compatible_matches_naive_on_big_sums():
         blocks = s.blocks()
         merged = [0 if b == 1 else b for b in s.block_of]
         split = [s.num_blocks if x == blocks[0][0] else b for x, b in enumerate(s.block_of)]
-        parts = [s, PartitionCongruence(g.n, merged), PartitionCongruence(g.n, split)]
+        parts = [s, PartitionCongruence(merged), PartitionCongruence(split)]
         parts += [principal_congruence(g, *rng.sample(range(g.n), 2)) for _ in range(3)]
         parts += [random_partition(rng, g.n) for _ in range(3)]
         for part in parts:
