@@ -6,12 +6,21 @@ per sort, each variable assigned a sort by the domain function).
 
 Both solvers share one search, `_backtrack`: variables in index order, each
 taking the least value left in its candidate mask (an int, bit a for value
-a), with each constraint checked at its last variable. One generalized arc
-consistency fixpoint, `_arc_consistency`, serves `solve_consistency` and the
-reduction: each constraint keeps the tuples inside the domains and cuts each
-domain to what they support, and a constraint is filtered again only when a
-domain in its scope shrinks. It removes no value that a solution uses, so
-both solvers return the same lexicographically least solution.
+a), with forward checking. A constraint is checked as soon as all but its
+last variable are set, and cuts that variable's mask to the values that
+complete it; a mask that empties rejects the value just set. One
+generalized arc consistency fixpoint, `_arc_consistency`, serves
+`solve_consistency` and the reduction: each constraint keeps the tuples
+inside the domains and cuts each domain to what they support, and a
+constraint is filtered again only when a domain in its scope shrinks.
+Neither removes a value that a solution uses, so both solvers return the
+same lexicographically least solution.
+
+An instance over a CSP(Γ) template draws its relations from a fixed
+language, and many constraints share one `Relation`. So each relation
+memoizes the lookup tables the solvers read (`Relation.support`): they are
+built once per relation, and every instance and every solver call over it
+reuses them.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
@@ -56,6 +65,10 @@ class NotInvariant(Exception):
 class Relation:
     signature: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
+    # support tables (keyed on the arguments of `support`) and projection
+    # masks (keyed on None); they depend on the tuples only, so they
+    # live as long as the relation and take no part in ==, hash or repr
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for t in self.tuples:
@@ -68,6 +81,34 @@ class Relation:
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
+
+    def support(
+        self, key: tuple[int, ...], target: int, same: tuple[tuple[int, int], ...]
+    ) -> dict:
+        """Over the tuples t with t[p] == t[q] for each pair (p, q) in
+        `same`: the mask of the values t[target] for each key value, which
+        is t[key[0]] for one key position, the tuple of t at the key
+        positions for several, and () for none. Built on the first call
+        with these arguments, then read from the relation."""
+        table = self._tables.get((key, target, same))
+        if table is None:
+            key_of = operator.itemgetter(*key) if key else lambda t: ()
+            table = {}
+            for t in self.tuples:
+                if not same or all(t[p] == t[q] for p, q in same):
+                    k = key_of(t)
+                    table[k] = table.get(k, 0) | 1 << t[target]
+            self._tables[(key, target, same)] = table
+        return table
+
+    def projections(self) -> tuple[int, ...]:
+        """The mask of the values at each position, built on the first call."""
+        masks = self._tables.get(None)
+        if masks is None:
+            masks = self._tables[None] = tuple(
+                sum({1 << t[p] for t in self.tuples}) for p in range(len(self.signature))
+            )
+        return masks
 
 
 @dataclass(frozen=True)
@@ -167,50 +208,94 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
 
 
 def _backtrack(inst: CSPInstance, base: Sequence[int]) -> Solution | None:
-    """The least solution inside the domain masks `base`, trying each
-    variable's candidates in ascending order."""
+    """The lexicographically least solution inside the domain masks
+    `base`, or None.
+
+    Variables are set in index order, each to the least value left in its
+    mask. Forward checking: a constraint on two or more distinct variables
+    is checked once all but its last one (in index order) are set, and cuts
+    that variable's mask to the values its support table allows after the
+    values set; a unary constraint cuts `base` before the search starts. A
+    value cut out of a mask has no extension that satisfies the constraint
+    that cut it, so no solution is lost; a mask that empties means the value
+    just set has no extension at all, and the next value is tried at once.
+    Values are still tried in ascending order, so the first complete
+    assignment is the least solution, and every constraint holds on it
+    because its last variable took a value from the cut mask.
+
+    Each level keeps the masks in force when its variable is set and copies
+    them only when a check cuts one, so backtracking undoes nothing. The
+    support tables come from the relations (`Relation.support`), built once
+    per relation and read by every later call."""
     positions = {v: i for i, v in enumerate(inst.variables)}
-    # by_last[pos]: (getter of the earlier values, table from them to a mask)
-    by_last: list[list[tuple[Callable, dict]]] = [[] for _ in base]
+    dom = list(base)
+    # checks[u]: (getter of the key values, support table, last variable)
+    # for each constraint whose last but one distinct variable is u
+    checks: list[list[tuple[Callable, dict, int]]] = [[] for _ in dom]
     for scope, rel in inst.constraints:
         idxs = [positions[v] for v in scope]
-        last = max(idxs)
-        first = {u: idxs.index(u) for u in idxs}
-        earlier = [u for u in first if u < last]
-        get = operator.itemgetter(*earlier) if earlier else lambda _: ()
-        key_of = operator.itemgetter(*(first[u] for u in earlier)) if earlier else get
-        same = [(p, first[u]) for p, u in enumerate(idxs) if p != first[u]]
-        table: dict = {}
-        for t in rel.tuples:
-            if not same or all(t[p] == t[q] for p, q in same):
-                key = key_of(t)
-                table[key] = table.get(key, 0) | 1 << t[first[last]]
-        by_last[last].append((get, table))
-
-    if not base:
+        # the positions by variable, a repeated variable's first position first
+        order = sorted(range(len(idxs)), key=idxs.__getitem__)
+        same: tuple[tuple[int, int], ...] = ()
+        if len(set(idxs)) < len(idxs):
+            first: dict[int, int] = {}
+            for p in order:
+                first.setdefault(idxs[p], p)
+            same = tuple((p, first[u]) for p, u in enumerate(idxs) if p != first[u])
+            order = list(first.values())
+        # the key positions in ascending order, whatever the variables' order,
+        # so scopes that differ only in that order share one table
+        keys, target = sorted(order[:-1]), order[-1]
+        table = rel.support(tuple(keys), target, same)
+        if keys:
+            get = operator.itemgetter(*[idxs[p] for p in keys])
+            checks[idxs[order[-2]]].append((get, table, idxs[target]))
+        else:
+            dom[idxs[target]] &= table.get((), 0)
+    if not all(dom):
+        return None
+    if not dom:
         return {}
-    assign = [0] * len(base)
-    left = [0] * len(base)  # candidates not tried yet, per variable
+
+    n = len(dom)
+    assign = [0] * n
+    left = [0] * n  # candidates not tried yet, per variable
+    masks = [dom] * n  # masks[u]: the masks in force once the variables before u are set
+    left[0] = dom[0]
     pos = 0
     while True:
-        mask = base[pos]
-        for get, table in by_last[pos]:
-            mask &= table.get(get(assign), 0)
-        while not mask:
+        mask = left[pos]
+        if not mask:
             pos -= 1
             if pos < 0:
                 return None
-            mask = left[pos]
+            continue
         low = mask & -mask
         left[pos] = mask ^ low
         assign[pos] = low.bit_length() - 1
-        pos += 1
-        if pos == len(base):
-            return dict(zip(inst.variables, assign))
+        cur = masks[pos]
+        for get, table, last in checks[pos]:
+            cut = cur[last] & table.get(get(assign), 0)
+            if cut != cur[last]:
+                if not cut:
+                    break
+                if cur is masks[pos]:
+                    cur = cur.copy()
+                cur[last] = cut
+        else:
+            pos += 1
+            if pos == n:
+                return dict(zip(inst.variables, assign))
+            masks[pos] = cur
+            left[pos] = cur[pos]
 
 
 def solve_brute(inst: CSPInstance) -> Solution | None:
-    """Exhaustive lexicographic search; the ground-truth oracle."""
+    """The lexicographically least solution, or None: the forward-checking
+    search of `_backtrack` over the full domains, with no propagation
+    first. Refuses instances whose search space exceeds BRUTE_LIMIT. The
+    tests check it against a scan of every assignment in lexicographic
+    order."""
     if inst.search_space() > BRUTE_LIMIT:
         raise BoundExceeded(f"search space exceeds {BRUTE_LIMIT}")
     return _backtrack(inst, [(1 << inst.sorts[s].n) - 1 for s in inst.domain])
@@ -219,15 +304,20 @@ def solve_brute(inst: CSPInstance) -> Solution | None:
 def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
     """Domain masks and each constraint's live tuples at the generalized
     arc consistency fixpoint: the live tuples are the relation's tuples
-    inside the domains, and they project onto exactly the domains.
+    inside the domains, in the relation's iteration order, and they project
+    onto exactly the domains.
 
-    Runs on after a domain empties, so everything that depends on it
-    empties too; applies no equality rule to a repeated scope variable."""
+    A constraint none of whose domains has narrowed yet keeps all its
+    tuples and reads its supports from the relation's projections; its
+    tuples are filtered only once a domain in its scope narrows. Runs on
+    after a domain empties, so everything that depends on it empties too;
+    applies no equality rule to a repeated scope variable."""
     positions = {v: i for i, v in enumerate(inst.variables)}
     full = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
     dom = list(full)
     scopes = [[positions[v] for v in scope] for scope, _ in inst.constraints]
-    live = [list(rel.tuples) for _, rel in inst.constraints]
+    rels = [rel for _, rel in inst.constraints]
+    live: list = [None] * len(scopes)  # None: every tuple, not filtered yet
     woken_by: list[list[int]] = [[] for _ in dom]
     for k, idxs in enumerate(scopes):
         for u in dict.fromkeys(idxs):
@@ -240,22 +330,28 @@ def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[list[tuple[int,
         idxs = scopes[k]
         narrowed = [(p, dom[u]) for p, u in enumerate(idxs) if dom[u] != full[u]]
         if narrowed:
-            live[k] = [t for t in live[k] if all(m >> t[p] & 1 for p, m in narrowed)]
+            kept = rels[k].tuples if live[k] is None else live[k]
+            live[k] = kept = [t for t in kept if all(m >> t[p] & 1 for p, m in narrowed)]
+        else:
+            projections = rels[k].projections()
         for p, u in enumerate(idxs):
-            support = sum({1 << t[p] for t in live[k]})
+            support = sum({1 << t[p] for t in kept}) if narrowed else projections[p]
             if dom[u] & ~support:
                 dom[u] &= support
                 for j in woken_by[u]:
                     if not queued[j]:
                         queued[j] = True
                         queue.append(j)
-    return dom, live
+    return dom, [list(rel.tuples) if kept is None else kept for kept, rel in zip(live, rels)]
 
 
 def solve_consistency(inst: CSPInstance) -> Solution | None:
-    """Generalized arc consistency on bitmasks, then the search of
-    `solve_brute` inside the domains left; so the same lexicographically
-    least solution, or None."""
+    """Generalized arc consistency on bitmasks, then the forward-checking
+    search of `solve_brute` inside the domains left. Arc consistency removes
+    no value that a solution uses, so this is the same lexicographically
+    least solution, or None. The support tables and projections both read
+    are the relations' own, so calling both solvers on one instance, or
+    either on many instances over one language, builds each table once."""
     dom, _ = _arc_consistency(inst)
     return _backtrack(inst, dom) if all(dom) else None
 

@@ -43,9 +43,11 @@ pairs s ≤ t, each the identity on s -> s, a homomorphism, and composing.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, product, starmap
 from operator import itemgetter, ne
+from types import MappingProxyType
 
 from cigroupoids.congruences import (
     NotACongruence,
@@ -275,7 +277,8 @@ class PlonkaSystem:
     globals[s] lists the parent elements of fiber s in ascending order;
     fibers[s] is that block's sub-table in local indices. fiber_maps, when
     present, sends (s, t) with s below t in the replica to the tuple of
-    local images in fiber t.
+    local images in fiber t. It is kept as a read-only view of a copy, so
+    the maps checked here stay the maps `plonka_sum` reads.
 
     Every builder (`decompose`, `make_system`, `parse_system`) goes
     through `__post_init__`, so the contract is checked there and nowhere
@@ -292,7 +295,7 @@ class PlonkaSystem:
     replica: CayleyTable
     fibers: tuple[CayleyTable, ...]
     globals: tuple[tuple[int, ...], ...]
-    fiber_maps: dict[tuple[int, int], tuple[int, ...]] | None = None
+    fiber_maps: Mapping[tuple[int, int], tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if not len(self.fibers) == len(self.globals) == self.replica.n:
@@ -305,7 +308,13 @@ class PlonkaSystem:
         if not check_property(self.replica, "semilattice"):
             raise ValueError("replica must be a semilattice")
         if self.fiber_maps is not None:
+            object.__setattr__(self, "fiber_maps", MappingProxyType(dict(self.fiber_maps)))
             _validate_maps(self.replica, self.fibers, self.fiber_maps)
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies: rebuild from a dict
+        maps = None if self.fiber_maps is None else dict(self.fiber_maps)
+        return PlonkaSystem, (self.replica, self.fibers, self.globals, maps)
 
     @property
     def size(self) -> int:
@@ -346,7 +355,7 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
 def _validate_maps(
     replica: CayleyTable,
     fibers: list[CayleyTable] | tuple[CayleyTable, ...],
-    maps: dict[tuple[int, int], tuple[int, ...]],
+    maps: Mapping[tuple[int, int], tuple[int, ...]],
 ) -> None:
     k = replica.n
     up = [(s, t) for s in range(k) for t in range(k) if replica.rows[s][t] == t]

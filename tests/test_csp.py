@@ -1,6 +1,7 @@
 """Constraint instances, solvers, and the fiber-collapse reduction."""
 
 import itertools
+import pickle
 import random
 from dataclasses import replace
 
@@ -403,10 +404,13 @@ def test_consistency_matches_brute_random():
 
 
 def test_propagate_is_sound_and_closed():
-    """At the arc consistency fixpoint every solution lies in the domains
-    and in each constraint's live tuples, which are exactly the relation's
-    tuples inside the domains and project onto exactly the domains."""
-    wiped = closed = 0
+    """Both solvers return the least solution of the lexicographic scan, on
+    instances with repeated scope variables, unary constraints and empty
+    relations. At the arc consistency fixpoint every solution lies in the
+    domains and in each constraint's live tuples, which are exactly the
+    relation's tuples inside the domains and project onto exactly the
+    domains."""
+    wiped = closed = repeated = unary = empty = 0
     for k, inst in enumerate(mixed_instances(900, seed=21, max_vars=6)):
         positions = {v: i for i, v in enumerate(inst.variables)}
         cons = [([positions[v] for v in scope], rel.tuples) for scope, rel in inst.constraints]
@@ -419,6 +423,11 @@ def test_propagate_is_sound_and_closed():
         # search that solve_brute and solve_consistency share
         least = dict(zip(inst.variables, solutions[0])) if solutions else None
         assert solve_brute(inst) == least, k
+        assert solve_consistency(inst) == least, k
+        for scope, rel in inst.constraints:
+            repeated += len(set(scope)) < len(scope)
+            unary += len(set(scope)) == 1
+            empty += not rel.tuples
         dom, live = _arc_consistency(inst)
         for vals in solutions:
             assert all(dom[u] >> a & 1 for u, a in enumerate(vals)), k
@@ -434,8 +443,149 @@ def test_propagate_is_sound_and_closed():
             closed += 1
         else:
             wiped += 1
-            assert not solutions and solve_consistency(inst) is None, k
+            assert not solutions, k
     assert wiped and closed
+    assert repeated and unary and empty
+
+
+# ---------------------------------------------------------------------------
+# Forward checking against the lexicographic scan
+
+
+def least_solution(inst: CSPInstance):
+    """The first assignment in lexicographic order (the order in which
+    itertools.product runs) that satisfies every constraint, or None: the
+    ground truth for the forward-checking search of both solvers."""
+    positions = {v: i for i, v in enumerate(inst.variables)}
+    cons = [([positions[v] for v in scope], rel.tuples) for scope, rel in inst.constraints]
+    for vals in itertools.product(*(range(inst.sorts[s].n) for s in inst.domain)):
+        if all(tuple(map(vals.__getitem__, idxs)) in tuples for idxs, tuples in cons):
+            return dict(zip(inst.variables, vals))
+    return None
+
+
+def assert_both_least(inst: CSPInstance, label):
+    expected = least_solution(inst)
+    assert solve_brute(inst) == expected, label
+    assert solve_consistency(inst) == expected, label
+    return expected
+
+
+def test_solvers_least_on_planted_3lin():
+    rng = random.Random(41)
+    verdicts = set()
+    for n in range(3, 9):
+        for sat in (True, False):
+            for _ in range(4):
+                inst, equations = planted_3lin(rng, n, sat)
+                found = assert_both_least(inst, (n, sat))
+                assert (found is not None) == gf3_solvable(n, equations), (n, sat)
+                assert found is not None or not sat
+                verdicts.add(found is None)
+    assert verdicts == {True, False}
+
+
+def shared_relations(rng: random.Random, template: CayleyTable, count: int):
+    """Arbitrary relations of arity 2 or 3, each a fresh object."""
+    rels = []
+    for _ in range(count):
+        arity = rng.randint(2, 3)
+        density = rng.choice((0.3, 0.5, 0.8))
+        tuples = {
+            t
+            for t in itertools.product(range(template.n), repeat=arity)
+            if rng.random() < density
+        }
+        rels.append(Relation.single_sorted(tuples, arity))
+    return rels
+
+
+def test_one_relation_under_two_scope_orders():
+    # each relation object is used twice in one instance, once on a scope
+    # and once on a different arrangement of variables, so its support
+    # tables are read under two different key and target positions
+    rel = Relation.single_sorted({(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 2, 0)}, 3)
+    inst = CSPInstance(
+        ("x", "y", "z"), (SQUAG,), (0, 0, 0),
+        ((("x", "y", "z"), rel), (("z", "x", "y"), rel)),
+    )
+    assert assert_both_least(inst, "rotated") == {"x": 0, "y": 1, "z": 2}
+    inst = replace(inst, constraints=((("x", "y", "z"), rel), (("y", "x", "z"), rel)))
+    assert assert_both_least(inst, "transposed") == {"x": 2, "y": 2, "z": 0}
+    inst = replace(inst, constraints=((("y", "z", "x"), rel), (("x", "z", "y"), rel)))
+    assert assert_both_least(inst, "swapped") is None
+    rng = random.Random(51)
+    verdicts = set()
+    for k in range(300):
+        template = rng.choice(GENERATED_TEMPLATES)
+        num_vars = rng.randint(2, 5)
+        names = [f"v{i}" for i in range(num_vars)]
+        cons = []
+        for rel in shared_relations(rng, template, rng.randint(1, 3)):
+            arity = len(rel.signature)
+            first = tuple(rng.choice(names) for _ in range(arity))
+            second = first
+            while second == first:
+                second = tuple(rng.choice(names) for _ in range(arity))
+            cons += [(first, rel), (second, rel)]
+        inst = CSPInstance(tuple(names), (template,), (0,) * num_vars, tuple(cons))
+        verdicts.add(assert_both_least(inst, k) is None)
+    assert verdicts == {True, False}
+
+
+def test_one_relation_shared_by_two_instances_in_both_orders():
+    # the tables one instance builds on a relation serve the other, whichever
+    # is solved first and whichever solver runs first
+    rng = random.Random(61)
+    names = tuple(f"v{i}" for i in range(4))
+    for k in range(150):
+        template = rng.choice(GENERATED_TEMPLATES)
+        seed = rng.randrange(10**6)
+        arities = [len(rel.signature) for rel in shared_relations(random.Random(seed), template, 2)]
+        scopes = [[tuple(rng.sample(names, a)) for a in arities] for _ in range(2)]
+
+        def pair():
+            rels = shared_relations(random.Random(seed), template, 2)
+            return [
+                CSPInstance(names, (template,), (0,) * 4, tuple(zip(side, rels)))
+                for side in scopes
+            ]
+
+        expected = [least_solution(inst) for inst in pair()]
+        for order, solvers in (((0, 1), (solve_brute, solve_consistency)),
+                               ((1, 0), (solve_consistency, solve_brute))):
+            insts = pair()
+            for side in order:
+                for solve in solvers:
+                    assert solve(insts[side]) == expected[side], (k, order, solve)
+
+
+def test_relation_memo_is_invisible():
+    tuples = {(0, 1, 2), (1, 2, 0), (2, 0, 0), (1, 1, 1)}
+    rel = Relation.single_sorted(tuples, 3)
+    fresh = Relation.single_sorted(tuples, 3)
+    inst = CSPInstance(
+        ("x", "y", "z"), (SQUAG,), (0, 0, 0),
+        ((("x", "y", "z"), rel), (("z", "x", "x"), rel)),
+    )
+    text = format_csp(inst)
+    assert_both_least(inst, "memo")
+    _arc_consistency(inst)
+    assert format_csp(inst) == text
+    assert inst == replace(inst, constraints=tuple((scope, fresh) for scope, _ in inst.constraints))
+    for other in (rel, replace(rel), pickle.loads(pickle.dumps(rel))):
+        assert other == fresh
+        assert hash(other) == hash(fresh)
+        # a frozenset's repr follows its iteration order, which a rebuilt
+        # set need not share; the memo must not show in either way
+        assert repr(other) == f"Relation(signature={other.signature!r}, tuples={other.tuples!r})"
+    # a copy with other tuples builds its own tables
+    for kept in ({(2, 0, 0)}, {(1, 1, 1), (0, 1, 2)}, set()):
+        smaller = replace(rel, tuples=frozenset(kept))
+        assert_both_least(
+            replace(inst, constraints=tuple((scope, smaller) for scope, _ in inst.constraints)),
+            kept,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for pseudopartitions, σ, decomposition, and the cyclic builders."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import re
 
@@ -179,6 +181,23 @@ def test_decompose_ainf():
     assert sys.fibers[1] == CayleyTable([[0]])
     assert sys.fiber_maps is not None
     assert sys.fiber_maps[(0, 1)] == (0, 0, 0)
+
+
+def test_fiber_maps_are_read_only():
+    # the maps checked when the system was built are the maps plonka_sum reads
+    sys = decompose(AINF)
+    with pytest.raises(TypeError):
+        sys.fiber_maps[(0, 1)] = (0, 5, 9)
+    maps = dict(sys.fiber_maps)
+    built = PlonkaSystem(sys.replica, sys.fibers, sys.globals, maps)
+    maps[(0, 1)] = (0, 5, 9)
+    assert built.fiber_maps[(0, 1)] == (0, 0, 0)
+    assert built == sys
+    assert plonka_sum(built) == plonka_sum(sys) == AINF
+    for back in (pickle.loads(pickle.dumps(sys)), copy.deepcopy(sys)):
+        assert back == sys
+        with pytest.raises(TypeError):
+            back.fiber_maps[(0, 1)] = (0, 5, 9)
 
 
 def test_decompose_squag_single_fiber():
