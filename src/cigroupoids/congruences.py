@@ -2,12 +2,14 @@
 
 A congruence is stored as a block-id array: block_of[x] is the id of the
 class containing x, with ids normalized so that they appear in increasing
-order of least element. `PartitionCongruence.__post_init__` is the one
-place that normalizes: `from_pairs`, `principal_congruence`, `join` and
-`meet` pass raw labels (union-find roots, class labels, pairs of block
-ids), so each partition is normalized exactly once and no instance breaks
-the convention. `from_pairs` and `join` generate equivalences through one
-union-find, `_find` with path halving.
+order of least element. `_normalize` is the one function that normalizes.
+`PartitionCongruence.__post_init__` applies it to whatever labels it is
+given (union-find roots, class labels, pairs of block ids), so no instance
+breaks the convention. The lattice code works on normalized block arrays,
+plain tuples, and builds a `PartitionCongruence` only for each element of
+the lattice it returns. `from_pairs` and `_join` generate equivalences
+through one union-find, `_find` with path halving; `_join` serves the
+sweep, the irreducibility test, SD(∧) and the public `join`.
 
 A partition is a congruence exactly when every translation x -> a·x and
 x -> x·a maps blocks into blocks (Freese 2008, below). `is_compatible`
@@ -18,24 +20,32 @@ element. On failure only the first failing pair (a, a2) of related
 elements is searched for its (b, b2), so the witness is the first one the
 scan over all related pairs (a, a2) and (b, b2) would report.
 
-The lattice is built from the distinct principal congruences Cg(a, b),
-following Freese, "Computing congruences efficiently" (Algebra Universalis,
-2008). Every congruence is the join of the principal ones it contains, so
-one sweep from the identity reaches them all: each element found is joined
-once with each principal congruence, never with the other elements, which
-takes O(L*P) joins for L congruences and P principal ones. The sweep goes
-level by level, from most blocks to fewest, since f∨p ≠ f has fewer blocks
-than f. Cg(a, b) ≤ f holds exactly when f relates a and b, so each
-principal congruence keeps the first pair (a, b) that generates it, and
-the sweep joins f with p only when f separates that pair: every join it
-makes is a step up. Its levels are keyed on the normalized block arrays.
+The lattice is built from the principal congruences Cg(a, b), following
+Freese, "Computing congruences efficiently" (Algebra Universalis, 2008).
+`_principals` tabulates the table's distinct translations once and closes
+every pair (a, b) over them, keeping each distinct principal congruence
+with the first pair that generates it; Cg(a, b) ≤ f holds exactly when f
+relates a and b. `_irreducibles` keeps the J join-irreducible ones: p =
+Cg(a, b) is the join of the principals strictly below it exactly when
+that join relates a and b.
 
-`principal_congruence` closes a merged pair under the translations
-x -> c·x and x -> x·c, the rows and the columns of the table, each
-distinct map once: on a commutative table they coincide, which halves the
-work. A translate is tested far more often than two classes merge (at
-most n - 1 times), so the closure keeps a class label per element, where
-a test is two lookups, and a merge relabels one class.
+Every congruence is the join of the join-irreducibles it contains, and
+every cover f ≺ e has the form e = f∨j for a join-irreducible j: any j ≤ e
+with j ≰ f will do, and one exists, or e would lie below f. So one sweep
+from the identity reaches every element and every cover. `_sweep` joins
+each element f once with each join-irreducible j that f separates (f does
+not relate the pair generating j), never with the other elements: O(L*J)
+joins for L congruences, every one a step up. It goes level by level,
+from most blocks to fewest, since f∨j ≠ f has fewer blocks than f, and
+its levels are keyed on the block arrays.
+
+`_closure` closes a merged pair under the translations x -> c·x and
+x -> x·c, the rows and the columns of the table, each distinct map once:
+on a commutative table they coincide, which halves the work. A translate
+is tested far more often than two classes merge (at most n - 1 times), so
+the closure keeps a class label per element, where a test is two
+lookups, and a merge relabels one class. `principal_congruence`, for a
+single pair, tabulates the translations itself.
 
 Meet-semidistributivity, SD(∧), says x∧y = x∧z implies x∧(y∨z) = x∧y.
 `is_sd_meet` groups, for each x, the elements z by the meet x∧z and checks
@@ -46,16 +56,16 @@ x∧(∨G) = m. It suffices to take x join-irreducible: if SD(∧) fails at x,
 y, z with x∧y = x∧z = m, let j be minimal among the join-irreducibles
 below x∧(y∨z) but not below m. The join-irreducibles below its lower cover
 j_* are below m, so j_* ≤ m; and j ≰ y, z, or else j ≤ x∧y = m. So
-j∧y = j∧z = j_* while j∧(y∨z) = j. Join-irreducible congruences are principal, so x runs
-over the principal congruences only: O(P*L) meets and joins instead of the
-O(L^3) of the triple definition.
+j∧y = j∧z = j_* while j∧(y∨z) = j. Hence x runs over the J join-irreducibles
+the sweep used: O(J*L) meets and joins instead of the O(L^3) of the triple
+definition.
 
-The order facts come from the same sweep. Every cover f ≺ e has the form
-e = f∨p for a principal p (any p ≤ e with p ≰ f), so the longest chain from
-the bottom up to e is a longest path over the edges f -> f∨p. Everything
-below e lies on an earlier level, so the sweep has settled e's depth by the
-time it reaches e, and stores it. `height` is the largest depth and `atoms`
-are the elements of depth 1; neither joins or meets anything.
+The order facts come from the same sweep. Since every cover f ≺ e is
+f∨j for a join-irreducible j, the longest chain from the bottom up to e
+is a longest path over the edges f -> f∨j. Everything below e lies on an
+earlier level, so the sweep has settled e's depth by the time it reaches
+e, and stores it. `height` is the largest depth and `atoms` are the
+elements of depth 1; neither joins or meets anything.
 """
 
 from __future__ import annotations
@@ -161,20 +171,17 @@ def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tupl
     return False, (a, a2, b, b2)
 
 
-def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
-    """Smallest congruence identifying a and b; a ValueError names an
-    element outside the carrier.
-
-    Merge a with b, then close each merged pair under the distinct
-    translations; relabeling a whole class gives transitivity for free.
-    """
-    n = g.n
-    for x in (a, b):
-        if not 0 <= x < n:
-            raise ValueError(f"element {x} is outside 0..{n - 1}")
+def _translations(g: CayleyTable) -> tuple[tuple[int, ...], ...]:
+    """The distinct translations x -> c·x and x -> x·c: the table's rows
+    and columns, a map that repeats taken once."""
     rows = g.rows
-    # x -> c*x is row c and x -> x*c column c; a map that repeats is tested once
-    maps = tuple(dict.fromkeys(rows + tuple(zip(*rows))))
+    return tuple(dict.fromkeys(rows + tuple(zip(*rows))))
+
+
+def _closure(maps: tuple[tuple[int, ...], ...], n: int, a: int, b: int) -> list[int]:
+    """Class labels of Cg(a, b): merge a with b, then close each merged pair
+    under the translations `maps`; relabeling a whole class gives
+    transitivity for free."""
     label = list(range(n))  # label[x]: an element of x's class
     label[b] = a
     work = [(a, b)]
@@ -189,42 +196,68 @@ def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
             if i != j:
                 label = [i if k == j else k for k in label]
                 work.append((u, v))
-    return PartitionCongruence(label)
+    return label
 
 
-def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
-    """Transitive closure of the union: p's blocks merged along q's blocks."""
-    p_of = p.block_of
-    parent = list(range(p.n))  # over p's block ids
+def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
+    """Smallest congruence identifying a and b; a ValueError names an
+    element outside the carrier."""
+    n = g.n
+    for x in (a, b):
+        if not 0 <= x < n:
+            raise ValueError(f"element {x} is outside 0..{n - 1}")
+    return PartitionCongruence(_closure(_translations(g), n, a, b))
+
+
+def _join(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Join of two normalized block arrays of one size, normalized: p's
+    blocks merged along q's blocks."""
+    parent = list(range(len(p)))  # over p's block ids
     first: dict[int, int] = {}  # q-block -> p-block of its least element
-    for a, b in zip(p_of, q.block_of, strict=True):
+    for a, b in zip(p, q):
         r = first.setdefault(b, a)
         if r != a:
             ra, rb = _find(parent, r), _find(parent, a)
             if ra != rb:
                 parent[ra] = rb
-    return PartitionCongruence([_find(parent, a) for a in p_of])
+    return _normalize([_find(parent, a) for a in p])
+
+
+def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
+    """Transitive closure of the union; a ValueError names both sizes if they differ."""
+    if p.n != q.n:
+        raise ValueError(f"a partition of {p.n} elements and one of {q.n} elements have no join")
+    return PartitionCongruence(_join(p.block_of, q.block_of))
 
 
 def meet(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
-    return PartitionCongruence(list(zip(p.block_of, q.block_of, strict=True)))
+    """Intersection; a ValueError names both sizes if they differ."""
+    if p.n != q.n:
+        raise ValueError(f"a partition of {p.n} elements and one of {q.n} elements have no meet")
+    return PartitionCongruence(list(zip(p.block_of, q.block_of)))
 
 
-def _lattice_order(e: PartitionCongruence) -> tuple:
-    """Sort key, reversed: most blocks (finest) first, so f < e puts f before e."""
-    return (e.num_blocks, e.block_of)
+def _lattice_order(key: tuple[int, ...]) -> tuple:
+    """Sort key of a normalized block array, reversed: most blocks (finest)
+    first, so f < e puts f before e."""
+    return (max(key), key)
 
 
 @dataclass(frozen=True)
 class CongruenceLattice:
     """All congruences, finest first, each with the length of the longest
-    chain up to it from the bottom, and the distinct nontrivial principal
-    congruences among them, in the same order."""
+    chain up to it from the bottom; the distinct nontrivial principal
+    congruences among them, in the same order; and the join-irreducible
+    ones among those, again in the same order. The join-irreducibles are
+    the principal congruences that are not the join of the principal
+    congruences strictly below them, and every congruence is the join of
+    the join-irreducibles below it."""
 
     n: int
     elements: tuple[PartitionCongruence, ...]
     depths: tuple[int, ...]
     principals: tuple[PartitionCongruence, ...]
+    irreducibles: tuple[PartitionCongruence, ...]
 
     def height(self) -> int:
         """Length (edge count) of the longest chain."""
@@ -235,53 +268,99 @@ class CongruenceLattice:
         return [e for e, d in zip(self.elements, self.depths) if d == 1]
 
 
+Step = tuple[tuple[int, ...], int, int]  # a principal congruence and its first generating pair
+
+
+def _principals(g: CayleyTable) -> list[Step]:
+    """Each distinct nontrivial principal congruence with the first pair
+    (a, b) that generates it, in lattice order; the translations are
+    tabulated once for all pairs."""
+    n = g.n
+    maps = _translations(g)
+    generators: dict[tuple[int, ...], tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            generators.setdefault(_normalize(_closure(maps, n, a, b)), (a, b))
+    return [(p, *generators[p]) for p in sorted(generators, key=_lattice_order, reverse=True)]
+
+
+def _irreducibles(principals: list[Step]) -> list[Step]:
+    """The join-irreducible principal congruences, in the same order.
+
+    Cg(a, b) is the join of the principals strictly below it exactly when
+    that join relates a and b. Each principal below p is the join of the
+    irreducibles below it, and those come earlier in lattice order, so p
+    is tested against the irreducibles found so far, stopping once their
+    join relates p's pair.
+    """
+    out: list[Step] = []
+    for p, a, b in principals:
+        below = None
+        for j, c, d in out:
+            # j <= p exactly when p relates j's pair, and j != p
+            if p[c] == p[d]:
+                below = j if below is None else _join(below, j)
+                if below[a] == below[b]:
+                    break
+        else:
+            out.append((p, a, b))
+    return out
+
+
+def _sweep(n: int, irreducibles: list[Step]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every congruence's block array in lattice order, with its depth:
+    the sweep from the identity over joins with the irreducibles."""
+    # levels[k] maps the block array of each element with k blocks found so
+    # far to its depth
+    levels: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 1)]
+    levels[n][tuple(range(n))] = 0
+    keys: list[tuple[int, ...]] = []
+    depths: list[int] = []
+    for level in reversed(levels):
+        for f in sorted(level, reverse=True):
+            d = level[f]
+            keys.append(f)
+            depths.append(d)
+            for j, a, b in irreducibles:
+                # Cg(a, b) <= f exactly when f relates a and b; otherwise
+                # f∨j lies strictly above f
+                if f[a] != f[b]:
+                    e = _join(f, j)
+                    up = levels[max(e) + 1]
+                    if up.get(e, -1) <= d:
+                        up[e] = d + 1
+    return keys, depths
+
+
 def all_congruences(g: CayleyTable) -> CongruenceLattice:
-    """The full congruence lattice: one sweep of joins with the principal congruences."""
+    """The full congruence lattice: one sweep of joins with the join-irreducible
+    principal congruences."""
     n = g.n
     if n > MAX_N_CONGRUENCES:
         raise BoundExceeded(f"n={n} exceeds the congruence bound {MAX_N_CONGRUENCES}")
-    # each distinct principal congruence with the first pair that generates it
-    generators: dict[PartitionCongruence, tuple[int, int]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            generators.setdefault(principal_congruence(g, a, b), (a, b))
-    principals = sorted(generators, key=_lattice_order, reverse=True)
-    steps = [(p, *generators[p]) for p in principals]
-    # levels[k] maps the block array of each element with k blocks found so
-    # far to the element and its depth
-    levels: list[dict[tuple[int, ...], list]] = [{} for _ in range(n + 1)]
-    bottom = identity_congruence(n)
-    levels[n][bottom.block_of] = [bottom, 0]
-    elements: list[PartitionCongruence] = []
-    depths: list[int] = []
-    for level in reversed(levels):
-        for key in sorted(level, reverse=True):
-            f, d = level[key]
-            elements.append(f)
-            depths.append(d)
-            for p, a, b in steps:
-                # Cg(a, b) <= f exactly when f relates a and b; otherwise
-                # f∨p lies strictly above f
-                if key[a] != key[b]:
-                    e = join(f, p)
-                    up = levels[e.num_blocks]
-                    seen = up.get(e.block_of)
-                    if seen is None:
-                        up[e.block_of] = [e, d + 1]
-                    elif seen[1] <= d:
-                        seen[1] = d + 1
-    return CongruenceLattice(n, tuple(elements), tuple(depths), tuple(principals))
+    principals = _principals(g)
+    irreducibles = _irreducibles(principals)
+    keys, depths = _sweep(n, irreducibles)
+    elements = tuple(map(PartitionCongruence, keys))
+    element = dict(zip(keys, elements))
+    return CongruenceLattice(
+        n,
+        elements,
+        tuple(depths),
+        tuple(element[p] for p, _, _ in principals),
+        tuple(element[j] for j, _, _ in irreducibles),
+    )
 
 
 def is_sd_meet(lat: CongruenceLattice) -> bool:
-    """Meet-semidistributivity: for each principal x, join the classes of z under x∧z."""
-    for x in lat.principals:
-        joins: dict[PartitionCongruence, PartitionCongruence] = {}
-        for z in lat.elements:
-            m = meet(x, z)
+    """Meet-semidistributivity: for each join-irreducible x, join the classes of z under x∧z."""
+    blocks = [z.block_of for z in lat.elements]
+    for x in [j.block_of for j in lat.irreducibles]:
+        joins: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for z in blocks:
+            m = _normalize(zip(x, z))
             j = joins.get(m)
-            joins[m] = z if j is None else join(j, z)
-        if any(meet(x, j) != m for m, j in joins.items()):
+            joins[m] = z if j is None else _join(j, z)
+        if any(_normalize(zip(x, j)) != m for m, j in joins.items()):
             return False
     return True
-

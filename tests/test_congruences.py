@@ -135,6 +135,17 @@ def test_congruence_bound():
         all_congruences(big)
 
 
+@pytest.mark.parametrize("op", [join, meet])
+def test_join_and_meet_reject_partitions_of_different_sizes(op):
+    # both once failed with "zip() argument 2 is shorter than argument 1"
+    p, q = identity_congruence(3), identity_congruence(4)
+    name = op.__name__
+    with pytest.raises(ValueError, match=f"partition of 3 elements and one of 4 elements have no {name}"):
+        op(p, q)
+    with pytest.raises(ValueError, match=f"partition of 4 elements and one of 3 elements have no {name}"):
+        op(q, p)
+
+
 def test_meet_join_lattice_ops():
     p = from_pairs(4, [(0, 1)])
     q = from_pairs(4, [(2, 3)])
@@ -333,18 +344,67 @@ def test_principals_are_the_distinct_nontrivial_principal_congruences():
 
 
 def test_sweep_joins_only_where_it_steps_up(monkeypatch):
-    # f∨p is computed exactly when f separates the pair generating p, and
-    # then it lies strictly above f
+    # the sweep computes f∨j for a join-irreducible j exactly when f
+    # separates the pair generating j, and then it lies strictly above f
     import cigroupoids.congruences as congruences
+
+    sweep, plain_join = congruences._sweep, congruences._join
 
     for g in ORACLE_GS:
         made = []
-        monkeypatch.setattr(congruences, "join", lambda f, p: made.append((f, p)) or join(f, p))
+
+        def recording_sweep(*args):
+            # record only the sweep's joins, not those of the irreducibility test
+            monkeypatch.setattr(congruences, "_join", lambda f, j: made.append((f, j)) or plain_join(f, j))
+            try:
+                return sweep(*args)
+            finally:
+                monkeypatch.setattr(congruences, "_join", plain_join)
+
+        monkeypatch.setattr(congruences, "_sweep", recording_sweep)
         lat = all_congruences(g)
         monkeypatch.undo()
-        assert all(join(f, p) != f for f, p in made)
-        expected = [(f, p) for f in lat.elements for p in lat.principals if not naive_leq(p, f)]
+        assert all(plain_join(f, j) != f for f, j in made)
+        expected = [
+            (f.block_of, j.block_of)
+            for f in lat.elements
+            for j in lat.irreducibles
+            if not naive_leq(j, f)
+        ]
         assert made == expected
+
+
+def naive_irreducibles(elements):
+    """The elements other than the bottom that differ from the join of all
+    elements strictly below them."""
+    out = []
+    for e in elements[1:]:
+        below = identity_congruence(e.n)
+        for f in elements:
+            if f != e and naive_leq(f, e):
+                below = naive_join(below, f)
+        if below != e:
+            out.append(e)
+    return out
+
+
+def golden_small_tables():
+    """The tables of the golden lattice digest with n <= 8."""
+    from cigroupoids.search import all_models
+
+    tables = [load_fixture(name) for name in FIXTURE_NAMES]
+    tables += [g for n in range(1, 5) for g in all_models(n, ())]
+    tables += [chain(n) for n in range(1, 9)]
+    tables += [left_zero(n) for n in range(1, 8)]
+    return [g for g in tables if g.n <= 8]
+
+
+def test_irreducibles_match_oracle():
+    for g in ORACLE_GS + golden_small_tables():
+        lat = all_congruences(g)
+        assert list(lat.irreducibles) == naive_irreducibles(lat.elements)
+        irreducible = set(lat.irreducibles)
+        assert list(lat.irreducibles) == [p for p in lat.principals if p in irreducible]
 
 
 def test_join_and_meet_match_oracles():
@@ -366,6 +426,13 @@ def test_chain8_sd_meet():
     lat = all_congruences(chain(8))
     assert len(lat.elements) == 2**7
     assert (lat.height(), len(lat.atoms())) == (7, 7)
+    assert is_sd_meet(lat)
+
+
+def test_chain10_sd_meet():
+    lat = all_congruences(chain(10))
+    assert len(lat.elements) == 2**9
+    assert (lat.height(), len(lat.atoms())) == (9, 9)
     assert is_sd_meet(lat)
 
 
