@@ -270,21 +270,37 @@ class CayleyTable:
     Commutativity and idempotence are deliberately not invariants of the
     type; plenty of useful counterexamples (the left-zero semigroup, say)
     are neither.
+
+    A table is immutable: it serves as a cache key (see
+    `csp.reduce_instance`), so its attributes are set once, here.
     """
 
     __slots__ = ("n", "rows")
+    rows: tuple[tuple[int, ...], ...]
+    n: int
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
-        self.n = len(self.rows)
-        if self.n < 1:
+        rows = tuple(tuple(r) for r in rows)
+        n = len(rows)
+        if n < 1:
             raise ValueError("carrier must have at least one element")
-        for r in self.rows:
-            if len(r) != self.n:
+        for r in rows:
+            if len(r) != n:
                 raise ValueError("table must be square")
             for v in r:
-                if not (0 <= v < self.n):
-                    raise ValueError(f"entry {v} outside 0..{self.n - 1}")
+                if not (0 <= v < n):
+                    raise ValueError(f"entry {v} outside 0..{n - 1}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CayleyTable is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CayleyTable is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return CayleyTable, (self.rows,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CayleyTable) and self.rows == other.rows

@@ -13,8 +13,12 @@ generalized arc consistency fixpoint, `_arc_consistency`, serves
 `solve_consistency` and the reduction: each constraint keeps the tuples
 inside the domains and cuts each domain to what they support, and a
 constraint is filtered again only when a domain in its scope shrinks.
-Neither removes a value that a solution uses, so both solvers return the
-same lexicographically least solution.
+As in AC-3, the queue starts with the constraints that can cut the full
+domains, those whose relation's projection misses part of a sort; on a
+subdirect instance, such as 3-LIN equations, there are none, and the full
+domains come back without an index being built. Neither search nor
+fixpoint removes a value that a solution uses, so both solvers return
+the same lexicographically least solution.
 
 An instance over a CSP(Γ) template draws its relations from a fixed
 language, and many constraints share one `Relation`. So each relation
@@ -26,7 +30,13 @@ The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
 constrained values, and replaces every domain by the σ-class of a_v. The
 reduced instance is many-sorted over the σ-fibers and is satisfiable
-exactly when the original is.
+exactly when the original is. The template's split into σ-fibers depends
+on the template and the term only, so a bounded cache keyed on both keeps
+it, as immutable values, for every instance over that template.
+
+`is_invariant` and `close_under` share one kernel, `_products`, that
+multiplies a tuple with many tuples at once, reading the table row by row
+down the columns of their coordinates.
 """
 
 from __future__ import annotations
@@ -36,7 +46,9 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from itertools import chain
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from cigroupoids.core import (
     BoundExceeded,
@@ -184,6 +196,13 @@ def _commutes(g: CayleyTable) -> bool:
     return g.rows == tuple(zip(*g.rows))
 
 
+def _products(rows: Sequence[Sequence[int]], t: tuple[int, ...], columns: Sequence[Sequence[int]]):
+    """The coordinatewise products t·u, in order, for the tuples u whose
+    coordinates `columns` lists position by position: columns[p][j] is
+    u_j[p]. One row of the table per coordinate, read down that column."""
+    return zip(*[map(rows[a].__getitem__, column) for a, column in zip(t, columns)])
+
+
 def is_invariant(r: Relation, g: CayleyTable) -> bool:
     """Closure of the tuple set under the coordinatewise product of pairs."""
     if any(s != r.signature[0] for s in r.signature):
@@ -194,13 +213,15 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
                 raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
     tuples = r.tuples
     rows = g.rows
-    commutative = _commutes(g)
     listed = list(tuples)
-    for i, t1 in enumerate(listed):
-        for t2 in listed[i:] if commutative else listed:
-            if tuple(rows[a][b] for a, b in zip(t1, t2)) not in tuples:
-                return False
-    return True
+    columns = list(zip(*listed))
+    if _commutes(g):
+        # t_i meets t_i, t_i+1, ...: each unordered pair once
+        return all(
+            tuples.issuperset(_products(rows, t, [column[i:] for column in columns]))
+            for i, t in enumerate(listed)
+        )
+    return all(tuples.issuperset(_products(rows, t, columns)) for t in listed)
 
 
 # ---------------------------------------------------------------------------
@@ -301,29 +322,52 @@ def solve_brute(inst: CSPInstance) -> Solution | None:
     return _backtrack(inst, [(1 << inst.sorts[s].n) - 1 for s in inst.domain])
 
 
-def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[Collection[tuple[int, ...]]]]:
     """Domain masks and each constraint's live tuples at the generalized
     arc consistency fixpoint: the live tuples are the relation's tuples
-    inside the domains, in the relation's iteration order, and they project
-    onto exactly the domains.
+    inside the domains, and they project onto exactly the domains. A
+    constraint that was never filtered returns its relation's own tuple
+    set; a filtered one a list in the relation's iteration order.
+
+    On full domains a constraint can cut only where its relation's
+    projection (`Relation.projections`) misses part of the sort, so only
+    those constraints start in the queue (AC-3); the others join it when a
+    domain in their scope narrows. With none, the full domains are the
+    fixpoint and nothing else is built. The fixpoint is unique, so which
+    constraints start in the queue changes neither the domains nor the live
+    tuples.
 
     A constraint none of whose domains has narrowed yet keeps all its
-    tuples and reads its supports from the relation's projections; its
-    tuples are filtered only once a domain in its scope narrows. Runs on
-    after a domain empties, so everything that depends on it empties too;
-    applies no equality rule to a repeated scope variable."""
+    tuples and reads its supports from the projections; its tuples are
+    filtered only once a domain in its scope narrows. Runs on after a
+    domain empties, so everything that depends on it empties too; applies
+    no equality rule to a repeated scope variable."""
+    full_of = [(1 << t.n) - 1 for t in inst.sorts]
+    rels = [rel for _, rel in inst.constraints]
+    full_by_signature: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cutting = []
+    for k, rel in enumerate(rels):
+        want = full_by_signature.get(rel.signature)
+        if want is None:
+            want = full_by_signature[rel.signature] = tuple(full_of[s] for s in rel.signature)
+        if rel.projections() != want:
+            cutting.append(k)
+    if not cutting:
+        return [full_of[s] for s in inst.domain], [rel.tuples for rel in rels]
+
     positions = {v: i for i, v in enumerate(inst.variables)}
-    full = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
+    full = [full_of[s] for s in inst.domain]
     dom = list(full)
     scopes = [[positions[v] for v in scope] for scope, _ in inst.constraints]
-    rels = [rel for _, rel in inst.constraints]
     live: list = [None] * len(scopes)  # None: every tuple, not filtered yet
     woken_by: list[list[int]] = [[] for _ in dom]
     for k, idxs in enumerate(scopes):
         for u in dict.fromkeys(idxs):
             woken_by[u].append(k)
-    queue = deque(range(len(scopes)))
-    queued = [True] * len(scopes)
+    queue = deque(cutting)
+    queued = [False] * len(scopes)
+    for k in cutting:
+        queued[k] = True
     while queue:
         k = queue.popleft()
         queued[k] = False
@@ -342,7 +386,7 @@ def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[list[tuple[int,
                     if not queued[j]:
                         queued[j] = True
                         queue.append(j)
-    return dom, [list(rel.tuples) if kept is None else kept for kept, rel in zip(live, rels)]
+    return dom, [rel.tuples if kept is None else kept for kept, rel in zip(live, rels)]
 
 
 def solve_consistency(inst: CSPInstance) -> Solution | None:
@@ -376,13 +420,41 @@ class ReductionResult:
     )
 
 
-def fold_join(jm: list[list[int]], values: Sequence[int]) -> int:
+def fold_join(jm: Sequence[Sequence[int]], values: Sequence[int]) -> int:
     """Left fold of the join over the values in the given order."""
     it = iter(values)
     acc = next(it)
     for v in it:
         acc = jm[acc][v]
     return acc
+
+
+class _Split(NamedTuple):
+    """What the reduction reads of a template, all of it immutable."""
+
+    jm: tuple[tuple[int, ...], ...]  # a∨b
+    block_of: tuple[int, ...]  # the σ-class of each element
+    blocks: tuple[tuple[int, ...], ...]  # the σ-classes, parent elements
+    local: tuple[int, ...]  # the index of each element in its σ-class
+    fibers: tuple[CayleyTable, ...]  # each σ-class's sub-table, local indices
+
+
+@lru_cache(maxsize=32)
+def _template_split(g: CayleyTable, join: Term) -> _Split:
+    """The join matrix, σ and the σ-fibers of an idempotent template whose
+    join satisfies P1..P4 (checked by `plonka._fiber_split`). It depends on
+    (g, join) only, so the reduction computes it once per template; a
+    template that fails raises on every call, since nothing is cached then."""
+    if not check_property(g, "idempotent"):
+        raise NotPseudopartition("template is not idempotent")
+    jm, _, part, blocks, local, fibers = _fiber_split(g, join)
+    return _Split(
+        tuple(map(tuple, jm)),
+        part.block_of,
+        tuple(blocks),
+        tuple(local[x] for x in range(g.n)),
+        fibers,
+    )
 
 
 def reduce_instance(
@@ -392,16 +464,18 @@ def reduce_instance(
 
     Requires a single-sorted instance over an idempotent table for which
     the join term satisfies P1..P4 and all constraint relations are
-    invariant. Projections are first normalized to a subdirect fixpoint,
-    the arc consistency fixpoint of `solve_consistency`; an empty
-    projection short-circuits to a trivially unsatisfiable instance.
+    invariant. The template's split (join matrix, σ, fibers) comes from a
+    bounded cache keyed on (template, join), `_template_split`; the
+    invariance of the relations is checked on every call. Projections are
+    first normalized to a subdirect fixpoint, the arc consistency fixpoint
+    of `solve_consistency`; an empty projection short-circuits to a
+    trivially unsatisfiable instance. On a subdirect instance that fixpoint
+    is the full domains, found from the relations' projections alone.
     """
     if len(inst.sorts) != 1:
         raise ValueError("reduction expects a single-sorted instance")
     g = inst.sorts[0]
-    if not check_property(g, "idempotent"):
-        raise NotPseudopartition("template is not idempotent")
-    jm, _, part, blocks, local, fibers = _fiber_split(g, join)
+    jm, block_of, blocks, local, fibers = _template_split(g, join)
     for scope, rel in inst.constraints:
         if not is_invariant(rel, g):
             raise NotInvariant(f"constraint on {scope} is not invariant")
@@ -418,7 +492,7 @@ def reduce_instance(
         if b_sets[v]:
             a = fold_join(jm, b_sets[v])
             a_v[v] = a
-            blk = part.block_of[a]
+            blk = block_of[a]
             b_prime[v] = blocks[blk]
             domain.append(blk)
         else:
@@ -458,7 +532,7 @@ def reduce_instance(
         a=a_v,
         b_sets=b_sets,
         b_prime=b_prime,
-        fiber_globals=tuple(blocks),
+        fiber_globals=blocks,
         transform=transform,
     )
 
@@ -471,20 +545,25 @@ def close_under(template: CayleyTable, seeds: Iterable[tuple[int, ...]]) -> froz
     """Smallest tuple set containing seeds closed under the coordinatewise op."""
     rows = template.rows
     # Each tuple taken off the frontier meets itself and every tuple taken
-    # before it, so each pair is met once.
-    both = not _commutes(template)
+    # before it, whose coordinates `columns` keeps position by position, so
+    # each pair is met once; both products of a pair are taken in turn
+    # unless the table commutes.
+    flipped = None if _commutes(template) else tuple(zip(*rows))
     out = set(tuple(t) for t in seeds)
     frontier = list(out)
-    done: list[tuple[int, ...]] = []
+    columns: list[list[int]] = [[] for _ in frontier[0]] if frontier else []
     while frontier:
         t1 = frontier.pop()
-        done.append(t1)
-        for t2 in done:
-            for x, y in ((t1, t2), (t2, t1)) if both else ((t1, t2),):
-                p = tuple(rows[a][b] for a, b in zip(x, y))
-                if p not in out:
-                    out.add(p)
-                    frontier.append(p)
+        for column, e in zip(columns, t1):
+            column.append(e)
+        products = _products(rows, t1, columns)
+        if flipped is not None:
+            # t2·t1 reads the transposed table at (t1, t2)
+            products = chain.from_iterable(zip(products, _products(flipped, t1, columns)))
+        for p in products:
+            if p not in out:
+                out.add(p)
+                frontier.append(p)
     return frozenset(out)
 
 

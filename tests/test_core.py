@@ -61,6 +61,18 @@ def test_parse_star_shorthand():
     assert parse_term("(x (a*b))") == Prod(Var("x"), Prod(Var("a"), Var("b")))
 
 
+def test_table_is_immutable():
+    g = CayleyTable([[0, 1], [1, 0]])
+    for name, value in (("rows", ((0, 0), (0, 0))), ("n", 3), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError):
+        del g.rows
+    assert g.rows == ((0, 1), (1, 0)) and g.n == 2
+    for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert back == g and back.n == 2 and hash(back) == hash(g)
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "(x", "x)", "(x y z)", "x y", "( )", "x+"):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from cigroupoids.csp import (
     Relation,
     SortMismatch,
     _arc_consistency,
+    _template_split,
     close_under,
     fold_join,
     format_csp,
@@ -145,6 +146,56 @@ def test_is_invariant_sort_mismatch():
 def test_invariance_matches_naive(tuples):
     r = Relation.single_sorted(tuples, 2)
     assert is_invariant(r, SQUAG) == naive_invariant(frozenset(tuples), SQUAG)
+
+
+def naive_fixpoint_closure(template: CayleyTable, seeds) -> frozenset:
+    """Add every product of every ordered pair until nothing new appears."""
+    out = set(seeds)
+    while True:
+        new = {
+            tuple(template.rows[a][b] for a, b in zip(t1, t2)) for t1 in out for t2 in out
+        } - out
+        if not new:
+            return frozenset(out)
+        out |= new
+
+
+KERNEL_TEMPLATES = {
+    "fig1": load_fixture("fig1"),
+    "leftzero": load_fixture("leftzero"),
+    "squag": SQUAG,
+    "ainf-squag": AINF,
+}
+
+
+def test_product_kernel_matches_naive():
+    """`is_invariant` and `close_under` read their products through one
+    column kernel; both agree with pair-by-pair oracles on commutative and
+    non-commutative templates, at arities 1 to 4 and on the empty relation."""
+    rng = random.Random(2021)
+    verdicts = {name: set() for name in KERNEL_TEMPLATES}
+    for name, g in KERNEL_TEMPLATES.items():
+        for arity in range(1, 5):
+            empty = Relation.single_sorted((), arity)
+            assert is_invariant(empty, g) and naive_invariant(empty.tuples, g)
+            assert close_under(g, []) == frozenset()
+            for _ in range(30):
+                seeds = [
+                    tuple(rng.randrange(g.n) for _ in range(arity))
+                    for _ in range(rng.randint(1, 4))
+                ]
+                closed = close_under(g, seeds)
+                assert closed == naive_fixpoint_closure(g, seeds), (name, seeds)
+                # the closure, and arbitrary sets around it: a closure plus
+                # one stray tuple, and a closure less one tuple
+                stray = tuple(rng.randrange(g.n) for _ in range(arity))
+                for tuples in (closed, closed | {stray}, closed - {min(closed)}, set(seeds)):
+                    verdict = is_invariant(Relation.single_sorted(tuples, arity), g)
+                    assert verdict == naive_invariant(frozenset(tuples), g), (name, tuples)
+                    verdicts[name].add(verdict)
+    # x·y = x on the left-zero band, so every relation is invariant there
+    assert verdicts.pop("leftzero") == {True}
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +499,79 @@ def test_propagate_is_sound_and_closed():
     assert repeated and unary and empty
 
 
+def naive_gac(inst: CSPInstance):
+    """Set-based generalized arc consistency on a many-sorted instance:
+    every constraint keeps its tuples inside the domains and cuts each
+    domain to their projection, over and over until nothing changes.
+    Returns the domain masks and each constraint's tuple set."""
+    positions = {v: i for i, v in enumerate(inst.variables)}
+    scopes = [[positions[v] for v in scope] for scope, _ in inst.constraints]
+    dom = [set(range(inst.sorts[s].n)) for s in inst.domain]
+    live = [set(rel.tuples) for _, rel in inst.constraints]
+    changed = True
+    while changed:
+        changed = False
+        for k, idxs in enumerate(scopes):
+            live[k] = {t for t in live[k] if all(e in dom[u] for e, u in zip(t, idxs))}
+            for p, u in enumerate(idxs):
+                projection = {t[p] for t in live[k]}
+                if dom[u] - projection:
+                    dom[u] &= projection
+                    changed = True
+    return [sum(1 << a for a in d) for d in dom], live
+
+
+def gac_instances(count: int, seed: int):
+    """Three families, in turn: subdirect 3-LIN mod 3 (every relation
+    projects onto Z3 at every position, so no constraint can cut); 3-LIN
+    with arbitrary relations on top (cutting, full, empty, unary and with
+    repeated scope variables), some of them relations that project onto the
+    full sort yet have no tuple with equal entries where a scope repeats a
+    variable; and many-sorted reduced instances."""
+    rng = random.Random(seed)
+    for k in range(count):
+        family = k % 3
+        if family == 0:
+            inst, _ = planted_3lin(rng, rng.randint(3, 9), sat=rng.random() < 0.5)
+            yield family, inst
+        elif family == 1:
+            lin, _ = planted_3lin(rng, rng.randint(3, 6), sat=rng.random() < 0.5)
+            extra = random_relation_instance(rng, lin.sorts[0], len(lin.variables))
+            shift = Relation.single_sorted({(a, (a + 1) % 3) for a in range(3)}, 2)
+            x, y = rng.choice(lin.variables), rng.choice(lin.variables)
+            cons = lin.constraints + extra.constraints + (((x, x), shift), ((x, y), shift))
+            yield family, replace(lin, constraints=tuple(rng.sample(cons, len(cons))))
+        else:
+            template = REDUCTION_TEMPLATES[(k // 3) % len(REDUCTION_TEMPLATES)]
+            num_vars = rng.randint(2, 7)
+            inst = gen_instance(rng.randrange(10**6), template, num_vars, rng.randint(1, num_vars))
+            yield family, reduce_instance(inst).reduced
+
+
+def test_arc_consistency_matches_naive_fixpoint():
+    """The fixpoint is the naive one whichever constraints start in the
+    queue; where none can cut the full domains, the full domains come back
+    and every constraint keeps its relation's tuples."""
+    seen = {(family, kind) for family in range(3) for kind in ("cut", "uncut", "wiped")}
+    for k, (family, inst) in enumerate(gac_instances(600, seed=31)):
+        dom, live = _arc_consistency(inst)
+        naive_dom, naive_live = naive_gac(inst)
+        assert dom == naive_dom, k
+        assert [set(kept) for kept in live] == naive_live, k
+        full = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
+        cutting = any(
+            rel.projections() != tuple((1 << inst.sorts[s].n) - 1 for s in rel.signature)
+            for _, rel in inst.constraints
+        )
+        if not cutting:
+            assert dom == full, k
+            assert live == [rel.tuples for _, rel in inst.constraints], k
+        seen.discard((family, "wiped" if not all(dom) else "cut" if cutting else "uncut"))
+    # a subdirect 3-LIN instance never cuts, so never empties; the others do
+    # both, and a reduced instance may be subdirect or not
+    assert seen == {(0, "cut"), (0, "wiped")}, seen
+
+
 # ---------------------------------------------------------------------------
 # Forward checking against the lexicographic scan
 
@@ -641,6 +765,84 @@ def test_reduce_rejects_bad_template():
     xor = CayleyTable([[0, 1], [1, 0]])
     with pytest.raises(NotPseudopartition):
         reduce_instance(single_sorted_instance(xor, ["v"], []))
+
+
+def all_solutions(inst: CSPInstance):
+    positions = {v: i for i, v in enumerate(inst.variables)}
+    cons = [([positions[v] for v in scope], rel.tuples) for scope, rel in inst.constraints]
+    for vals in itertools.product(*(range(inst.sorts[s].n) for s in inst.domain)):
+        if all(tuple(map(vals.__getitem__, idxs)) in tuples for idxs, tuples in cons):
+            yield dict(zip(inst.variables, vals))
+
+
+def test_template_split_cache_is_invisible():
+    """Equal templates built as separate objects share one cached split,
+    and a reduction read from the cache equals one computed cold,
+    `transform` included, whichever template object comes first."""
+    rng = random.Random(77)
+    transformed = 0
+    for name, template in reduction_templates().items():
+        for _ in range(8):
+            inst = gen_instance(rng.randrange(10**6), template, num_vars=4, num_constraints=3)
+            twin = replace(inst, sorts=(CayleyTable(template.rows),))
+            assert twin.sorts[0] is not template
+            solutions = list(all_solutions(inst))
+            for first, second in ((inst, twin), (twin, inst)):
+                _template_split.cache_clear()
+                cold = reduce_instance(first)
+                assert _template_split.cache_info().misses == 1
+                warm = [reduce_instance(second), reduce_instance(first)]
+                assert _template_split.cache_info().hits == 2
+                for red in warm:
+                    assert red == cold
+                    assert red.reduced.sorts == cold.reduced.sorts
+                    for solution in solutions:
+                        assert red.transform(solution) == cold.transform(solution)
+                        transformed += 1
+    assert transformed
+    assert _template_split.cache_info().maxsize is not None
+
+
+def test_template_split_cache_keeps_no_failure():
+    inst = single_sorted_instance(FIG2A, ["v"], [(["v"], {(0,)})])
+    xor = single_sorted_instance(CayleyTable([[0, 1], [1, 0]]), ["v"], [])
+    size = _template_split.cache_info().currsize
+    for _ in range(3):
+        for bad in (inst, xor):
+            with pytest.raises(NotPseudopartition):
+                reduce_instance(bad)
+    assert _template_split.cache_info().currsize == size
+
+
+def test_cached_split_cannot_be_mutated():
+    inst = gen_instance(3, AINF, num_vars=4, num_constraints=3)
+    expected = reduce_instance(inst)
+    split = _template_split(AINF, STANDARD_JOIN)
+    for part in split:
+        assert isinstance(part, tuple)
+        for entry in part:
+            assert isinstance(entry, (int, tuple, CayleyTable))
+    with pytest.raises(AttributeError):
+        split.jm = ()
+    with pytest.raises(TypeError):
+        split.jm[0][0] = 1
+    red = reduce_instance(inst)
+    with pytest.raises(TypeError):
+        red.fiber_globals[0][0] = 1
+    fiber = red.reduced.sorts[0]
+    assert fiber is split.fibers[0]
+    with pytest.raises(AttributeError):
+        fiber.rows = ((0,),)
+    with pytest.raises(AttributeError):
+        fiber.n = 1
+    with pytest.raises(AttributeError):
+        del fiber.rows
+    # what a reduction hands out per call is its own to change
+    for v in red.b_prime:
+        red.b_prime[v] = ()
+        red.a[v] = -1
+    assert reduce_instance(inst) == expected
+    assert pickle.loads(pickle.dumps(fiber)) == fiber
 
 
 def test_reduce_requires_single_sort():
