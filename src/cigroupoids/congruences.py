@@ -127,10 +127,6 @@ class PartitionCongruence:
         return self.block_of[a] == self.block_of[b]
 
 
-def identity_congruence(n: int) -> PartitionCongruence:
-    return PartitionCongruence(tuple(range(n)))
-
-
 def from_pairs(n: int, pairs) -> PartitionCongruence:
     """Equivalence generated by the pairs (no compatibility check)."""
     parent = list(range(n))

@@ -10,15 +10,18 @@ a), with forward checking. A constraint is checked as soon as all but its
 last variable are set, and cuts that variable's mask to the values that
 complete it; a mask that empties rejects the value just set. One
 generalized arc consistency fixpoint, `_arc_consistency`, serves
-`solve_consistency` and the reduction: each constraint keeps the tuples
-inside the domains and cuts each domain to what they support, and a
-constraint is filtered again only when a domain in its scope shrinks.
-As in AC-3, the queue starts with the constraints that can cut the full
-domains, those whose relation's projection misses part of a sort; on a
-subdirect instance, such as 3-LIN equations, there are none, and the full
-domains come back without an index being built. Neither search nor
-fixpoint removes a value that a solution uses, so both solvers return
+`solve_consistency` and the reduction. It first cuts every domain by the
+projections of the constraints on it; if none narrows, as on a subdirect
+instance such as 3-LIN equations, that is the fixpoint. Otherwise, as in
+AC-3, each constraint on a narrowed domain keeps the tuples inside the
+domains and cuts each domain to what they support, and a constraint is
+filtered again only when a domain in its scope shrinks. Neither search
+nor fixpoint removes a value that a solution uses, so both solvers return
 the same lexicographically least solution.
+
+An instance checks its scopes once, when it is built, and keeps each as a
+tuple of variable indices (`CSPInstance._scopes`); the solvers and the
+reduction read that index and build no name lookup of their own.
 
 An instance over a CSP(Γ) template draws its relations from a fixed
 language, and many constraints share one `Relation`. So each relation
@@ -88,11 +91,8 @@ class Relation:
                 raise ValueError(f"tuple {t} has the wrong arity")
 
     @staticmethod
-    def single_sorted(tuples: Iterable[tuple[int, ...]], arity: int, sort: int = 0) -> "Relation":
-        return Relation((sort,) * arity, frozenset(tuples))
-
-    def sorted_tuples(self) -> list[tuple[int, ...]]:
-        return sorted(self.tuples)
+    def single_sorted(tuples: Iterable[tuple[int, ...]], arity: int) -> "Relation":
+        return Relation((0,) * arity, frozenset(tuples))
 
     def support(
         self, key: tuple[int, ...], target: int, same: tuple[tuple[int, int], ...]
@@ -129,6 +129,10 @@ class CSPInstance:
     sorts: tuple[CayleyTable, ...]
     domain: tuple[int, ...]  # sort id per variable, aligned with variables
     constraints: tuple[tuple[tuple[str, ...], Relation], ...]
+    # each constraint's scope as variable indices, built with the checks
+    # below; it depends on the fields above only, so it takes no part in
+    # ==, hash or repr, and `dataclasses.replace` builds it anew
+    _scopes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         index = {v: i for i, v in enumerate(self.variables)}
@@ -156,6 +160,8 @@ class CSPInstance:
                 for pos, e in enumerate(t):
                     if not (0 <= e < self.sorts[rel.signature[pos]].n):
                         raise ValueError(f"tuple {t} escapes its sort carrier")
+        scopes = tuple(tuple(index[v] for v in scope) for scope, _ in self.constraints)
+        object.__setattr__(self, "_scopes", scopes)
 
     def search_space(self) -> int:
         size = 1
@@ -165,25 +171,6 @@ class CSPInstance:
 
 
 Solution = dict[str, int]
-
-
-def single_sorted_instance(
-    template: CayleyTable,
-    variables: Sequence[str],
-    constraints: Sequence[tuple[Sequence[str], Iterable[tuple[int, ...]]]],
-) -> CSPInstance:
-    """Convenience builder for one-carrier instances."""
-    cons = []
-    for scope, tuples in constraints:
-        tuples = frozenset(tuple(t) for t in tuples)
-        arity = len(tuple(scope))
-        cons.append((tuple(scope), Relation.single_sorted(tuples, arity)))
-    return CSPInstance(
-        tuple(variables),
-        (template,),
-        (0,) * len(variables),
-        tuple(cons),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +233,15 @@ def _backtrack(inst: CSPInstance, base: Sequence[int]) -> Solution | None:
 
     Each level keeps the masks in force when its variable is set and copies
     them only when a check cuts one, so backtracking undoes nothing. The
-    support tables come from the relations (`Relation.support`), built once
-    per relation and read by every later call."""
-    positions = {v: i for i, v in enumerate(inst.variables)}
+    checks read each scope as variable indices from the instance
+    (`CSPInstance._scopes`) and the support tables from the relations
+    (`Relation.support`), built once per relation and read by every later
+    call; the checks themselves are set up on every call."""
     dom = list(base)
     # checks[u]: (getter of the key values, support table, last variable)
     # for each constraint whose last but one distinct variable is u
     checks: list[list[tuple[Callable, dict, int]]] = [[] for _ in dom]
-    for scope, rel in inst.constraints:
-        idxs = [positions[v] for v in scope]
+    for idxs, (_, rel) in zip(inst._scopes, inst.constraints):
         # the positions by variable, a repeated variable's first position first
         order = sorted(range(len(idxs)), key=idxs.__getitem__)
         same: tuple[tuple[int, int], ...] = ()
@@ -329,64 +316,50 @@ def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[Collection[tupl
     constraint that was never filtered returns its relation's own tuple
     set; a filtered one a list in the relation's iteration order.
 
-    On full domains a constraint can cut only where its relation's
-    projection (`Relation.projections`) misses part of the sort, so only
-    those constraints start in the queue (AC-3); the others join it when a
-    domain in their scope narrows. With none, the full domains are the
-    fixpoint and nothing else is built. The fixpoint is unique, so which
-    constraints start in the queue changes neither the domains nor the live
-    tuples.
-
-    A constraint none of whose domains has narrowed yet keeps all its
-    tuples and reads its supports from the projections; its tuples are
-    filtered only once a domain in its scope narrows. Runs on after a
-    domain empties, so everything that depends on it empties too; applies
-    no equality rule to a repeated scope variable."""
+    Every domain is first cut by the projections (`Relation.projections`,
+    memoized per relation) of the constraints on it. If none narrowed, as
+    on every subdirect instance such as 3-LIN equations, the full domains
+    are the fixpoint and every relation keeps its tuples. Otherwise, as in
+    AC-3, the queue starts with the constraints on a narrowed domain, the
+    only ones whose tuples the domains can cut; a filtered constraint cuts
+    each domain in its scope to what its live tuples support, and is
+    filtered again when a domain in its scope shrinks. The fixpoint is
+    unique, so the order changes neither the domains nor the live tuples.
+    Runs on after a domain empties, so everything that depends on it
+    empties too; applies no equality rule to a repeated scope variable."""
     full_of = [(1 << t.n) - 1 for t in inst.sorts]
-    rels = [rel for _, rel in inst.constraints]
-    full_by_signature: dict[tuple[int, ...], tuple[int, ...]] = {}
-    cutting = []
-    for k, rel in enumerate(rels):
-        want = full_by_signature.get(rel.signature)
-        if want is None:
-            want = full_by_signature[rel.signature] = tuple(full_of[s] for s in rel.signature)
-        if rel.projections() != want:
-            cutting.append(k)
-    if not cutting:
-        return [full_of[s] for s in inst.domain], [rel.tuples for rel in rels]
-
-    positions = {v: i for i, v in enumerate(inst.variables)}
     full = [full_of[s] for s in inst.domain]
     dom = list(full)
-    scopes = [[positions[v] for v in scope] for scope, _ in inst.constraints]
-    live: list = [None] * len(scopes)  # None: every tuple, not filtered yet
+    rels = [rel for _, rel in inst.constraints]
+    scopes = inst._scopes
+    for idxs, rel in zip(scopes, rels):
+        for u, projection in zip(idxs, rel.projections()):
+            dom[u] &= projection
+    live: list[Collection[tuple[int, ...]]] = [rel.tuples for rel in rels]
+    if dom == full:
+        return dom, live
+
     woken_by: list[list[int]] = [[] for _ in dom]
     for k, idxs in enumerate(scopes):
         for u in dict.fromkeys(idxs):
             woken_by[u].append(k)
-    queue = deque(cutting)
-    queued = [False] * len(scopes)
-    for k in cutting:
-        queued[k] = True
+    queued = [any(dom[u] != full[u] for u in idxs) for idxs in scopes]
+    queue = deque(k for k, q in enumerate(queued) if q)
     while queue:
         k = queue.popleft()
         queued[k] = False
         idxs = scopes[k]
         narrowed = [(p, dom[u]) for p, u in enumerate(idxs) if dom[u] != full[u]]
-        if narrowed:
-            kept = rels[k].tuples if live[k] is None else live[k]
-            live[k] = kept = [t for t in kept if all(m >> t[p] & 1 for p, m in narrowed)]
-        else:
-            projections = rels[k].projections()
+        live[k] = kept = [t for t in live[k] if all(m >> t[p] & 1 for p, m in narrowed)]
         for p, u in enumerate(idxs):
-            support = sum({1 << t[p] for t in kept}) if narrowed else projections[p]
+            support = sum({1 << t[p] for t in kept})
             if dom[u] & ~support:
                 dom[u] &= support
                 for j in woken_by[u]:
                     if not queued[j]:
                         queued[j] = True
                         queue.append(j)
-    return dom, [rel.tuples if kept is None else kept for kept, rel in zip(live, rels)]
+    return dom, live
 
 
 def solve_consistency(inst: CSPInstance) -> Solution | None:
@@ -471,6 +444,11 @@ def reduce_instance(
     of `solve_consistency`; an empty projection short-circuits to a
     trivially unsatisfiable instance. On a subdirect instance that fixpoint
     is the full domains, found from the relations' projections alone.
+
+    Each variable v takes the σ-class of a_v, the join of its domain, as
+    its sort, and a constraint keeps, in local coordinates, the live tuples
+    whose every entry lies in the σ-class of its variable. A variable whose
+    domain emptied has no live tuples, so the sort 0 it gets admits none.
     """
     if len(inst.sorts) != 1:
         raise ValueError("reduction expects a single-sorted instance")
@@ -501,19 +479,18 @@ def reduce_instance(
             domain.append(0)
 
     new_cons = []
-    var_pos = {v: i for i, v in enumerate(inst.variables)}
-    for (scope, _), tuples in zip(inst.constraints, live):
-        sig = tuple(domain[var_pos[v]] for v in scope)
+    for (scope, _), idxs, tuples in zip(inst.constraints, inst._scopes, live):
+        sig = tuple(domain[u] for u in idxs)
         kept = [
             tuple(local[e] for e in t)
             for t in tuples
-            if all(e in b_prime[v] for e, v in zip(t, scope))
+            if all(block_of[e] == blk for e, blk in zip(t, sig))
         ]
         new_cons.append((tuple(scope), Relation(sig, frozenset(kept))))
     for v in inst.variables:
         if not b_sets[v]:
             # an empty unary pins the unsatisfiability in-instance
-            new_cons.append(((v,), Relation((domain[var_pos[v]],), frozenset())))
+            new_cons.append(((v,), Relation((0,), frozenset())))
 
     reduced = CSPInstance(inst.variables, fibers, tuple(domain), tuple(new_cons))
 
@@ -604,7 +581,7 @@ def format_csp(inst: CSPInstance) -> str:
         lines.append(f"var {v} {s}")
     for scope, rel in inst.constraints:
         lines.append("con " + " ".join(scope))
-        for t in rel.sorted_tuples():
+        for t in sorted(rel.tuples):
             lines.append("t " + " ".join(str(e) for e in t))
         lines.append("end")
     return "\n".join(lines) + "\n"
@@ -634,6 +611,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             pos += n + 1
     variables: list[str] = []
     domain: list[int] = []
+    index: dict[str, int] = {}  # a repeated name keeps its first position
     cons: list[tuple[tuple[str, ...], Relation]] = []
     while pos < len(lines):
         ln = lines[pos]
@@ -641,13 +619,14 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             toks = ln.split()
             if len(toks) != 3:
                 raise ValueError(f"var line needs a name and a sort id: {ln!r}")
+            index.setdefault(toks[1], len(variables))
             variables.append(toks[1])
             domain.append(parse_int(toks[2], ln, "sort id"))
             pos += 1
         elif ln.startswith("con "):
             scope = tuple(ln.split()[1:])
             for v in scope:
-                if v not in variables:
+                if v not in index:
                     raise ValueError(f"undeclared variable {v!r} in {ln!r}")
             pos += 1
             tuples = []
@@ -661,7 +640,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             if pos >= len(lines):
                 raise ValueError("unterminated constraint block")
             pos += 1  # skip 'end'
-            sig = tuple(domain[variables.index(v)] for v in scope)
+            sig = tuple(domain[index[v]] for v in scope)
             cons.append((scope, Relation(sig, frozenset(tuples))))
         else:
             raise ValueError(f"unrecognized line {ln!r}")

@@ -379,8 +379,3 @@ def variety_identities(variety: str) -> tuple[Identity, ...]:
     if variety == "associative":
         return (ASSOCIATIVE_LAW,)
     raise ValueError(f"unknown variety {variety!r}")
-
-
-def count_models(n: int, variety: str) -> int:
-    """Isomorphism classes of size n in the variety (over the CI base)."""
-    return len(all_models(n, variety_identities(variety)))

@@ -25,9 +25,10 @@ from cigroupoids.core import (
     product_algebra,
 )
 from cigroupoids.plonka import cie_cyclic
-from cigroupoids.search import all_models, count_models, variety_identities
+from cigroupoids.search import all_models, variety_identities
 from cigroupoids.suites import run_suite
 from test_bolmoufang import dual
+from test_search import count_models
 
 TRANSCRIPT = {
     entry["name"]: entry

@@ -17,7 +17,6 @@ from cigroupoids.congruences import (
     PartitionCongruence,
     all_congruences,
     from_pairs,
-    identity_congruence,
     is_compatible,
     is_sd_meet,
     join,
@@ -36,6 +35,11 @@ from cigroupoids.suites import reduction_templates
 
 SQUAG = load_fixture("fig4a")
 MEET2 = CayleyTable([[0, 0], [0, 1]])
+
+
+def identity_congruence(n: int) -> PartitionCongruence:
+    """The least congruence, Δ: every element in a block of its own."""
+    return PartitionCongruence(tuple(range(n)))
 
 
 def naive_principal(g, a, b):

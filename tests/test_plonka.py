@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from cigroupoids.congruences import NotACongruence, identity_congruence
+from cigroupoids.congruences import NotACongruence
 from cigroupoids.core import (
     CayleyTable,
     check_identity,
@@ -40,6 +40,7 @@ from cigroupoids.plonka import (
     plonka_sum,
     sigma,
 )
+from test_congruences import identity_congruence
 
 SQUAG = load_fixture("fig4a")
 MEET2 = CayleyTable([[0, 0], [0, 1]])

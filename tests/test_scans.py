@@ -14,7 +14,6 @@ import random
 from cigroupoids.congruences import (
     PartitionCongruence,
     from_pairs,
-    identity_congruence,
     is_compatible,
     principal_congruence,
 )
@@ -29,6 +28,7 @@ from cigroupoids.plonka import (
     sigma,
 )
 from cigroupoids.search import all_models, variety_identities
+from test_congruences import identity_congruence
 
 JOINS = (STANDARD_JOIN, parse_term("(x y)"), power_term(2))
 

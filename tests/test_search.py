@@ -27,13 +27,17 @@ from cigroupoids.search import (
     _ground_instances,
     all_models,
     canonical_form,
-    count_models,
     enumerate_models,
     find_separating_model,
     variety_identities,
 )
 
 SQUAG = load_fixture("fig4a")
+
+
+def count_models(n: int, variety: str) -> int:
+    """Isomorphism classes of size n in the variety (over the CI base)."""
+    return len(all_models(n, variety_identities(variety)))
 
 
 # --- canonical forms -----------------------------------------------------
