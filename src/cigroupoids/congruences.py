@@ -4,12 +4,12 @@ A congruence is stored as a block-id array: block_of[x] is the id of the
 class containing x, with ids normalized so that they appear in increasing
 order of least element. `_normalize` is the one function that normalizes.
 `PartitionCongruence.__post_init__` applies it to whatever labels it is
-given (union-find roots, class labels, pairs of block ids), so no instance
+given (class labels, the rows of σ, pairs of block ids), so no instance
 breaks the convention. The lattice code works on normalized block arrays,
 plain tuples, and builds a `PartitionCongruence` only for each element of
-the lattice it returns. `from_pairs` and `_join` generate equivalences
-through one union-find, `_find` with path halving; `_join` serves the
-sweep, the irreducibility test, SD(∧) and the public `join`.
+the lattice it returns. `_join` generates equivalences through the one
+union-find, `_find` with path halving, and serves the sweep, the
+irreducibility test, SD(∧) and the public `join`.
 
 A partition is a congruence exactly when every translation x -> a·x and
 x -> x·a maps blocks into blocks (Freese 2008, below). `is_compatible`
@@ -125,16 +125,6 @@ class PartitionCongruence:
 
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
-
-
-def from_pairs(n: int, pairs) -> PartitionCongruence:
-    """Equivalence generated by the pairs (no compatibility check)."""
-    parent = list(range(n))
-    for a, b in pairs:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-    return PartitionCongruence([_find(parent, x) for x in range(n)])
 
 
 def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tuple | None]:

@@ -529,8 +529,6 @@ def is_latin_square(g: CayleyTable) -> bool:
 
 
 def check_property(g: CayleyTable, name: str) -> bool:
-    if name == "latin-square":
-        return is_latin_square(g)
     try:
         laws = PROPERTY_LAWS[name]
     except KeyError:

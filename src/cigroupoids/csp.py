@@ -25,17 +25,19 @@ reduction read that index and build no name lookup of their own.
 
 An instance over a CSP(Γ) template draws its relations from a fixed
 language, and many constraints share one `Relation`. So each relation
-memoizes the lookup tables the solvers read (`Relation.support`): they are
-built once per relation, and every instance and every solver call over it
-reuses them.
+memoizes the lookup tables the solvers read (`Relation.support`), and the
+sort sizes its tuples were found to fit when an instance was built: each
+is computed once per relation, and every instance and every solver call
+over it reuses them.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
 constrained values, and replaces every domain by the σ-class of a_v. The
 reduced instance is many-sorted over the σ-fibers and is satisfiable
-exactly when the original is. The template's split into σ-fibers depends
-on the template and the term only, so a bounded cache keyed on both keeps
-it, as immutable values, for every instance over that template.
+exactly when the original is. The template's split into σ-fibers,
+`plonka.fiber_split`'s immutable `FiberSplit`, depends on the template
+and the term only, so a bounded cache keyed on both keeps it for every
+instance over that template.
 
 `is_invariant` and `close_under` share one kernel, `_products`, that
 multiplies a tuple with many tuples at once, reading the table row by row
@@ -51,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from cigroupoids.core import (
     BoundExceeded,
@@ -63,7 +65,7 @@ from cigroupoids.core import (
     parse_alg,
     parse_int,
 )
-from cigroupoids.plonka import STANDARD_JOIN, NotPseudopartition, _fiber_split
+from cigroupoids.plonka import STANDARD_JOIN, FiberSplit, NotPseudopartition, fiber_split
 
 BRUTE_LIMIT = 10**7
 
@@ -80,9 +82,10 @@ class NotInvariant(Exception):
 class Relation:
     signature: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
-    # support tables (keyed on the arguments of `support`) and projection
-    # masks (keyed on None); they depend on the tuples only, so they
-    # live as long as the relation and take no part in ==, hash or repr
+    # support tables (keyed on the arguments of `support`), projection
+    # masks (keyed on None) and the sort sizes the tuples fit (keyed on
+    # ("carriers", sizes)); they depend on the tuples only, so they live
+    # as long as the relation and take no part in ==, hash or repr
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -156,10 +159,13 @@ class CSPInstance:
                         f"constraint signature {rel.signature} disagrees with "
                         f"variable {v!r} of sort {self.domain[index[v]]}"
                     )
-            for t in rel.tuples:
-                for pos, e in enumerate(t):
-                    if not (0 <= e < self.sorts[rel.signature[pos]].n):
-                        raise ValueError(f"tuple {t} escapes its sort carrier")
+            sizes = tuple(self.sorts[s].n for s in rel.signature)
+            if ("carriers", sizes) not in rel._tables:
+                for t in rel.tuples:
+                    for pos, e in enumerate(t):
+                        if not (0 <= e < sizes[pos]):
+                            raise ValueError(f"tuple {t} escapes its sort carrier")
+                rel._tables["carriers", sizes] = True
         scopes = tuple(tuple(index[v] for v in scope) for scope, _ in self.constraints)
         object.__setattr__(self, "_scopes", scopes)
 
@@ -402,32 +408,15 @@ def fold_join(jm: Sequence[Sequence[int]], values: Sequence[int]) -> int:
     return acc
 
 
-class _Split(NamedTuple):
-    """What the reduction reads of a template, all of it immutable."""
-
-    jm: tuple[tuple[int, ...], ...]  # a∨b
-    block_of: tuple[int, ...]  # the σ-class of each element
-    blocks: tuple[tuple[int, ...], ...]  # the σ-classes, parent elements
-    local: tuple[int, ...]  # the index of each element in its σ-class
-    fibers: tuple[CayleyTable, ...]  # each σ-class's sub-table, local indices
-
-
 @lru_cache(maxsize=32)
-def _template_split(g: CayleyTable, join: Term) -> _Split:
-    """The join matrix, σ and the σ-fibers of an idempotent template whose
-    join satisfies P1..P4 (checked by `plonka._fiber_split`). It depends on
-    (g, join) only, so the reduction computes it once per template; a
-    template that fails raises on every call, since nothing is cached then."""
+def _template_split(g: CayleyTable, join: Term) -> FiberSplit:
+    """`plonka.fiber_split` of an idempotent template, which checks that the
+    join satisfies P1..P4. It depends on (g, join) only, so the reduction
+    computes it once per template; a template that fails raises on every
+    call, since nothing is cached then."""
     if not check_property(g, "idempotent"):
         raise NotPseudopartition("template is not idempotent")
-    jm, _, part, blocks, local, fibers = _fiber_split(g, join)
-    return _Split(
-        tuple(map(tuple, jm)),
-        part.block_of,
-        tuple(blocks),
-        tuple(local[x] for x in range(g.n)),
-        fibers,
-    )
+    return fiber_split(g, join)[1]
 
 
 def reduce_instance(
@@ -437,8 +426,8 @@ def reduce_instance(
 
     Requires a single-sorted instance over an idempotent table for which
     the join term satisfies P1..P4 and all constraint relations are
-    invariant. The template's split (join matrix, σ, fibers) comes from a
-    bounded cache keyed on (template, join), `_template_split`; the
+    invariant. The template's `FiberSplit` (join matrix, σ, fibers) comes
+    from a bounded cache keyed on (template, join), `_template_split`; the
     invariance of the relations is checked on every call. Projections are
     first normalized to a subdirect fixpoint, the arc consistency fixpoint
     of `solve_consistency`; an empty projection short-circuits to a

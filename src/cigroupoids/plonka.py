@@ -29,9 +29,13 @@ only. P5 says that each map x -> x∨y is a homomorphism; for each x1 and
 y it compares (x1·x2)∨y with (x1∨y)·(x2∨y) for all x2 at once. Only a
 comparison that fails is scanned element by element, so each witness is
 the one a scan over every tuple would find.
-`decompose` and `csp.reduce_instance` share one split of the table into
-σ-fibers, which tabulates the join, checks P1..P5 and validates σ once
-each.
+
+`fiber_split` tabulates the join, checks P1..P5 and builds σ once each,
+and returns the status with one immutable `FiberSplit`, the record that
+`decompose` and `csp.reduce_instance` both read. σ is built from its
+rows: row a lists the b with a∨b = a and b∨a = b. It is an equivalence
+exactly when each a lies in its own row and related elements have equal
+rows, and then its classes are the distinct rows.
 
 A `PlonkaSystem`'s contract is checked in its `__post_init__` only, which
 every builder goes through: one fiber and one globals entry per replica
@@ -48,13 +52,9 @@ from dataclasses import dataclass
 from itertools import chain, compress, product, starmap
 from operator import itemgetter, ne
 from types import MappingProxyType
+from typing import NamedTuple
 
-from cigroupoids.congruences import (
-    NotACongruence,
-    PartitionCongruence,
-    from_pairs,
-    is_compatible,
-)
+from cigroupoids.congruences import NotACongruence, PartitionCongruence, is_compatible
 from cigroupoids.core import (
     CayleyTable,
     Prod,
@@ -230,44 +230,50 @@ def sigma(g: CayleyTable, join: Term = STANDARD_JOIN) -> PartitionCongruence:
 
 def _sigma(g: CayleyTable, jm: list[list[int]]) -> PartitionCongruence:
     n = g.n
-
-    def related(a: int, b: int) -> bool:
-        return jm[a][b] == a and jm[b][a] == b
-
-    for a in range(n):
-        if not related(a, a):
+    # row a of σ: the b with a∨b = a and b∨a = b
+    rows = [tuple(b for b in range(n) if jm[a][b] == a and jm[b][a] == b) for a in range(n)]
+    for a, row in enumerate(rows):
+        if a not in row:
             raise NotACongruence("sigma is not reflexive", (a,))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if related(a, b)]
-    part = from_pairs(n, pairs)
-    for blk in part.blocks():
-        for a in blk:
-            for b in blk:
-                if not related(a, b):
-                    raise NotACongruence("sigma is not transitive", (a, b))
+    for a, row in enumerate(rows):
+        for b in row:
+            if rows[b] != row:
+                raise NotACongruence("sigma is not transitive", (a, b))
+    part = PartitionCongruence(rows)
     ok, witness = is_compatible(g, part)
     if not ok:
         raise NotACongruence("sigma is not operation-compatible", witness)
     return part
 
 
-def _fiber_split(g: CayleyTable, join: Term) -> tuple:
-    """(join matrix, P1..P5 status, σ, σ-classes, index of each element in
-    its class, class sub-tables), each computed once; P1..P4 must hold."""
+class FiberSplit(NamedTuple):
+    """A table split into σ-fibers, all of it immutable."""
+
+    jm: tuple[tuple[int, ...], ...]  # a∨b
+    block_of: tuple[int, ...]  # the σ-class of each element
+    blocks: tuple[tuple[int, ...], ...]  # the σ-classes, parent elements
+    local: tuple[int, ...]  # the index of each element in its σ-class
+    fibers: tuple[CayleyTable, ...]  # each σ-class's sub-table, local indices
+
+
+def fiber_split(g: CayleyTable, join: Term) -> tuple[P5Status, FiberSplit]:
+    """The P1..P5 status and the split into σ-fibers, each computed once;
+    P1..P4 must hold."""
     jm = join_matrix(g, join)
     status = _status_from_matrix(g, jm)
     if not status.pseudopartition:
         raise NotPseudopartition(str(status))
     part = _sigma(g, jm)
-    blocks = part.blocks()
-    local = {x: i for blk in blocks for i, x in enumerate(blk)}
+    block_of, blocks = part.block_of, tuple(part.blocks())
+    local = tuple(blocks[b].index(x) for x, b in enumerate(block_of))
     fibers = []
     for blk in blocks:
         for a in blk:
             for b in blk:
-                if part.block_of[g.rows[a][b]] != part.block_of[a]:
+                if block_of[g.rows[a][b]] != block_of[a]:
                     raise NotACongruence("sigma class not closed", (a, b))
         fibers.append(CayleyTable([[local[g.rows[a][b]] for b in blk] for a in blk]))
-    return jm, status, part, blocks, local, tuple(fibers)
+    return status, FiberSplit(tuple(map(tuple, jm)), block_of, blocks, local, tuple(fibers))
 
 
 @dataclass(frozen=True)
@@ -328,11 +334,12 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
     homomorphisms is a consistency check on the theory, so a failure there
     raises rather than degrades.
     """
-    jm, status, part, blocks, local, fibers = _fiber_split(g, join)
+    status, split = fiber_split(g, join)
+    jm, block_of, blocks, local = split.jm, split.block_of, split.blocks, split.local
     k = len(blocks)
     # σ is a congruence, so the classes multiply like their least elements
     reps = [blk[0] for blk in blocks]
-    replica = CayleyTable([[part.block_of[g.rows[a][b]] for b in reps] for a in reps])
+    replica = CayleyTable([[block_of[g.rows[a][b]] for b in reps] for a in reps])
 
     maps: dict[tuple[int, int], tuple[int, ...]] | None = None
     if status.holds("P5"):
@@ -345,11 +352,11 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
                 images = []
                 for x in blocks[s]:
                     y = jm[x][b]
-                    if part.block_of[y] != t:
+                    if block_of[y] != t:
                         raise NotACongruence("fiber map leaves its target", (x, b))
                     images.append(local[y])
                 maps[(s, t)] = tuple(images)
-    return PlonkaSystem(replica, fibers, tuple(blocks), maps)
+    return PlonkaSystem(replica, split.fibers, blocks, maps)
 
 
 def _validate_maps(

@@ -16,7 +16,6 @@ from cigroupoids.congruences import (
     CongruenceLattice,
     PartitionCongruence,
     all_congruences,
-    from_pairs,
     is_compatible,
     is_sd_meet,
     join,
@@ -40,6 +39,17 @@ MEET2 = CayleyTable([[0, 0], [0, 1]])
 def identity_congruence(n: int) -> PartitionCongruence:
     """The least congruence, Δ: every element in a block of its own."""
     return PartitionCongruence(tuple(range(n)))
+
+
+def from_pairs(n: int, pairs) -> PartitionCongruence:
+    """The equivalence generated by the pairs, with no compatibility check:
+    each pair merges the classes of its two elements."""
+    label = list(range(n))
+    for a, b in pairs:
+        keep, drop = label[a], label[b]
+        if keep != drop:
+            label = [keep if x == drop else x for x in label]
+    return PartitionCongruence(label)
 
 
 def naive_principal(g, a, b):

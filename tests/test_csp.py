@@ -90,6 +90,29 @@ def test_instance_validation():
         CSPInstance(("x",), (SQUAG,), (0,), ((("x",), bad),))
 
 
+def test_shared_relation_is_checked_against_its_carriers_once():
+    # a relation shared by thousands of constraints is scanned once per
+    # tuple of sort sizes: about 0.01 s on a 2-vCPU virtual machine
+    # (Python 3.11), where a scan per constraint took about 3 s
+    n, k = 50, 6000
+    chain = CayleyTable([[max(a, b) for b in range(n)] for a in range(n)])
+    rel = Relation.single_sorted(itertools.product(range(n), repeat=2), 2)
+    names = tuple(f"v{i}" for i in range(100))
+    cons = tuple(((names[i % 100], names[(7 * i + 1) % 100]), rel) for i in range(k))
+    start = time.perf_counter()
+    inst = CSPInstance(names, (chain,), (0,) * 100, cons)
+    elapsed = time.perf_counter() - start
+    assert len(inst.constraints) == k
+    assert elapsed < 0.5, f"checking {k} constraints took {elapsed:.2f} s"
+    # the verdict holds for these sort sizes only, and a failed scan
+    # records none
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^tuple \(\d+, \d+\) escapes its sort carrier$"):
+            CSPInstance(("x", "y"), (SQUAG,), (0, 0), ((("x", "y"), rel),))
+    assert ("carriers", (3, 3)) not in rel._tables
+    assert rel._tables[("carriers", (n, n))] is True
+
+
 def test_instance_search_space():
     inst = CSPInstance(("x", "y"), (MEET2, SQUAG), (0, 1), ())
     assert inst.search_space() == 6

@@ -6,14 +6,16 @@ import itertools
 import pickle
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from cigroupoids.congruences import NotACongruence
+from cigroupoids.congruences import NotACongruence, is_compatible
 from cigroupoids.core import (
     CayleyTable,
     check_identity,
     check_property,
+    is_latin_square,
     load_fixture,
     parse_identity,
     parse_term,
@@ -40,7 +42,7 @@ from cigroupoids.plonka import (
     plonka_sum,
     sigma,
 )
-from test_congruences import identity_congruence
+from test_congruences import from_pairs, identity_congruence
 
 SQUAG = load_fixture("fig4a")
 MEET2 = CayleyTable([[0, 0], [0, 1]])
@@ -115,10 +117,91 @@ def test_sigma_rejects_nonreflexive():
 
 
 def test_sigma_rejects_nontransitive():
-    # join = xy relates 0~1 and 1~2 directly but not 0~2
+    # join = xy relates 0~1 and 1~2 directly but not 0~2; the witness is the
+    # first related pair whose rows of σ differ: row 0 is (0, 1), row 1 is
+    # (0, 1, 2)
     g = CayleyTable([[0, 0, 1], [1, 1, 1], [0, 2, 2]])
-    with pytest.raises(NotACongruence):
+    with pytest.raises(NotACongruence) as err:
         sigma(g, parse_term("(x y)"))
+    assert (err.value.reason, err.value.witness) == ("sigma is not transitive", (0, 1))
+
+
+def oracle_sigma(g, join):
+    """The construction `sigma` replaced: the equivalence that the related
+    pairs generate, then a scan of each class for an unrelated pair."""
+    jm = join_matrix(g, join)
+    n = g.n
+
+    def related(a, b):
+        return jm[a][b] == a and jm[b][a] == b
+
+    for a in range(n):
+        if not related(a, a):
+            raise NotACongruence("sigma is not reflexive", (a,))
+    part = from_pairs(n, [(a, b) for a in range(n) for b in range(a + 1, n) if related(a, b)])
+    for blk in part.blocks():
+        for a in blk:
+            for b in blk:
+                if not related(a, b):
+                    raise NotACongruence("sigma is not transitive", (a, b))
+    ok, witness = is_compatible(g, part)
+    if not ok:
+        raise NotACongruence("sigma is not operation-compatible", witness)
+    return part
+
+
+def _sigma_outcome(fn, g, join):
+    try:
+        return fn(g, join)
+    except NotACongruence as exc:
+        return exc
+
+
+def test_sigma_matches_the_pair_closure_oracle():
+    # sigma builds σ from its rows; the oracle closes the related pairs.
+    # They agree on the partition and on the reason for every rejection.
+    # The witness agrees too, except for "not transitive": the oracle names
+    # an unrelated pair inside one class, sigma a related pair whose rows
+    # differ.
+    from cigroupoids.core import FIXTURE_NAMES
+    from cigroupoids.search import all_models
+    from cigroupoids.suites import reduction_templates
+
+    joins = [STANDARD_JOIN, parse_term("(x y)"), parse_term("x"), power_term(2), power_term(3)]
+    tables = [load_fixture(name) for name in FIXTURE_NAMES]
+    tables += [g for n in range(1, 5) for g in all_models(n, ())]
+    tables += list(reduction_templates().values())
+    # tables with no laws at all, where σ also fails to be reflexive or
+    # transitive
+    rng = random.Random(23)
+    tables += [
+        CayleyTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        for n in (2, 3, 4) for _ in range(40)
+    ]
+    outcomes = Counter()
+    for g in tables:
+        for join in joins:
+            want = _sigma_outcome(oracle_sigma, g, join)
+            got = _sigma_outcome(sigma, g, join)
+            if isinstance(want, NotACongruence):
+                assert isinstance(got, NotACongruence), (g, join)
+                assert got.reason == want.reason, (g, join)
+                if want.reason != "sigma is not transitive":
+                    assert got.witness == want.witness, (g, join)
+                else:
+                    a, b = got.witness
+                    jm = join_matrix(g, join)
+                    assert jm[a][b] == a and jm[b][a] == b, (g, join)
+                outcomes[want.reason] += 1
+            else:
+                assert got == want, (g, join)
+                outcomes["congruence"] += 1
+    assert outcomes == {
+        "congruence": 1264,
+        "sigma is not reflexive": 383,
+        "sigma is not transitive": 3,
+        "sigma is not operation-compatible": 20,
+    }
 
 
 # --- P1..P5 --------------------------------------------------------------
@@ -392,7 +475,7 @@ def test_cie_entropic_distributive(n):
     assert check_property(g, "idempotent")
     assert check_property(g, "entropic")
     assert check_property(g, "distributive")
-    assert check_property(g, "latin-square")
+    assert is_latin_square(g)
 
 
 # --- cid_exponent --------------------------------------------------------
@@ -410,7 +493,7 @@ def test_exponent_ainf():
     e = cid_exponent(AINF)
     sys = decompose(AINF, power_term(e))
     for fiber in sys.fibers:
-        assert check_property(fiber, "latin-square")
+        assert is_latin_square(fiber)
     assert sys.globals == ((0, 1, 2), (3,))
 
 

@@ -13,7 +13,6 @@ import random
 
 from cigroupoids.congruences import (
     PartitionCongruence,
-    from_pairs,
     is_compatible,
     principal_congruence,
 )
@@ -28,7 +27,7 @@ from cigroupoids.plonka import (
     sigma,
 )
 from cigroupoids.search import all_models, variety_identities
-from test_congruences import identity_congruence
+from test_congruences import from_pairs, identity_congruence
 
 JOINS = (STANDARD_JOIN, parse_term("(x y)"), power_term(2))
 
