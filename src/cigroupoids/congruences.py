@@ -78,15 +78,6 @@ from cigroupoids.core import BoundExceeded, CayleyTable
 MAX_N_CONGRUENCES = 12
 
 
-class NotACongruence(Exception):
-    """The relation fails to be an operation-compatible equivalence."""
-
-    def __init__(self, reason: str, witness: tuple):
-        super().__init__(f"{reason}: witness {witness}")
-        self.reason = reason
-        self.witness = witness
-
-
 def _normalize(labels) -> tuple[int, ...]:
     """Relabel hashable labels 0, 1, ... in order of first occurrence."""
     relabel: dict = {}

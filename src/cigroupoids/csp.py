@@ -584,6 +584,8 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     if not lines or not lines[pos].startswith("sorts "):
         raise ValueError("instance must start with 'sorts <k>'")
     k = parse_int(lines[pos][len("sorts ") :], lines[pos], "sort count")
+    if k < 0:
+        raise ValueError(f"sort count is negative: {lines[pos]!r}")
     pos += 1
     sorts = []
     for _ in range(k):

@@ -10,11 +10,30 @@ first four of five identities P1..P4 hold (P5 is extra):
     P5  (x1·x2)∨y = (x1∨y)·(x2∨y)
 
 Under P1..P4 the relation a σ b iff a∨b=a and b∨a=b is a congruence whose
-quotient is a semilattice; the groupoid is then a disjoint union of its
-σ-classes glued along that semilattice. When P5 also holds, the maps
-x -> x∨b between classes are homomorphisms and the groupoid is a full
-Płonka sum: the product of elements in different fibers is computed by
-pushing both into the join fiber first.
+classes are subgroupoids and whose quotient is a semilattice (Płonka, "On
+a method of construction of abstract algebras", Fund. Math. 61, 1967); the
+groupoid is then a disjoint union of its σ-classes glued along that
+semilattice. When P5 also holds, the maps x -> x∨b between classes are
+homomorphisms and the groupoid is a full Płonka sum: the product of
+elements in different fibers is computed by pushing both into the join
+fiber first.
+
+The part of the theorem this module relies on follows from P1..P4 alone,
+with neither idempotence nor commutativity of ·. P2 and P3 give
+(x∨y)∨z = (x∨z)∨y, so with P1, (x∨y)∨y = x∨y = (x∨y)∨x. P4 at y = uv
+and P1 give uv = ((uv)∨u)∨v, and then these give (uv)∨u = uv = (uv)∨v.
+- σ is an equivalence: reflexive by P1, symmetric by definition, and if
+  a σ b σ c then a∨c = (a∨b)∨c = a∨(b∨c) = a∨b = a by P2, and c∨a = c
+  likewise.
+- σ is compatible with · on both sides. If w∨u = w and u σ u', then
+  w∨u' = (w∨u)∨u' = w∨(u∨u') = w. So for a σ a', (ab)∨a' = ab, and by P4
+  (ab)∨(a'b) = ((ab)∨a')∨b = (ab)∨b = ab; swapping a and a' gives
+  ab σ a'b. Likewise (ba)∨(ba') = ((ba)∨b)∨a' = (ba)∨a' = ba.
+- Each class is closed under ·: a∨(ab) = (a∨a)∨b = a∨b by P4 and P1, so
+  a σ b gives a∨(ab) = a, and with (ab)∨a = ab, ab σ a.
+- The maps land in the right fiber: if xb σ b, then
+  b = b∨(xb) = (b∨x)∨b = (b∨b)∨x = b∨x, so b∨(x∨b) = (b∨x)∨b = b and
+  (x∨b)∨b = x∨b, that is x∨b σ b.
 
 The candidate join used throughout the workbench is x∨y = y·(x·y).
 
@@ -32,10 +51,12 @@ the one a scan over every tuple would find.
 
 `fiber_split` tabulates the join, checks P1..P5 and builds σ once each,
 and returns the status with one immutable `FiberSplit`, the record that
-`decompose` and `csp.reduce_instance` both read. σ is built from its
-rows: row a lists the b with a∨b = a and b∨a = b. It is an equivalence
-exactly when each a lies in its own row and related elements have equal
-rows, and then its classes are the distinct rows.
+`decompose`, `sigma` and `csp.reduce_instance` all read. P1..P4 are the
+only check it makes: by the proof above σ is then a congruence with
+closed classes, so it is built straight from its rows. Row a lists the b
+with a∨b = a and b∨a = b, which is a's class; the classes are the
+distinct rows, in order of least element. The replica's semilattice law
+is checked where every `PlonkaSystem` is built.
 
 A `PlonkaSystem`'s contract is checked in its `__post_init__` only, which
 every builder goes through: one fiber and one globals entry per replica
@@ -54,7 +75,7 @@ from operator import itemgetter, ne
 from types import MappingProxyType
 from typing import NamedTuple
 
-from cigroupoids.congruences import NotACongruence, PartitionCongruence, is_compatible
+from cigroupoids.congruences import PartitionCongruence
 from cigroupoids.core import (
     CayleyTable,
     Prod,
@@ -223,29 +244,6 @@ def check_pseudopartition(g: CayleyTable, join: Term = STANDARD_JOIN) -> P5Statu
     return _status_from_matrix(g, join_matrix(g, join))
 
 
-def sigma(g: CayleyTable, join: Term = STANDARD_JOIN) -> PartitionCongruence:
-    """The relation a σ b iff a∨b=a and b∨a=b, validated as a congruence."""
-    return _sigma(g, join_matrix(g, join))
-
-
-def _sigma(g: CayleyTable, jm: list[list[int]]) -> PartitionCongruence:
-    n = g.n
-    # row a of σ: the b with a∨b = a and b∨a = b
-    rows = [tuple(b for b in range(n) if jm[a][b] == a and jm[b][a] == b) for a in range(n)]
-    for a, row in enumerate(rows):
-        if a not in row:
-            raise NotACongruence("sigma is not reflexive", (a,))
-    for a, row in enumerate(rows):
-        for b in row:
-            if rows[b] != row:
-                raise NotACongruence("sigma is not transitive", (a, b))
-    part = PartitionCongruence(rows)
-    ok, witness = is_compatible(g, part)
-    if not ok:
-        raise NotACongruence("sigma is not operation-compatible", witness)
-    return part
-
-
 class FiberSplit(NamedTuple):
     """A table split into σ-fibers, all of it immutable."""
 
@@ -258,22 +256,30 @@ class FiberSplit(NamedTuple):
 
 def fiber_split(g: CayleyTable, join: Term) -> tuple[P5Status, FiberSplit]:
     """The P1..P5 status and the split into σ-fibers, each computed once;
-    P1..P4 must hold."""
+    P1..P4 must hold, and the module docstring proves the rest."""
     jm = join_matrix(g, join)
     status = _status_from_matrix(g, jm)
     if not status.pseudopartition:
         raise NotPseudopartition(str(status))
-    part = _sigma(g, jm)
-    block_of, blocks = part.block_of, tuple(part.blocks())
-    local = tuple(blocks[b].index(x) for x, b in enumerate(block_of))
-    fibers = []
-    for blk in blocks:
-        for a in blk:
-            for b in blk:
-                if block_of[g.rows[a][b]] != block_of[a]:
-                    raise NotACongruence("sigma class not closed", (a, b))
-        fibers.append(CayleyTable([[local[g.rows[a][b]] for b in blk] for a in blk]))
-    return status, FiberSplit(tuple(map(tuple, jm)), block_of, blocks, local, tuple(fibers))
+    n = g.n
+    # row a of σ, the b with a∨b = a and b∨a = b, is a's class
+    rows = [tuple(b for b in range(n) if jm[a][b] == a and jm[b][a] == b) for a in range(n)]
+    blocks = tuple(dict.fromkeys(rows))
+    block_of = tuple(map(blocks.index, rows))
+    local = tuple(row.index(x) for x, row in enumerate(rows))
+    fibers = tuple(
+        CayleyTable([[local[g.rows[a][b]] for b in blk] for a in blk]) for blk in blocks
+    )
+    return status, FiberSplit(tuple(map(tuple, jm)), block_of, blocks, local, fibers)
+
+
+def sigma(g: CayleyTable, join: Term = STANDARD_JOIN) -> PartitionCongruence:
+    """The congruence a σ b iff a∨b=a and b∨a=b, as `fiber_split` builds it.
+
+    P1..P4 must hold for the join on g; where they fail this raises
+    `NotPseudopartition`, whatever σ happens to be.
+    """
+    return PartitionCongruence(fiber_split(g, join)[1].block_of)
 
 
 @dataclass(frozen=True)
@@ -330,9 +336,10 @@ class PlonkaSystem:
 def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
     """Split g into σ-classes over the semilattice quotient.
 
-    Fiber maps are attached exactly when P5 holds; their validation as
-    homomorphisms is a consistency check on the theory, so a failure there
-    raises rather than degrades.
+    Fiber maps are attached exactly when P5 holds. Each x -> x∨b lands in
+    b's fiber by the proof in the module docstring; the system checks the
+    maps as homomorphisms where it is built, so a failure there raises
+    rather than degrades.
     """
     status, split = fiber_split(g, join)
     jm, block_of, blocks, local = split.jm, split.block_of, split.blocks, split.local
@@ -349,13 +356,7 @@ def decompose(g: CayleyTable, join: Term = STANDARD_JOIN) -> PlonkaSystem:
                 if replica.rows[s][t] != t:
                     continue
                 b = blocks[t][0]
-                images = []
-                for x in blocks[s]:
-                    y = jm[x][b]
-                    if block_of[y] != t:
-                        raise NotACongruence("fiber map leaves its target", (x, b))
-                    images.append(local[y])
-                maps[(s, t)] = tuple(images)
+                maps[(s, t)] = tuple(local[jm[x][b]] for x in blocks[s])
     return PlonkaSystem(replica, split.fibers, blocks, maps)
 
 
@@ -511,6 +512,8 @@ def parse_system(text: str) -> PlonkaSystem:
             if not colon or len(ends) != 2:
                 raise ValueError(f"bad map line: {ln!r}")
             s, t = (parse_int(v, ln, "map end") for v in ends)
+            if (s, t) in maps:
+                raise ValueError(f"repeated map {s} -> {t}: {ln!r}")
             maps[(s, t)] = tuple(parse_int(v, ln, "map image") for v in images.split())
         elif current is not None:
             current.append(ln)

@@ -1219,3 +1219,7 @@ def test_parse_errors():
         parse_csp("sorts 1\n2\n0 0\n0 1\nvar v 0\ncon v\nt 0\n")
     with pytest.raises(ValueError):
         parse_csp("sorts 1\n2\n0 0\n0 1\nfrobnicate\n")
+    with pytest.raises(ValueError, match=re.escape("sort count is negative: 'sorts -1'")):
+        parse_csp("sorts -1\n")
+    # no sorts at all is the empty instance
+    assert parse_csp("sorts 0\n") == CSPInstance((), (), (), ())

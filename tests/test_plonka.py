@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from cigroupoids.congruences import NotACongruence, is_compatible
+from cigroupoids.congruences import PartitionCongruence, is_compatible
 from cigroupoids.core import (
     CayleyTable,
     check_identity,
@@ -98,37 +98,47 @@ def test_sigma_adjoined_infinity_blocks():
 
 
 def test_sigma_naive_oracle():
-    # direct evaluation over all pairs, fixture by fixture
-    for name in ("fig3b", "fig4a", "fig4b"):
-        g = load_fixture(name)
+    # direct evaluation over all pairs, where P1..P4 hold; fig4b fails P4,
+    # so sigma raises there, though its σ is a congruence
+    for g in (load_fixture("fig3b"), SQUAG, AINF):
         jm = join_matrix(g, STANDARD_JOIN)
         part = sigma(g)
         for a in range(g.n):
             for b in range(g.n):
                 related = jm[a][b] == a and jm[b][a] == b
-                assert related == part.related(a, b), (name, a, b)
+                assert related == part.related(a, b), (g, a, b)
+    with pytest.raises(NotPseudopartition, match="^P1:ok P2:ok P3:ok P4:FAIL P5:FAIL$"):
+        sigma(load_fixture("fig4b"))
 
 
 def test_sigma_rejects_nonreflexive():
-    # with join = xy on a non-idempotent table, x∨x = x fails
+    # with join = xy on a non-idempotent table, x∨x = x fails: sigma checks
+    # P1..P4, not what σ would be
     xor2 = CayleyTable([[0, 1], [1, 0]])
-    with pytest.raises(NotACongruence):
+    with pytest.raises(NotPseudopartition, match="^P1:FAIL P2:ok P3:ok P4:ok P5:FAIL$"):
         sigma(xor2, parse_term("(x y)"))
 
 
 def test_sigma_rejects_nontransitive():
-    # join = xy relates 0~1 and 1~2 directly but not 0~2; the witness is the
-    # first related pair whose rows of σ differ: row 0 is (0, 1), row 1 is
-    # (0, 1, 2)
+    # join = xy relates 0~1 and 1~2 directly but not 0~2, and P2..P4 fail
     g = CayleyTable([[0, 0, 1], [1, 1, 1], [0, 2, 2]])
-    with pytest.raises(NotACongruence) as err:
+    with pytest.raises(NotPseudopartition, match="^P1:ok P2:FAIL P3:FAIL P4:FAIL P5:FAIL$"):
         sigma(g, parse_term("(x y)"))
-    assert (err.value.reason, err.value.witness) == ("sigma is not transitive", (0, 1))
+
+
+class NotACongruence(Exception):
+    """The relation fails to be an operation-compatible equivalence."""
+
+    def __init__(self, reason, witness):
+        super().__init__(f"{reason}: witness {witness}")
+        self.reason = reason
+        self.witness = witness
 
 
 def oracle_sigma(g, join):
-    """The construction `sigma` replaced: the equivalence that the related
-    pairs generate, then a scan of each class for an unrelated pair."""
+    """σ built and checked with no appeal to P1..P4: the equivalence that
+    the related pairs generate, then a scan of each class for an unrelated
+    pair, then a compatibility scan."""
     jm = join_matrix(g, join)
     n = g.n
 
@@ -150,24 +160,28 @@ def oracle_sigma(g, join):
     return part
 
 
-def _sigma_outcome(fn, g, join):
+GOLDEN_JOINS = (STANDARD_JOIN, parse_term("(x y)"), parse_term("x"), power_term(2), power_term(3))
+
+
+def _sigma_or_status(g, join):
+    """sigma's partition, or the P1..P4 status it raised on."""
     try:
-        return fn(g, join)
-    except NotACongruence as exc:
-        return exc
+        return sigma(g, join)
+    except NotPseudopartition as exc:
+        status = check_pseudopartition(g, join)
+        assert not status.pseudopartition and str(exc) == str(status), (g, join)
+        return status
 
 
 def test_sigma_matches_the_pair_closure_oracle():
-    # sigma builds σ from its rows; the oracle closes the related pairs.
-    # They agree on the partition and on the reason for every rejection.
-    # The witness agrees too, except for "not transitive": the oracle names
-    # an unrelated pair inside one class, sigma a related pair whose rows
-    # differ.
+    # Where P1..P4 hold, sigma and the oracle build the same partition.
+    # Where they fail, sigma raises NotPseudopartition with the status
+    # text, whatever σ is: the counts pin what the oracle makes of those
+    # pairs, 825 of which are congruences all the same.
     from cigroupoids.core import FIXTURE_NAMES
     from cigroupoids.search import all_models
     from cigroupoids.suites import reduction_templates
 
-    joins = [STANDARD_JOIN, parse_term("(x y)"), parse_term("x"), power_term(2), power_term(3)]
     tables = [load_fixture(name) for name in FIXTURE_NAMES]
     tables += [g for n in range(1, 5) for g in all_models(n, ())]
     tables += list(reduction_templates().values())
@@ -180,28 +194,73 @@ def test_sigma_matches_the_pair_closure_oracle():
     ]
     outcomes = Counter()
     for g in tables:
-        for join in joins:
-            want = _sigma_outcome(oracle_sigma, g, join)
-            got = _sigma_outcome(sigma, g, join)
-            if isinstance(want, NotACongruence):
-                assert isinstance(got, NotACongruence), (g, join)
-                assert got.reason == want.reason, (g, join)
-                if want.reason != "sigma is not transitive":
-                    assert got.witness == want.witness, (g, join)
-                else:
-                    a, b = got.witness
-                    jm = join_matrix(g, join)
-                    assert jm[a][b] == a and jm[b][a] == b, (g, join)
-                outcomes[want.reason] += 1
-            else:
+        for join in GOLDEN_JOINS:
+            got = _sigma_or_status(g, join)
+            try:
+                want = oracle_sigma(g, join)
+            except NotACongruence as exc:
+                assert not isinstance(got, PartitionCongruence), (g, join)
+                outcomes[exc.reason] += 1
+                continue
+            if isinstance(got, PartitionCongruence):
                 assert got == want, (g, join)
-                outcomes["congruence"] += 1
+                outcomes["P1..P4 hold"] += 1
+            else:
+                outcomes["P1..P4 fail, a congruence all the same"] += 1
     assert outcomes == {
-        "congruence": 1264,
+        "P1..P4 hold": 439,
+        "P1..P4 fail, a congruence all the same": 825,
         "sigma is not reflexive": 383,
         "sigma is not transitive": 3,
         "sigma is not operation-compatible": 20,
     }
+
+
+def _tables_of_size(n, codes):
+    """The n-element tables numbered by codes, entries read base n."""
+    return [
+        CayleyTable([[code // n ** (n * a + b) % n for b in range(n)] for a in range(n)])
+        for code in codes
+    ]
+
+
+def test_p1_to_p4_make_sigma_a_congruence_with_closed_classes():
+    # Płonka's theorem, which sigma, fiber_split and decompose rely on
+    # instead of checking: where P1..P4 hold, σ is the congruence the
+    # oracle finds, its classes are closed under ·, and x -> x∨b maps the
+    # fiber of x into the fiber of b whenever the replica has [x] ≤ [b].
+    # Most tables here are neither idempotent nor commutative.
+    from cigroupoids.core import FIXTURE_NAMES
+    from cigroupoids.search import all_models
+    from cigroupoids.suites import reduction_templates
+
+    ci = [g for n in range(1, 5) for g in all_models(n, ())]
+    tables = _tables_of_size(2, range(2**4))
+    tables += _tables_of_size(3, random.Random(24).sample(range(3**9), 2000))
+    tables += [load_fixture(name) for name in FIXTURE_NAMES]
+    tables += ci + list(reduction_templates().values())
+    pairs = [(g, join) for g in tables for join in GOLDEN_JOINS]
+    pairs += [
+        (g, power_term(cid_exponent(g))) for g in ci if check_property(g, "distributive")
+    ]
+    holds = 0
+    for g, join in pairs:
+        part = _sigma_or_status(g, join)
+        if not isinstance(part, PartitionCongruence):
+            continue
+        holds += 1
+        assert oracle_sigma(g, join) == part, (g, join)
+        fiber = part.block_of
+        blocks = part.blocks()
+        for blk in blocks:
+            assert {fiber[g.rows[a][b]] for a in blk for b in blk} == {fiber[blk[0]]}, (g, join)
+        jm = join_matrix(g, join)
+        system = decompose(g, join)
+        assert system.globals == tuple(blocks)
+        for s, t in itertools.product(range(len(blocks)), repeat=2):
+            if system.replica.rows[s][t] == t:
+                assert {fiber[jm[x][b]] for x in blocks[s] for b in blocks[t]} == {t}, (g, join)
+    assert (holds, len(pairs) - holds) == (2341, 8821)
 
 
 # --- P1..P5 --------------------------------------------------------------
@@ -390,8 +449,13 @@ CHAIN2 = CayleyTable([[0, 1], [1, 1]])
         (lambda: make_system(SQUAG, (ONE, ONE, ONE), {}), "replica must be a semilattice"),
         (lambda: make_system(CHAIN2, (SQUAG, SQUAG), {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)}),
          "stray map 1 -> 0: the replica has no 1 ≤ 0"),
+        # a later line for the same pair would silently replace the first
+        (lambda: parse_system(format_system(decompose(AINF)).replace(
+            "# map 0 0: 0 1 2", "# map 0 0: 2 2 2\n# map 0 0: 0 1 2")),
+         "repeated map 0 -> 0: '# map 0 0: 0 1 2'"),
     ],
-    ids=["fiber-count", "globals-length", "globals-partition", "replica", "stray-map"],
+    ids=["fiber-count", "globals-length", "globals-partition", "replica", "stray-map",
+         "repeated-map"],
 )
 def test_system_checks_its_contract_where_it_is_built(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -541,7 +605,6 @@ def test_plonka_outputs_golden():
     from cigroupoids.search import all_models
     from cigroupoids.suites import reduction_templates
 
-    joins = [STANDARD_JOIN, parse_term("(x y)"), parse_term("x"), power_term(2), power_term(3)]
     rng = random.Random(2015)
     tables = [load_fixture(name) for name in FIXTURE_NAMES]
     tables += [g for n in range(1, 5) for g in all_models(n, ())]
@@ -549,7 +612,7 @@ def test_plonka_outputs_golden():
     out = []
     decomposed = 0
     for g in tables:
-        for join in joins:
+        for join in GOLDEN_JOINS:
             st = check_pseudopartition(g, join)
             out.append((str(st), sorted(st.witnesses.items())))
             if st.pseudopartition:
@@ -565,7 +628,7 @@ def test_plonka_outputs_golden():
     for template in reduction_templates().values():
         for seed in range(20):
             inst = gen_instance(seed, template)
-            for join in joins:
+            for join in GOLDEN_JOINS:
                 red = _outcome(reduced, inst, join)
                 reductions += isinstance(red[0], str) and red[0].startswith("sorts")
                 out.append(red)
