@@ -21,14 +21,17 @@ the same lexicographically least solution.
 
 An instance checks its scopes once, when it is built, and keeps each as a
 tuple of variable indices (`CSPInstance._scopes`); the solvers and the
-reduction read that index and build no name lookup of their own.
+reduction read that index and build no name lookup of their own. The
+search's plan (each variable's unary cut and forward checks, `_plan`) is
+built on the instance's first solve and kept with it, so solving one
+instance again, under any domain masks, sets nothing up.
 
 An instance over a CSP(Γ) template draws its relations from a fixed
 language, and many constraints share one `Relation`. So each relation
-memoizes the lookup tables the solvers read (`Relation.support`), and the
-sort sizes its tuples were found to fit when an instance was built: each
-is computed once per relation, and every instance and every solver call
-over it reuses them.
+memoizes the lookup tables the solvers read (`Relation.support`), the
+sort sizes its tuples were found to fit, and its invariance verdict under
+each template (`is_invariant`): each is computed once per relation, and
+every instance, solver call and reduction over it reuses them.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
@@ -83,9 +86,10 @@ class Relation:
     signature: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
     # support tables (keyed on the arguments of `support`), projection
-    # masks (keyed on None) and the sort sizes the tuples fit (keyed on
-    # ("carriers", sizes)); they depend on the tuples only, so they live
-    # as long as the relation and take no part in ==, hash or repr
+    # masks (keyed on None), the sort sizes the tuples fit (keyed on
+    # ("carriers", sizes)) and the invariance verdict under a table g
+    # (keyed on ("invariant", g)); they depend on the tuples only, so they
+    # live as long as the relation and take no part in ==, hash or repr
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -136,6 +140,10 @@ class CSPInstance:
     # below; it depends on the fields above only, so it takes no part in
     # ==, hash or repr, and `dataclasses.replace` builds it anew
     _scopes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # the search plan `_backtrack` builds on the first solve (keyed on
+    # "plan"); it too depends on the fields above only, and
+    # `dataclasses.replace` starts with an empty memo
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         index = {v: i for i, v in enumerate(self.variables)}
@@ -197,28 +205,86 @@ def _products(rows: Sequence[Sequence[int]], t: tuple[int, ...], columns: Sequen
 
 
 def is_invariant(r: Relation, g: CayleyTable) -> bool:
-    """Closure of the tuple set under the coordinatewise product of pairs."""
+    """Closure of the tuple set under the coordinatewise product of pairs.
+    Raises `SortMismatch` on every call with a relation that is not
+    single-sorted or whose tuples leave the carrier of g; otherwise the
+    verdict, True or False, is kept in the relation's memo, keyed on
+    ("invariant", g), and read by every later call with that table."""
     if any(s != r.signature[0] for s in r.signature):
         raise SortMismatch("relation is not single-sorted")
-    for t in r.tuples:
-        for e in t:
-            if not (0 <= e < g.n):
-                raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
-    tuples = r.tuples
-    rows = g.rows
-    listed = list(tuples)
-    columns = list(zip(*listed))
-    if _commutes(g):
-        # t_i meets t_i, t_i+1, ...: each unordered pair once
-        return all(
-            tuples.issuperset(_products(rows, t, [column[i:] for column in columns]))
-            for i, t in enumerate(listed)
-        )
-    return all(tuples.issuperset(_products(rows, t, columns)) for t in listed)
+    sizes = (g.n,) * len(r.signature)
+    if ("carriers", sizes) not in r._tables:
+        for t in r.tuples:
+            for e in t:
+                if not (0 <= e < g.n):
+                    raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
+        r._tables["carriers", sizes] = True
+    verdict = r._tables.get(("invariant", g))
+    if verdict is None:
+        tuples = r.tuples
+        rows = g.rows
+        listed = list(tuples)
+        columns = list(zip(*listed))
+        if _commutes(g):
+            # t_i meets t_i, t_i+1, ...: each unordered pair once
+            verdict = all(
+                tuples.issuperset(_products(rows, t, [column[i:] for column in columns]))
+                for i, t in enumerate(listed)
+            )
+        else:
+            verdict = all(tuples.issuperset(_products(rows, t, columns)) for t in listed)
+        r._tables["invariant", g] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------
 # Solvers
+
+
+# one forward check: (getter of the key values, support table, last variable)
+_Check = tuple[Callable, dict, int]
+
+
+@lru_cache(maxsize=4096)
+def _getter(idxs: tuple[int, ...]) -> Callable:
+    """`operator.itemgetter` over the variable indices idxs: one object for
+    every plan that reads the same indices, so kept plans stay small."""
+    return operator.itemgetter(*idxs)
+
+
+def _plan(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[tuple[_Check, ...], ...]]:
+    """The search plan of `_backtrack`, built on the instance's first solve
+    and kept in `CSPInstance._memo`: each variable's mask of the values its
+    unary constraints allow, and each variable's forward checks, one
+    (getter of the key values, support table, last variable) per constraint
+    whose last but one distinct variable it is. Both are tuples, so a kept
+    plan stays compact."""
+    plan = inst._memo.get("plan")
+    if plan is not None:
+        return plan
+    unary = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
+    checks: list[list[_Check]] = [[] for _ in unary]
+    for idxs, (_, rel) in zip(inst._scopes, inst.constraints):
+        # the positions by variable, a repeated variable's first position first
+        order = sorted(range(len(idxs)), key=idxs.__getitem__)
+        same: tuple[tuple[int, int], ...] = ()
+        if len(set(idxs)) < len(idxs):
+            first: dict[int, int] = {}
+            for p in order:
+                first.setdefault(idxs[p], p)
+            same = tuple((p, first[u]) for p, u in enumerate(idxs) if p != first[u])
+            order = list(first.values())
+        # the key positions in ascending order, whatever the variables' order,
+        # so scopes that differ only in that order share one table
+        keys, target = sorted(order[:-1]), order[-1]
+        table = rel.support(tuple(keys), target, same)
+        if keys:
+            get = _getter(tuple(idxs[p] for p in keys))
+            checks[idxs[order[-2]]].append((get, table, idxs[target]))
+        else:
+            unary[idxs[target]] &= table.get((), 0)
+    plan = inst._memo["plan"] = (tuple(unary), tuple(map(tuple, checks)))
+    return plan
 
 
 def _backtrack(inst: CSPInstance, base: Sequence[int]) -> Solution | None:
@@ -239,33 +305,12 @@ def _backtrack(inst: CSPInstance, base: Sequence[int]) -> Solution | None:
 
     Each level keeps the masks in force when its variable is set and copies
     them only when a check cuts one, so backtracking undoes nothing. The
-    checks read each scope as variable indices from the instance
-    (`CSPInstance._scopes`) and the support tables from the relations
-    (`Relation.support`), built once per relation and read by every later
-    call; the checks themselves are set up on every call."""
-    dom = list(base)
-    # checks[u]: (getter of the key values, support table, last variable)
-    # for each constraint whose last but one distinct variable is u
-    checks: list[list[tuple[Callable, dict, int]]] = [[] for _ in dom]
-    for idxs, (_, rel) in zip(inst._scopes, inst.constraints):
-        # the positions by variable, a repeated variable's first position first
-        order = sorted(range(len(idxs)), key=idxs.__getitem__)
-        same: tuple[tuple[int, int], ...] = ()
-        if len(set(idxs)) < len(idxs):
-            first: dict[int, int] = {}
-            for p in order:
-                first.setdefault(idxs[p], p)
-            same = tuple((p, first[u]) for p, u in enumerate(idxs) if p != first[u])
-            order = list(first.values())
-        # the key positions in ascending order, whatever the variables' order,
-        # so scopes that differ only in that order share one table
-        keys, target = sorted(order[:-1]), order[-1]
-        table = rel.support(tuple(keys), target, same)
-        if keys:
-            get = operator.itemgetter(*[idxs[p] for p in keys])
-            checks[idxs[order[-2]]].append((get, table, idxs[target]))
-        else:
-            dom[idxs[target]] &= table.get((), 0)
+    unary cuts and the checks come from the instance's plan (`_plan`),
+    built on its first solve from the scopes as variable indices
+    (`CSPInstance._scopes`) and the relations' support tables
+    (`Relation.support`); every later call, under any `base`, reads it."""
+    unary, checks = _plan(inst)
+    dom = [b & u for b, u in zip(base, unary)]
     if not all(dom):
         return None
     if not dom:
@@ -373,8 +418,9 @@ def solve_consistency(inst: CSPInstance) -> Solution | None:
     search of `solve_brute` inside the domains left. Arc consistency removes
     no value that a solution uses, so this is the same lexicographically
     least solution, or None. The support tables and projections both read
-    are the relations' own, so calling both solvers on one instance, or
-    either on many instances over one language, builds each table once."""
+    are the relations' own, and the search plan the instance's own, so
+    calling both solvers on one instance, or either on many instances over
+    one language, builds each table and the plan once."""
     dom, _ = _arc_consistency(inst)
     return _backtrack(inst, dom) if all(dom) else None
 
@@ -427,8 +473,9 @@ def reduce_instance(
     Requires a single-sorted instance over an idempotent table for which
     the join term satisfies P1..P4 and all constraint relations are
     invariant. The template's `FiberSplit` (join matrix, σ, fibers) comes
-    from a bounded cache keyed on (template, join), `_template_split`; the
-    invariance of the relations is checked on every call. Projections are
+    from a bounded cache keyed on (template, join), `_template_split`, and
+    each relation's invariance verdict from its memo (`is_invariant`), so a
+    relation is proved invariant once per template. Projections are
     first normalized to a subdirect fixpoint, the arc consistency fixpoint
     of `solve_consistency`; an empty projection short-circuits to a
     trivially unsatisfiable instance. On a subdirect instance that fixpoint
@@ -542,7 +589,8 @@ def gen_instance(
 ) -> CSPInstance:
     """Deterministic random instance whose relations are invariant by
     construction: each is the closure of a few seed tuples under the
-    template operation."""
+    template operation, and enters its memo as invariant under the
+    template, so `is_invariant` does not prove it again."""
     rng = random.Random(seed)
     names = tuple(f"v{i}" for i in range(num_vars))
     cons = []
@@ -553,8 +601,9 @@ def gen_instance(
             tuple(rng.randrange(template.n) for _ in range(arity))
             for _ in range(rng.randint(1, 3))
         ]
-        tuples = close_under(template, seeds)
-        cons.append((scope, Relation.single_sorted(tuples, arity)))
+        rel = Relation.single_sorted(close_under(template, seeds), arity)
+        rel._tables["invariant", template] = True
+        cons.append((scope, rel))
     return CSPInstance(names, (template,), (0,) * num_vars, tuple(cons))
 
 

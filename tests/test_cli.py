@@ -447,6 +447,21 @@ def test_csp_solve_unsat_exit_code(capsys, monkeypatch):
     assert out.strip() == "unsatisfiable"
 
 
+def test_csp_solve_brute_bound_exit_code(capsys, tmp_path):
+    # 3^15 assignments: past the brute-force bound, not past the default's
+    rc, text, _ = run(capsys, "csp", "gen", "--seed", "1", "--template", "fig4a",
+                      "--vars", "15")
+    assert rc == 0
+    path = tmp_path / "wide.csp"
+    path.write_text(text)
+    rc, out, err = run(capsys, "csp", "solve", "--method", "brute", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: BoundExceeded: search space exceeds 10000000\n"
+    rc, out, _ = run(capsys, "csp", "solve", str(path))
+    assert rc == 0
+    assert len(out.splitlines()) == 15
+
+
 def test_csp_solve_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.csp"
     path.write_text("sorts 1\nnot a table\n")

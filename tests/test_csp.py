@@ -18,6 +18,7 @@ from cigroupoids.csp import (
     Relation,
     SortMismatch,
     _arc_consistency,
+    _backtrack,
     _template_split,
     close_under,
     fold_join,
@@ -44,6 +45,7 @@ AINF = adjoin_infinity(SQUAG)
 FIG2A = load_fixture("fig2a")
 FIG4B = load_fixture("fig4b")
 MEET2 = CayleyTable([[0, 0], [0, 1]])
+MEET4 = CayleyTable([[min(a, b) for b in range(4)] for a in range(4)])
 
 
 def single_sorted_instance(template: CayleyTable, variables, constraints) -> CSPInstance:
@@ -644,6 +646,52 @@ def test_solvers_least_on_planted_3lin():
     assert verdicts == {True, False}
 
 
+def base_twin(inst: CSPInstance, base) -> CSPInstance:
+    """The instance with each domain mask of `base` written as a unary
+    constraint on its variable."""
+    pins = tuple(
+        ((v,), Relation((s,), frozenset((a,) for a in range(inst.sorts[s].n) if mask >> a & 1)))
+        for v, s, mask in zip(inst.variables, inst.domain, base)
+    )
+    return replace(inst, constraints=inst.constraints + pins)
+
+
+def test_resolve_under_many_bases():
+    """Self-reduction's shape: one instance searched again and again under
+    other domain masks, pinning one more variable to its value each time
+    among them. Every search reads the plan the first one built and finds
+    the lexicographic scan's least solution of a twin that writes the masks
+    as unary constraints; both solvers agree on one instance whichever runs
+    first."""
+    rng = random.Random(71)
+    repeated = unary = pinned = 0
+    for k, inst in enumerate(mixed_instances(250, seed=73, max_vars=5)):
+        for scope, _ in inst.constraints:
+            repeated += len(set(scope)) < len(scope)
+            unary += len(set(scope)) == 1
+        full = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
+        bases = [full] + [
+            [0 if rng.random() < 0.05 else rng.randrange(1, m + 1) if rng.random() < 0.6 else m
+             for m in full]
+            for _ in range(8)
+        ]
+        least = least_solution(inst)
+        if least is not None:
+            values = [least[v] for v in inst.variables]
+            bases += [[1 << a for a in values[:i]] + full[i:] for i in range(1, len(full) + 1)]
+            pinned += 1
+        plan = None
+        for j, base in enumerate(bases):
+            assert _backtrack(inst, base) == least_solution(base_twin(inst, base)), (k, j)
+            plan = plan or inst._memo["plan"]
+            assert inst._memo["plan"] is plan, (k, j)
+        for order in ((solve_brute, solve_consistency), (solve_consistency, solve_brute)):
+            again = replace(inst)
+            for solve in order + order:
+                assert solve(again) == least, (k, order, solve)
+    assert repeated and unary and pinned
+
+
 def shared_relations(rng: random.Random, template: CayleyTable, count: int):
     """Arbitrary relations of arity 2 or 3, each a fresh object."""
     rels = []
@@ -777,6 +825,82 @@ def test_instance_index_is_invisible():
     with pytest.raises(FrozenInstanceError):
         del inst._scopes
     assert inst._scopes == ((0, 1, 2), (2, 0, 0), (1, 1, 1))
+
+    # the search plan the first solve keeps is just as invisible
+    unary = Relation.single_sorted({(1,), (2,)}, 1)
+    inst = CSPInstance(
+        ("x", "y", "z"), (SQUAG,), (0, 0, 0),
+        ((("x", "y", "z"), rel), (("z", "x", "x"), rel), (("y",), unary)),
+    )
+    expected = least_solution(inst)
+    assert expected is not None
+    assert inst._memo == {}
+    assert solve_brute(inst) == expected
+    plan = inst._memo["plan"]
+    # a second search reads the plan the first one built, under any base
+    restricted = least_solution(replace(inst, constraints=inst.constraints + ((("x",), unary),)))
+    assert restricted not in (None, expected)
+    assert _backtrack(inst, [0b111] * 3) == expected
+    assert _backtrack(inst, [0b110, 0b111, 0b111]) == restricted
+    assert solve_consistency(inst) == expected
+    assert inst._memo["plan"] is plan
+    # it takes no part in ==, hash or repr
+    twin = CSPInstance(inst.variables, inst.sorts, inst.domain, inst.constraints)
+    assert twin._memo == {}
+    assert twin == inst
+    assert hash(twin) == hash(inst)
+    assert repr(twin) == repr(inst)
+    # replace starts with an empty memo, a pickle may carry the plan; both solve
+    fresh = replace(inst)
+    assert fresh._memo == {}
+    for other in (fresh, pickle.loads(pickle.dumps(inst)), twin):
+        assert other == inst
+        assert solve_brute(other) == solve_consistency(other) == expected
+        assert _backtrack(other, [0b110, 0b111, 0b111]) == restricted
+    fewer = replace(inst, constraints=inst.constraints[:1])
+    assert fewer._memo == {}
+    assert solve_brute(fewer) == least_solution(fewer)
+    with pytest.raises(FrozenInstanceError):
+        inst._memo = {}
+    with pytest.raises(FrozenInstanceError):
+        del inst._memo
+    assert inst._memo["plan"] is plan
+
+
+def test_invariance_verdict_is_kept():
+    """Each (relation, table) verdict is proved once and kept, a False one
+    too; a relation that does not fit the table raises on every call."""
+    pair = Relation.single_sorted({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1)}, 2)
+    for _ in range(2):
+        # fig4a × {0..3} does not fit: 3 leaves its carrier
+        with pytest.raises(SortMismatch):
+            is_invariant(pair, SQUAG)
+    with pytest.raises(SortMismatch):
+        is_invariant(Relation((0, 1), frozenset({(0, 0)})), AINF)
+    diagonal = Relation.single_sorted({(a, a) for a in range(4)}, 2)
+    for _ in range(2):
+        assert is_invariant(pair, AINF) == naive_invariant(pair.tuples, AINF)
+        assert is_invariant(pair, MEET4) == naive_invariant(pair.tuples, MEET4)
+        assert is_invariant(diagonal, AINF)
+    assert pair._tables["invariant", AINF] is False
+    assert pair._tables["invariant", MEET4] is True
+    assert diagonal._tables["invariant", AINF] is True
+    # an equal table built as a separate object reads the same verdict
+    kept = dict(pair._tables)
+    assert not is_invariant(pair, CayleyTable(AINF.rows))
+    assert pair._tables == kept
+    # the verdict takes no part in ==, hash or repr
+    fresh = Relation.single_sorted(pair.tuples, 2)
+    assert pair == fresh
+    assert hash(pair) == hash(fresh)
+    assert repr(pair) == repr(fresh)
+    # a reduction reads the kept False verdict and refuses on every call
+    inst = single_sorted_instance(AINF, ["v"], [(["v"], {(0,), (1,)})])
+    for _ in range(3):
+        with pytest.raises(NotInvariant):
+            reduce_instance(inst)
+    (_, rel), = inst.constraints
+    assert rel._tables["invariant", AINF] is False
 
 
 # ---------------------------------------------------------------------------
@@ -1059,11 +1183,15 @@ def test_gen_deterministic():
 
 
 def test_generated_relations_are_invariant():
-    for template in (SQUAG, FIG4B, AINF):
+    # gen_instance records the verdict its closure proves; the independent
+    # oracle checks each relation, so the record cannot hide a closure bug
+    for template in [SQUAG, FIG4B, AINF] + REDUCTION_TEMPLATES:
         for seed in range(20):
             inst = gen_instance(seed, template, num_vars=4, num_constraints=3)
             for _, rel in inst.constraints:
+                assert rel._tables["invariant", template] is True
                 assert is_invariant(rel, template)
+                assert naive_invariant(rel.tuples, template)
 
 
 def test_closure_frozen_values():
