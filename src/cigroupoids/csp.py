@@ -22,9 +22,10 @@ the same lexicographically least solution.
 An instance checks its scopes once, when it is built, and keeps each as a
 tuple of variable indices (`CSPInstance._scopes`); the solvers and the
 reduction read that index and build no name lookup of their own. The
-search's plan (each variable's unary cut and forward checks, `_plan`) is
-built on the instance's first solve and kept with it, so solving one
-instance again, under any domain masks, sets nothing up.
+search's plan (the unary cuts and each variable's forward checks,
+`CSPInstance._plan`) is built on the instance's first solve and kept with
+it, so solving the same instance object again, under any domain masks,
+sets nothing up; a caller that solves an instance once gains nothing.
 
 An instance over a CSP(Γ) template draws its relations from a fixed
 language, and many constraints share one `Relation`. So each relation
@@ -140,10 +141,10 @@ class CSPInstance:
     # below; it depends on the fields above only, so it takes no part in
     # ==, hash or repr, and `dataclasses.replace` builds it anew
     _scopes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    # the search plan `_backtrack` builds on the first solve (keyed on
-    # "plan"); it too depends on the fields above only, and
-    # `dataclasses.replace` starts with an empty memo
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the search plan `_backtrack` builds on the first solve
+    # (`_search_plan`); it too depends on the fields above only, and
+    # `dataclasses.replace` starts without one
+    _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         index = {v: i for i, v in enumerate(self.variables)}
@@ -212,13 +213,10 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
     ("invariant", g), and read by every later call with that table."""
     if any(s != r.signature[0] for s in r.signature):
         raise SortMismatch("relation is not single-sorted")
-    sizes = (g.n,) * len(r.signature)
-    if ("carriers", sizes) not in r._tables:
-        for t in r.tuples:
-            for e in t:
-                if not (0 <= e < g.n):
-                    raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
-        r._tables["carriers", sizes] = True
+    for t in r.tuples:
+        for e in t:
+            if not (0 <= e < g.n):
+                raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
     verdict = r._tables.get(("invariant", g))
     if verdict is None:
         tuples = r.tuples
@@ -245,25 +243,23 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
 _Check = tuple[Callable, dict, int]
 
 
-@lru_cache(maxsize=4096)
-def _getter(idxs: tuple[int, ...]) -> Callable:
-    """`operator.itemgetter` over the variable indices idxs: one object for
-    every plan that reads the same indices, so kept plans stay small."""
-    return operator.itemgetter(*idxs)
-
-
-def _plan(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[tuple[_Check, ...], ...]]:
+def _search_plan(inst: CSPInstance) -> tuple[list[tuple[int, int]], list[list[_Check]]]:
     """The search plan of `_backtrack`, built on the instance's first solve
-    and kept in `CSPInstance._memo`: each variable's mask of the values its
-    unary constraints allow, and each variable's forward checks, one
-    (getter of the key values, support table, last variable) per constraint
-    whose last but one distinct variable it is. Both are tuples, so a kept
-    plan stays compact."""
-    plan = inst._memo.get("plan")
-    if plan is not None:
-        return plan
-    unary = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
-    checks: list[list[_Check]] = [[] for _ in unary]
+    and kept in `CSPInstance._plan`: a (variable, mask of the values it
+    allows) cut for each constraint on one distinct variable, and each
+    variable's forward checks, one (getter of the key values, support
+    table, last variable) per constraint whose last but one distinct
+    variable it is. Nothing reads it but `_backtrack`, which never writes
+    to it, so it is kept as built.
+
+    Keeping it pays only when the same instance object is solved again, as
+    when both solvers run on one instance or a self-reduction re-solves it
+    under other domain masks; a caller that solves each instance once
+    builds the plan once and never reads it again."""
+    if inst._plan is not None:
+        return inst._plan
+    cuts: list[tuple[int, int]] = []
+    checks: list[list[_Check]] = [[] for _ in inst.domain]
     for idxs, (_, rel) in zip(inst._scopes, inst.constraints):
         # the positions by variable, a repeated variable's first position first
         order = sorted(range(len(idxs)), key=idxs.__getitem__)
@@ -279,11 +275,12 @@ def _plan(inst: CSPInstance) -> tuple[tuple[int, ...], tuple[tuple[_Check, ...],
         keys, target = sorted(order[:-1]), order[-1]
         table = rel.support(tuple(keys), target, same)
         if keys:
-            get = _getter(tuple(idxs[p] for p in keys))
+            get = operator.itemgetter(*[idxs[p] for p in keys])
             checks[idxs[order[-2]]].append((get, table, idxs[target]))
         else:
-            unary[idxs[target]] &= table.get((), 0)
-    plan = inst._memo["plan"] = (tuple(unary), tuple(map(tuple, checks)))
+            cuts.append((idxs[target], table.get((), 0)))
+    plan = (cuts, checks)
+    object.__setattr__(inst, "_plan", plan)
     return plan
 
 
@@ -305,12 +302,14 @@ def _backtrack(inst: CSPInstance, base: Sequence[int]) -> Solution | None:
 
     Each level keeps the masks in force when its variable is set and copies
     them only when a check cuts one, so backtracking undoes nothing. The
-    unary cuts and the checks come from the instance's plan (`_plan`),
+    unary cuts and the checks come from the instance's plan (`_search_plan`),
     built on its first solve from the scopes as variable indices
     (`CSPInstance._scopes`) and the relations' support tables
     (`Relation.support`); every later call, under any `base`, reads it."""
-    unary, checks = _plan(inst)
-    dom = [b & u for b, u in zip(base, unary)]
+    cuts, checks = _search_plan(inst)
+    dom = list(base)
+    for v, mask in cuts:
+        dom[v] &= mask
     if not all(dom):
         return None
     if not dom:

@@ -683,8 +683,8 @@ def test_resolve_under_many_bases():
         plan = None
         for j, base in enumerate(bases):
             assert _backtrack(inst, base) == least_solution(base_twin(inst, base)), (k, j)
-            plan = plan or inst._memo["plan"]
-            assert inst._memo["plan"] is plan, (k, j)
+            plan = plan or inst._plan
+            assert inst._plan is plan, (k, j)
         for order in ((solve_brute, solve_consistency), (solve_consistency, solve_brute)):
             again = replace(inst)
             for solve in order + order:
@@ -834,37 +834,38 @@ def test_instance_index_is_invisible():
     )
     expected = least_solution(inst)
     assert expected is not None
-    assert inst._memo == {}
+    assert inst._plan is None
     assert solve_brute(inst) == expected
-    plan = inst._memo["plan"]
+    plan = inst._plan
+    assert plan is not None
     # a second search reads the plan the first one built, under any base
     restricted = least_solution(replace(inst, constraints=inst.constraints + ((("x",), unary),)))
     assert restricted not in (None, expected)
     assert _backtrack(inst, [0b111] * 3) == expected
     assert _backtrack(inst, [0b110, 0b111, 0b111]) == restricted
     assert solve_consistency(inst) == expected
-    assert inst._memo["plan"] is plan
+    assert inst._plan is plan
     # it takes no part in ==, hash or repr
     twin = CSPInstance(inst.variables, inst.sorts, inst.domain, inst.constraints)
-    assert twin._memo == {}
+    assert twin._plan is None
     assert twin == inst
     assert hash(twin) == hash(inst)
     assert repr(twin) == repr(inst)
-    # replace starts with an empty memo, a pickle may carry the plan; both solve
+    # replace starts without a plan, a pickle may carry it; both solve
     fresh = replace(inst)
-    assert fresh._memo == {}
+    assert fresh._plan is None
     for other in (fresh, pickle.loads(pickle.dumps(inst)), twin):
         assert other == inst
         assert solve_brute(other) == solve_consistency(other) == expected
         assert _backtrack(other, [0b110, 0b111, 0b111]) == restricted
     fewer = replace(inst, constraints=inst.constraints[:1])
-    assert fewer._memo == {}
+    assert fewer._plan is None
     assert solve_brute(fewer) == least_solution(fewer)
     with pytest.raises(FrozenInstanceError):
-        inst._memo = {}
+        inst._plan = None
     with pytest.raises(FrozenInstanceError):
-        del inst._memo
-    assert inst._memo["plan"] is plan
+        del inst._plan
+    assert inst._plan is plan
 
 
 def test_invariance_verdict_is_kept():
