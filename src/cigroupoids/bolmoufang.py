@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from cigroupoids.core import CayleyTable, Identity, Prod, Term, Var, check_identity
+from cigroupoids.core import CayleyTable, Identity, Prod, Term, Var, _Record, check_identity
 
 ORDERINGS = {
     "A": "xxyz",
@@ -38,19 +37,28 @@ BRACKETINGS = {
 LETTERS = "ABCDEF"
 
 
-@dataclass(frozen=True, order=True)
-class BMIdentity:
-    """One of the sixty names Xij with X in A..F and 1 <= i < j <= 5."""
+@functools.total_ordering
+class BMIdentity(_Record):
+    """One of the sixty names Xij with X in A..F and 1 <= i < j <= 5,
+    ordered by (letter, i, j)."""
 
-    letter: str
-    i: int
-    j: int
+    __slots__ = _fields = ("letter", "i", "j")
 
-    def __post_init__(self) -> None:
-        if self.letter not in LETTERS:
-            raise ValueError(f"ordering letter must be A..F, got {self.letter!r}")
-        if not (1 <= self.i < self.j <= 5):
-            raise ValueError(f"need 1 <= i < j <= 5, got ({self.i}, {self.j})")
+    def __init__(self, letter: str, i: int, j: int):
+        if letter not in LETTERS:
+            raise ValueError(f"ordering letter must be A..F, got {letter!r}")
+        if not (1 <= i < j <= 5):
+            raise ValueError(f"need 1 <= i < j <= 5, got ({i}, {j})")
+        self._init(letter, i, j)
+
+    # spelled out: `decode`'s cache hashes one name per identity checked
+    def _values(self) -> tuple[str, int, int]:
+        return self.letter, self.i, self.j
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
 
     @property
     def name(self) -> str:

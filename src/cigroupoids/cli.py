@@ -6,10 +6,23 @@ groupoids, `csp` for instances and the reduction, and `verify` for the
 named suites. Exit codes: 0 success (or satisfiable), 1 a check or search
 came up negative (10 for an unsatisfiable instance), 2 usage or data error.
 
-A process imports only the layers its subcommand runs: this module loads
-`core` alone, and each handler imports its own layer when it is called
-(`alg congruences` loads `congruences`, `cie` loads `plonka`, `verify`
-loads `suites`, and so on). Building the parser imports no layer.
+A process imports only the layers its subcommand runs. This module loads
+`core` alone, and building the parser imports no layer; each handler
+imports its own layer when it is called:
+
+- `alg check`: nothing more for a named property, `bolmoufang` for an
+  identity;
+- `alg classify`: `bolmoufang`;
+- `alg enumerate`, `alg separate`: `search`, which loads `bolmoufang`;
+- `alg congruences`: `congruences`;
+- `plonka`, `cie`: `plonka` (`congruences` only through `plonka.sigma`);
+- `csp gen`, `csp solve`: `csp`;
+- `csp reduce`: `csp`, then `plonka` for the template's split;
+- `verify`: `suites`, then each suite the layers it runs.
+
+No command loads `dataclasses` or `typing` before its handler runs: the
+records are plain `__slots__` classes (`core._Record`), and only `csp`
+keeps dataclasses.
 """
 
 from __future__ import annotations
@@ -17,13 +30,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from cigroupoids.core import (
     FIXTURE_NAMES,
     CayleyTable,
     Identity,
     PROPERTY_LAWS,
+    STANDARD_JOIN,
     check_identity_witness,
     check_property,
     format_alg,
@@ -192,8 +206,6 @@ def _cmd_alg_congruences(args, fmt: str) -> int:
 
 
 def _join_term(text: str | None):
-    from cigroupoids.plonka import STANDARD_JOIN
-
     return STANDARD_JOIN if text is None else parse_term(text)
 
 

@@ -3,7 +3,7 @@
 A congruence is stored as a block-id array: block_of[x] is the id of the
 class containing x, with ids normalized so that they appear in increasing
 order of least element. `_normalize` is the one function that normalizes.
-`PartitionCongruence.__post_init__` applies it to whatever labels it is
+`PartitionCongruence.__init__` applies it to whatever labels it is
 given (class labels, the rows of σ, pairs of block ids), so no instance
 breaks the convention. The lattice code works on normalized block arrays,
 plain tuples, and builds a `PartitionCongruence` only for each element of
@@ -71,9 +71,8 @@ elements of depth 1; neither joins or meets anything.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from cigroupoids.core import BoundExceeded, CayleyTable
+from cigroupoids.core import BoundExceeded, CayleyTable, _Record
 
 MAX_N_CONGRUENCES = 12
 
@@ -92,13 +91,13 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class PartitionCongruence:
+class PartitionCongruence(_Record):
+    __slots__ = _fields = ("block_of",)
     block_of: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, block_of) -> None:
         """Relabel any hashable labels to the normalized block ids."""
-        object.__setattr__(self, "block_of", _normalize(self.block_of))
+        object.__setattr__(self, "block_of", _normalize(block_of))
 
     @property
     def n(self) -> int:
@@ -220,8 +219,7 @@ def _lattice_order(key: tuple[int, ...]) -> tuple:
     return (max(key), key)
 
 
-@dataclass(frozen=True)
-class CongruenceLattice:
+class CongruenceLattice(_Record):
     """All congruences, finest first, each with the length of the longest
     chain up to it from the bottom; the distinct nontrivial principal
     congruences among them, in the same order; and the join-irreducible
@@ -230,11 +228,17 @@ class CongruenceLattice:
     congruences strictly below them, and every congruence is the join of
     the join-irreducibles below it."""
 
-    n: int
-    elements: tuple[PartitionCongruence, ...]
-    depths: tuple[int, ...]
-    principals: tuple[PartitionCongruence, ...]
-    irreducibles: tuple[PartitionCongruence, ...]
+    __slots__ = _fields = ("n", "elements", "depths", "principals", "irreducibles")
+
+    def __init__(
+        self,
+        n: int,
+        elements: tuple[PartitionCongruence, ...],
+        depths: tuple[int, ...],
+        principals: tuple[PartitionCongruence, ...],
+        irreducibles: tuple[PartitionCongruence, ...],
+    ):
+        self._init(n, elements, depths, principals, irreducibles)
 
     def height(self) -> int:
         """Length (edge count) of the longest chain."""

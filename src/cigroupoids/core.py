@@ -18,11 +18,10 @@ through the same scan.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from functools import lru_cache
 
 
 class UnboundVariable(Exception):
@@ -42,28 +41,84 @@ class BoundExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class _Record:
+    """Base of the package's immutable records, plain `__slots__` classes.
+
+    A record lists its fields in `_fields`, in constructor order, and sets
+    them in its own `__init__` through `object.__setattr__` (or `_init`).
+    Records are equal when they are of one type with equal fields; they
+    hash, pickle and copy by their fields and print in the dataclass form
+    `Name(field=value, ...)`. No attribute can be set or deleted.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
-class Prod:
-    left: "Term"
-    right: "Term"
+class Prod(_Record):
+    __slots__ = ("left", "right", "_sig")
+    _fields = ("left", "right")
 
-    # Equality and hashing go through the postfix signature rather than the
-    # recursive dataclass defaults, so terms of any depth can be compared
+    def __init__(self, left: Term, right: Term):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    # Equality and hashing go through the postfix signature rather than
+    # field by field, which recurses, so terms of any depth can be compared
     # and used as cache keys; the signature is walked once per instance.
-    @functools.cached_property
+    @property
     def signature(self) -> tuple[str | None, ...]:
-        return _signature(self)
+        try:
+            return self._sig
+        except AttributeError:
+            sig = _signature(self)
+            object.__setattr__(self, "_sig", sig)
+            return sig
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prod):
@@ -76,7 +131,7 @@ class Prod:
     def __str__(self) -> str:
         return _fold(self, lambda v: v.name, "({} {})".format)
 
-    # The dataclass repr and pickling recurse; these do not.
+    # A field-by-field repr and pickling would recurse; these do not.
     def __repr__(self) -> str:
         return _fold(self, repr, "Prod(left={}, right={})".format)
 
@@ -218,23 +273,31 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Identity:
-    lhs: Term
-    rhs: Term
+class Identity(_Record):
+    __slots__ = ("lhs", "rhs", "_compiled")
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs} ≈ {self.rhs}"
 
-    @functools.cached_property
+    @property
     def compiled(self) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
         """(names, lhs ops, rhs ops): both sides compiled over the sorted variables.
 
-        Cached on the instance, since hashing an identity for a lookup would
+        Kept on the instance, since hashing an identity for a lookup would
         walk both terms just as compiling them does.
         """
-        names = tuple(sorted(set(variables(self.lhs)) | set(variables(self.rhs))))
-        return names, compile_term(self.lhs, names), compile_term(self.rhs, names)
+        try:
+            return self._compiled
+        except AttributeError:
+            names = tuple(sorted(set(variables(self.lhs)) | set(variables(self.rhs))))
+            out = names, compile_term(self.lhs, names), compile_term(self.rhs, names)
+            object.__setattr__(self, "_compiled", out)
+            return out
 
 
 def parse_identity(text: str) -> Identity:
@@ -264,7 +327,7 @@ def positional_variables(t: Term) -> tuple[str, ...]:
 # Cayley tables
 
 
-class CayleyTable:
+class CayleyTable(_Record):
     """A finite binary operation on {0..n-1}.
 
     Commutativity and idempotence are deliberately not invariants of the
@@ -276,6 +339,7 @@ class CayleyTable:
     """
 
     __slots__ = ("n", "rows")
+    _fields = ("rows",)
     rows: tuple[tuple[int, ...], ...]
     n: int
 
@@ -292,15 +356,6 @@ class CayleyTable:
                     raise ValueError(f"entry {v} outside 0..{n - 1}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CayleyTable is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"CayleyTable is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return CayleyTable, (self.rows,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CayleyTable) and self.rows == other.rows
@@ -427,7 +482,7 @@ def _define(lines: list[str]) -> Callable:
     return namespace["f"]
 
 
-@functools.lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)
 def term_function(ops: tuple[int, ...], arity: int) -> Callable[..., int]:
     """f(rows, v0, .., v{arity-1}): the value of compiled ops on table rows."""
     body: list[str] = []
@@ -436,7 +491,7 @@ def term_function(ops: tuple[int, ...], arity: int) -> Callable[..., int]:
     return _define([f"def f(r{params}):"] + [f"    {s}" for s in body] + [f"    return {value}"])
 
 
-@functools.lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)
 def instance_function(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) -> Callable:
     """f(rows, n, assignment): one ground instance of lhs ≈ rhs on a partial table.
 
@@ -460,7 +515,7 @@ def instance_function(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) ->
     )
 
 
-@functools.lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)
 def _identity_scan(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) -> Callable:
     """f(rows, assignments): the first assignment where lhs and rhs differ, or None."""
     body: list[str] = []
@@ -504,6 +559,10 @@ ENTROPIC_LAW = Identity(
     Prod(Prod(_X, _Y), Prod(_Z, _W)), Prod(Prod(_X, _Z), Prod(_Y, _W))
 )
 SQUAG_LAW = Identity(Prod(_X, Prod(_X, _Y)), _Y)
+
+# The candidate join x∨y = y·(x·y) of the Płonka layer (see `plonka`), the
+# default of both that layer and the CSP reduction.
+STANDARD_JOIN: Term = Prod(_Y, Prod(_X, _Y))
 
 PROPERTY_LAWS = {
     "commutative": (COMMUTATIVE_LAW,),

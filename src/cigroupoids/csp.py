@@ -32,7 +32,9 @@ language, and many constraints share one `Relation`. So each relation
 memoizes the lookup tables the solvers read (`Relation.support`), the
 sort sizes its tuples were found to fit, and its invariance verdict under
 each template (`is_invariant`): each is computed once per relation, and
-every instance, solver call and reduction over it reuses them.
+every instance, solver call and reduction over it reuses them. `parse_csp`
+gives the `con` blocks with equal signature and tuples one `Relation`, so
+an instance read from a file shares them too.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
@@ -52,14 +54,14 @@ from __future__ import annotations
 
 import operator
 import os
-import random
 from collections import deque
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from cigroupoids.core import (
+    STANDARD_JOIN,
     BoundExceeded,
     CayleyTable,
     Term,
@@ -69,7 +71,6 @@ from cigroupoids.core import (
     parse_alg,
     parse_int,
 )
-from cigroupoids.plonka import STANDARD_JOIN, FiberSplit, NotPseudopartition, fiber_split
 
 BRUTE_LIMIT = 10**7
 
@@ -454,11 +455,15 @@ def fold_join(jm: Sequence[Sequence[int]], values: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=32)
-def _template_split(g: CayleyTable, join: Term) -> FiberSplit:
-    """`plonka.fiber_split` of an idempotent template, which checks that the
-    join satisfies P1..P4. It depends on (g, join) only, so the reduction
-    computes it once per template; a template that fails raises on every
-    call, since nothing is cached then."""
+def _template_split(g: CayleyTable, join: Term):
+    """The `plonka.FiberSplit` of an idempotent template, from
+    `plonka.fiber_split`, which checks that the join satisfies P1..P4. It
+    depends on (g, join) only, so the reduction computes it once per
+    template; a template that fails raises on every call, since nothing is
+    cached then. The reduction is the one path of this module that loads
+    `plonka`."""
+    from cigroupoids.plonka import NotPseudopartition, fiber_split
+
     if not check_property(g, "idempotent"):
         raise NotPseudopartition("template is not idempotent")
     return fiber_split(g, join)[1]
@@ -590,6 +595,8 @@ def gen_instance(
     construction: each is the closure of a few seed tuples under the
     template operation, and enters its memo as invariant under the
     template, so `is_invariant` does not prove it again."""
+    import random
+
     rng = random.Random(seed)
     names = tuple(f"v{i}" for i in range(num_vars))
     cons = []
@@ -652,6 +659,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
     domain: list[int] = []
     index: dict[str, int] = {}  # a repeated name keeps its first position
     cons: list[tuple[tuple[str, ...], Relation]] = []
+    relations: dict[tuple, Relation] = {}  # equal blocks share one Relation
     while pos < len(lines):
         ln = lines[pos]
         if ln.startswith("var "):
@@ -679,8 +687,10 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             if pos >= len(lines):
                 raise ValueError("unterminated constraint block")
             pos += 1  # skip 'end'
-            sig = tuple(domain[index[v]] for v in scope)
-            cons.append((scope, Relation(sig, frozenset(tuples))))
+            key = (tuple(domain[index[v]] for v in scope), frozenset(tuples))
+            if key not in relations:
+                relations[key] = Relation(*key)
+            cons.append((scope, relations[key]))
         else:
             raise ValueError(f"unrecognized line {ln!r}")
     return CSPInstance(tuple(variables), tuple(sorts), tuple(domain), tuple(cons))

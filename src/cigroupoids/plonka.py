@@ -58,7 +58,7 @@ with a∨b = a and b∨a = b, which is a's class; the classes are the
 distinct rows, in order of least element. The replica's semilattice law
 is checked where every `PlonkaSystem` is built.
 
-A `PlonkaSystem`'s contract is checked in its `__post_init__` only, which
+A `PlonkaSystem`'s contract is checked in its `__init__` only, which
 every builder goes through: one fiber and one globals entry per replica
 element, each globals entry as long as its fiber, globals partitioning
 0..n-1, a semilattice replica, and maps, when present, on exactly the
@@ -69,18 +69,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain, compress, product, starmap
 from operator import itemgetter, ne
 from types import MappingProxyType
-from typing import NamedTuple
 
-from cigroupoids.congruences import PartitionCongruence
 from cigroupoids.core import (
+    STANDARD_JOIN,
     CayleyTable,
-    Prod,
     Term,
-    Var,
+    _Record,
     check_property,
     compile_term,
     format_alg,
@@ -89,8 +86,6 @@ from cigroupoids.core import (
     term_function,
     variables,
 )
-
-STANDARD_JOIN: Term = Prod(Var("y"), Prod(Var("x"), Var("y")))
 
 
 class NotPseudopartition(Exception):
@@ -206,12 +201,14 @@ LAWS = (
 )
 
 
-@dataclass(frozen=True)
-class P5Status:
+class P5Status(_Record):
     """P1..P5 on one table: each law that fails maps to its first failing
     tuple, so a law holds exactly when it has no witness."""
 
-    witnesses: dict[str, tuple]
+    __slots__ = _fields = ("witnesses",)
+
+    def __init__(self, witnesses: dict[str, tuple]):
+        object.__setattr__(self, "witnesses", witnesses)
 
     def holds(self, name: str) -> bool:
         return name not in self.witnesses
@@ -244,14 +241,24 @@ def check_pseudopartition(g: CayleyTable, join: Term = STANDARD_JOIN) -> P5Statu
     return _status_from_matrix(g, join_matrix(g, join))
 
 
-class FiberSplit(NamedTuple):
-    """A table split into σ-fibers, all of it immutable."""
+class FiberSplit(_Record):
+    """A table split into σ-fibers, all of it immutable; it unpacks as
+    (jm, block_of, blocks, local, fibers)."""
 
-    jm: tuple[tuple[int, ...], ...]  # a∨b
-    block_of: tuple[int, ...]  # the σ-class of each element
-    blocks: tuple[tuple[int, ...], ...]  # the σ-classes, parent elements
-    local: tuple[int, ...]  # the index of each element in its σ-class
-    fibers: tuple[CayleyTable, ...]  # each σ-class's sub-table, local indices
+    __slots__ = _fields = ("jm", "block_of", "blocks", "local", "fibers")
+
+    def __init__(
+        self,
+        jm: tuple[tuple[int, ...], ...],  # a∨b
+        block_of: tuple[int, ...],  # the σ-class of each element
+        blocks: tuple[tuple[int, ...], ...],  # the σ-classes, parent elements
+        local: tuple[int, ...],  # the index of each element in its σ-class
+        fibers: tuple[CayleyTable, ...],  # each σ-class's sub-table, local indices
+    ):
+        self._init(jm, block_of, blocks, local, fibers)
+
+    def __iter__(self):
+        return iter(self._values())
 
 
 def fiber_split(g: CayleyTable, join: Term) -> tuple[P5Status, FiberSplit]:
@@ -279,11 +286,12 @@ def sigma(g: CayleyTable, join: Term = STANDARD_JOIN) -> PartitionCongruence:
     P1..P4 must hold for the join on g; where they fail this raises
     `NotPseudopartition`, whatever σ happens to be.
     """
+    from cigroupoids.congruences import PartitionCongruence
+
     return PartitionCongruence(fiber_split(g, join)[1].block_of)
 
 
-@dataclass(frozen=True)
-class PlonkaSystem:
+class PlonkaSystem(_Record):
     """Fibers over a semilattice replica, with optional gluing maps.
 
     globals[s] lists the parent elements of fiber s in ascending order;
@@ -293,7 +301,7 @@ class PlonkaSystem:
     the maps checked here stay the maps `plonka_sum` reads.
 
     Every builder (`decompose`, `make_system`, `parse_system`) goes
-    through `__post_init__`, so the contract is checked there and nowhere
+    through `__init__`, so the contract is checked there and nowhere
     else, and `plonka_sum` trusts any system it is given:
     - one fiber and one globals entry per replica element;
     - each globals entry as long as its fiber;
@@ -304,24 +312,28 @@ class PlonkaSystem:
       closed under composition (`_validate_maps`).
     """
 
-    replica: CayleyTable
-    fibers: tuple[CayleyTable, ...]
-    globals: tuple[tuple[int, ...], ...]
-    fiber_maps: Mapping[tuple[int, int], tuple[int, ...]] | None = None
+    __slots__ = _fields = ("replica", "fibers", "globals", "fiber_maps")
 
-    def __post_init__(self) -> None:
-        if not len(self.fibers) == len(self.globals) == self.replica.n:
+    def __init__(
+        self,
+        replica: CayleyTable,
+        fibers: tuple[CayleyTable, ...],
+        globals: tuple[tuple[int, ...], ...],
+        fiber_maps: Mapping[tuple[int, int], tuple[int, ...]] | None = None,
+    ):
+        if not len(fibers) == len(globals) == replica.n:
             raise ValueError("one fiber and one globals entry per replica element")
-        for s, (blk, f) in enumerate(zip(self.globals, self.fibers)):
+        for s, (blk, f) in enumerate(zip(globals, fibers)):
             if len(blk) != f.n:
                 raise ValueError(f"fiber {s} lists {len(blk)} elements for a {f.n}-element table")
-        if sorted(chain.from_iterable(self.globals)) != list(range(self.size)):
+        if sorted(chain.from_iterable(globals)) != list(range(sum(f.n for f in fibers))):
             raise ValueError("fiber globals must partition 0..n-1")
-        if not check_property(self.replica, "semilattice"):
+        if not check_property(replica, "semilattice"):
             raise ValueError("replica must be a semilattice")
-        if self.fiber_maps is not None:
-            object.__setattr__(self, "fiber_maps", MappingProxyType(dict(self.fiber_maps)))
-            _validate_maps(self.replica, self.fibers, self.fiber_maps)
+        if fiber_maps is not None:
+            fiber_maps = MappingProxyType(dict(fiber_maps))
+            _validate_maps(replica, fibers, fiber_maps)
+        self._init(replica, fibers, globals, fiber_maps)
 
     def __reduce__(self):
         # a mappingproxy neither pickles nor deep-copies: rebuild from a dict

@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
@@ -55,6 +54,7 @@ from cigroupoids.core import (
     BoundExceeded,
     CayleyTable,
     Identity,
+    _Record,
     check_identity,
     instance_function,
 )
@@ -152,19 +152,22 @@ def canonical_form(g: CayleyTable) -> CayleyTable:
     return CayleyTable(best)
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    n: int
-    require: tuple[Identity, ...] = ()
-    forbid: tuple[Identity, ...] = ()
-    commutative: bool = True
-    idempotent: bool = True
+class SearchSpec(_Record):
+    __slots__ = _fields = ("n", "require", "forbid", "commutative", "idempotent")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(
+        self,
+        n: int,
+        require: tuple[Identity, ...] = (),
+        forbid: tuple[Identity, ...] = (),
+        commutative: bool = True,
+        idempotent: bool = True,
+    ):
+        if n < 1:
             raise ValueError("carrier size must be >= 1")
-        if set(self.require) & set(self.forbid):
+        if set(require) & set(forbid):
             raise ValueError("require and forbid overlap")
+        self._init(n, require, forbid, commutative, idempotent)
 
 
 def _free_cells(n: int, commutative: bool, idempotent: bool) -> list[tuple[int, int]]:

@@ -25,20 +25,20 @@ process that runs one suite loads only those: `s2-terms` never loads `csp`,
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
     COMMUTATIVE_LAW,
     IDEMPOTENT_LAW,
+    STANDARD_JOIN,
     TWO_SEMILATTICE_LAW,
     CayleyTable,
     Identity,
     Prod,
     Term,
     Var,
+    _Record,
     check_identity,
     check_identity_witness,
     check_property,
@@ -57,17 +57,18 @@ class UnknownSuite(ValueError):
     """run_suite was asked for a name outside SUITE_NAMES."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    passed: bool
-    witness: str
+class CheckResult(_Record):
+    __slots__ = _fields = ("check", "passed", "witness")
+
+    def __init__(self, check: str, passed: bool, witness: str):
+        self._init(check, passed, witness)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    name: str
-    checks: tuple[CheckResult, ...]
+class SuiteReport(_Record):
+    __slots__ = _fields = ("name", "checks")
+
+    def __init__(self, name: str, checks: tuple[CheckResult, ...]):
+        self._init(name, checks)
 
     @property
     def overall(self) -> bool:
@@ -505,8 +506,10 @@ def reduction_templates() -> dict[str, CayleyTable]:
 
 
 def _suite_reduction() -> list[CheckResult]:
+    import random
+
     from cigroupoids.csp import fold_join, gen_instance, reduce_instance, solve_brute
-    from cigroupoids.plonka import STANDARD_JOIN, join_matrix, sigma
+    from cigroupoids.plonka import join_matrix, sigma
 
     checks = []
     templates = reduction_templates()

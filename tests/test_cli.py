@@ -650,11 +650,11 @@ def test_parser_subcommands_complete():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _fresh_python(code: str) -> str:
+def _fresh_python(code: str, *flags: str) -> str:
     """Run code in a new interpreter that imports the package from src/."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *flags, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -696,9 +696,9 @@ FOOTPRINTS = [
     ("alg classify fig4a", ("bolmoufang",)),
     ("alg enumerate -n 3", ("bolmoufang", "search")),
     ("alg congruences fig3b", ("congruences",)),
-    ("plonka check fig3b", ("congruences", "plonka")),
-    ("cie 7", ("congruences", "plonka")),
-    ("csp gen --seed 3 --template fig4b", ("congruences", "plonka", "csp")),
+    ("plonka check fig3b", ("plonka",)),
+    ("cie 7", ("plonka",)),
+    ("csp gen --seed 3 --template fig4b", ("csp",)),
     ("verify s2-terms", ("bolmoufang", "search", "suites")),
     ("verify reduction", ("congruences", "plonka", "csp", "suites")),
 ]
@@ -713,6 +713,34 @@ def test_import_footprint(command, layers):
     expected = {"cigroupoids", "cigroupoids.core", "cigroupoids.cli"}
     expected |= {f"cigroupoids.{m}" for m in layers}
     assert _modules_after(command) == expected
+
+
+def _cold_modules(code: str) -> set[str]:
+    """Every module a new interpreter holds after running code. Without
+    site (-S) the interpreter starts with the bare minimum, which pytest
+    itself and a site hook may not: both can load `typing`."""
+    out = _fresh_python(code + "\nimport sys\nprint(*sys.modules)", "-S")
+    return set(out.splitlines()[-1].split())
+
+
+def test_cold_import_loads_no_record_machinery():
+    # FOOTPRINTS' first row shows that the import loads no layer
+    assert not _cold_modules("import cigroupoids.cli") & {"dataclasses", "typing", "inspect"}
+    # σ is the one part of the Płonka layer that builds a congruence
+    assert "cigroupoids.congruences" not in _cold_modules("import cigroupoids.plonka")
+
+
+def test_csp_gen_and_solve_do_not_load_plonka(tmp_path):
+    path = tmp_path / "instance.csp"
+    code = (
+        "import contextlib\nimport cigroupoids.cli as cli\n"
+        f"with open({str(path)!r}, 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        "    assert cli.main(['csp', 'gen', '--seed', '3', '--template', 'fig4b']) == 0\n"
+        f"assert cli.main(['csp', 'solve', {str(path)!r}]) == 0\n"
+    )
+    loaded = _cold_modules(code)
+    assert "cigroupoids.csp" in loaded
+    assert "cigroupoids.plonka" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -1289,6 +1289,33 @@ def test_format_parse_roundtrip():
     assert parse_csp(format_csp(inst)) == inst
 
 
+def test_parse_shares_equal_relations():
+    # equal blocks (tuples in any order) share one Relation and its memos;
+    # a block with another signature or other tuples gets its own
+    text = (
+        "sorts 2\n3\n0 2 1\n2 1 0\n1 0 2\n2\n0 0\n0 1\n"
+        "var x 0\nvar y 0\nvar z 0\nvar w 1\n"
+        "con x y\nt 0 1\nt 1 2\nt 2 0\nend\n"
+        "con y z\nt 2 0\nt 0 1\nt 1 2\nend\n"
+        "con z x\nt 0 1\nt 1 0\nend\n"
+        "con x w\nt 0 1\nt 1 0\nend\n"
+        "con x y\nt 1 2\nt 2 0\nt 0 1\nend\n"
+    )
+    inst = parse_csp(text)
+    rels = [rel for _, rel in inst.constraints]
+    assert rels[0] is rels[1] is rels[4]
+    assert len({id(rel) for rel in rels}) == 3
+    # the same instance with a fresh relation per block reads and solves alike
+    fresh = replace(inst, constraints=tuple(
+        (scope, Relation(rel.signature, rel.tuples)) for scope, rel in inst.constraints
+    ))
+    assert fresh == inst
+    assert format_csp(inst) == format_csp(fresh)
+    assert parse_csp(format_csp(inst)) == inst
+    for solve in (solve_brute, solve_consistency):
+        assert solve(inst) == solve(fresh) == {"x": 1, "y": 2, "z": 0, "w": 0}
+
+
 def test_parse_at_file(tmp_path):
     from cigroupoids.core import format_alg
 

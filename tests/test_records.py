@@ -1,0 +1,202 @@
+"""The contract of the package's immutable records.
+
+Each record keeps what a frozen dataclass gave it: equality within its own
+type only, a hash shared by equal instances, the dataclass-form repr,
+pickling and copying, and no attribute that can be set or deleted.
+`BMIdentity` keeps its (letter, i, j) order, and `SearchSpec` and
+`PartitionCongruence` keep their validation.
+"""
+
+import collections
+import copy
+import itertools
+import pickle
+
+import pytest
+
+from cigroupoids.bolmoufang import ALL_BM, BMIdentity, bm
+from cigroupoids.congruences import CongruenceLattice, PartitionCongruence, all_congruences
+from cigroupoids.core import (
+    COMMUTATIVE_LAW,
+    CayleyTable,
+    Identity,
+    Prod,
+    Var,
+    load_fixture,
+    parse_identity,
+)
+from cigroupoids.plonka import (
+    STANDARD_JOIN,
+    FiberSplit,
+    P5Status,
+    PlonkaSystem,
+    adjoin_infinity,
+    check_pseudopartition,
+    decompose,
+    fiber_split,
+    make_system,
+)
+from cigroupoids.search import SearchSpec
+from cigroupoids.suites import CheckResult, SuiteReport
+
+FIG3B = load_fixture("fig3b")
+AINF = adjoin_infinity(load_fixture("fig4a"))
+
+# each record type with its fields, in constructor order
+FIELDS = {
+    Var: ("name",),
+    Prod: ("left", "right"),
+    Identity: ("lhs", "rhs"),
+    BMIdentity: ("letter", "i", "j"),
+    SearchSpec: ("n", "require", "forbid", "commutative", "idempotent"),
+    CheckResult: ("check", "passed", "witness"),
+    SuiteReport: ("name", "checks"),
+    PartitionCongruence: ("block_of",),
+    CongruenceLattice: ("n", "elements", "depths", "principals", "irreducibles"),
+    P5Status: ("witnesses",),
+    PlonkaSystem: ("replica", "fibers", "globals", "fiber_maps"),
+    FiberSplit: ("jm", "block_of", "blocks", "local", "fibers"),
+}
+
+
+def samples():
+    """For each record type, a maker of (a record, an unequal record of the
+    same type); each call builds new objects, so two calls give equal twins."""
+    yield lambda: (Var("x"), Var("y"))
+    yield lambda: (Prod(Var("x"), Var("y")), Prod(Var("y"), Var("x")))
+    yield lambda: (parse_identity("(x y) = (y x)"), parse_identity("(x (x y)) = y"))
+    yield lambda: (bm("E15"), bm("A12"))
+    yield lambda: (SearchSpec(3, (COMMUTATIVE_LAW,)), SearchSpec(3, commutative=False))
+    yield lambda: (CheckResult("c", True, "w"), CheckResult("c", False, "w"))
+    yield lambda: (
+        SuiteReport("s", (CheckResult("c", True, "w"),)),
+        SuiteReport("s", ()),
+    )
+    yield lambda: (PartitionCongruence((0, 0, 1)), PartitionCongruence((0, 1, 1)))
+    yield lambda: (all_congruences(FIG3B), all_congruences(AINF))
+    yield lambda: (check_pseudopartition(FIG3B), check_pseudopartition(load_fixture("fig2a")))
+    yield lambda: (decompose(FIG3B), decompose(AINF))
+    yield lambda: (
+        make_system(CayleyTable([[0]]), [CayleyTable([[0]])], {}),
+        PlonkaSystem(CayleyTable([[0]]), (CayleyTable([[0]]),), ((0,),)),
+    )
+    yield lambda: (fiber_split(FIG3B, STANDARD_JOIN)[1], fiber_split(AINF, STANDARD_JOIN)[1])
+
+
+SAMPLES = list(samples())
+IDS = [type(make()[0]).__name__ for make in SAMPLES]
+
+
+def values(r) -> tuple:
+    return tuple(getattr(r, f) for f in FIELDS[type(r)])
+
+
+def test_samples_cover_every_record_type():
+    assert {type(make()[0]) for make in SAMPLES} == set(FIELDS)
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=IDS)
+def test_equal_records_share_a_hash(make):
+    (a, other), (b, _) = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert a != other and not a == other
+    try:
+        h = hash(a)
+    except TypeError:
+        # a field that does not hash (a dict) makes the record unhashable
+        with pytest.raises(TypeError):
+            hash(b)
+    else:
+        assert hash(b) == h
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=IDS)
+def test_record_equals_no_other_type(make):
+    a, _ = make()
+    fields = FIELDS[type(a)]
+    lookalike = collections.namedtuple(type(a).__name__, fields)(*values(a))
+    for other in (values(a), lookalike):
+        assert a != other and other != a
+        assert not a == other and not other == a
+    for make_other in SAMPLES:
+        b, _ = make_other()
+        if type(b) is not type(a):
+            assert a != b and not a == b
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=IDS)
+def test_repr_keeps_the_dataclass_form(make):
+    for r in make():
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(FIELDS[type(r)], values(r)))
+        assert repr(r) == f"{type(r).__name__}({fields})"
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=IDS)
+def test_pickle_and_copies_round_trip(make):
+    for r in make():
+        for back in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(back) is type(r)
+            assert back == r
+            assert repr(back) == repr(r)
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=IDS)
+def test_attributes_cannot_be_set_or_deleted(make):
+    r, _ = make()
+    before = repr(r)
+    for f in FIELDS[type(r)]:
+        with pytest.raises(AttributeError):
+            setattr(r, f, getattr(r, f))
+        with pytest.raises(AttributeError):
+            delattr(r, f)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert repr(r) == before
+
+
+def test_bm_identities_keep_their_order():
+    assert sorted(ALL_BM) == list(ALL_BM)
+    assert sorted(reversed(ALL_BM)) == list(ALL_BM)
+    for a, b in itertools.combinations(ALL_BM, 2):
+        assert a < b and a <= b and b > a and b >= a
+        assert not b < a and (a.letter, a.i, a.j) < (b.letter, b.i, b.j)
+    assert bm("A12") <= bm("A12") >= bm("A12")
+    with pytest.raises(TypeError):
+        bm("A12") < ("A", 1, 2)
+
+
+def test_bm_identity_validates():
+    with pytest.raises(ValueError, match="ordering letter must be A..F"):
+        BMIdentity("G", 1, 2)
+    with pytest.raises(ValueError, match=r"need 1 <= i < j <= 5, got \(2, 2\)"):
+        BMIdentity("A", 2, 2)
+
+
+def test_search_spec_validates():
+    assert SearchSpec(n=2) == SearchSpec(2, (), (), True, True)
+    with pytest.raises(ValueError, match="carrier size must be >= 1"):
+        SearchSpec(0)
+    with pytest.raises(ValueError, match="require and forbid overlap"):
+        SearchSpec(3, require=(COMMUTATIVE_LAW,), forbid=(COMMUTATIVE_LAW,))
+    with pytest.raises(TypeError):
+        SearchSpec()
+
+
+def test_partition_congruence_normalizes_and_validates():
+    assert PartitionCongruence("bab").block_of == (0, 1, 0)
+    assert PartitionCongruence(block_of=[7, 7, 3]) == PartitionCongruence((0, 0, 1))
+    assert PartitionCongruence(iter((2, 1, 2))).block_of == (0, 1, 0)
+    with pytest.raises(TypeError):
+        PartitionCongruence([[0], [1]])  # labels must hash
+    with pytest.raises(TypeError):
+        PartitionCongruence(3)
+    with pytest.raises(TypeError):
+        PartitionCongruence()
+
+
+def test_plonka_system_fiber_maps_stay_read_only():
+    sys = decompose(FIG3B)
+    with pytest.raises(TypeError):
+        sys.fiber_maps[(0, 0)] = ()
+    assert pickle.loads(pickle.dumps(sys)).fiber_maps == sys.fiber_maps
