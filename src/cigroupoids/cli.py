@@ -10,19 +10,19 @@ A process imports only the layers its subcommand runs. This module loads
 `core` alone, and building the parser imports no layer; each handler
 imports its own layer when it is called:
 
-- `alg check`: nothing more for a named property, `bolmoufang` for an
-  identity;
+- `alg check`: nothing more for a named property or an identity literal,
+  `bolmoufang` for a Bol-Moufang name;
 - `alg classify`: `bolmoufang`;
-- `alg enumerate`, `alg separate`: `search`, which loads `bolmoufang`;
+- `alg enumerate`, `alg separate`: `search`, and `bolmoufang` for a
+  Bol-Moufang name or a Table 1 class;
 - `alg congruences`: `congruences`;
 - `plonka`, `cie`: `plonka` (`congruences` only through `plonka.sigma`);
 - `csp gen`, `csp solve`: `csp`;
 - `csp reduce`: `csp`, then `plonka` for the template's split;
 - `verify`: `suites`, then each suite the layers it runs.
 
-No command loads `dataclasses` or `typing` before its handler runs: the
-records are plain `__slots__` classes (`core._Record`), and only `csp`
-keeps dataclasses.
+No command loads `dataclasses` or `typing`: every record is a plain
+`__slots__` class (`core._Record`).
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def _load_table(path: str) -> CayleyTable:
 
 
 def _parse_identity_arg(text: str) -> Identity:
-    """A Bol-Moufang name like D23, or an identity literal."""
-    from cigroupoids.bolmoufang import LETTERS, bm, decode
-
+    """A Bol-Moufang name like D23 (this loads `bolmoufang`), or an identity literal."""
     t = text.strip()
-    if len(t) == 3 and t[0] in LETTERS and t[1:].isdigit():
+    if len(t) == 3 and t[0] in "ABCDEF" and t[1:].isdigit():  # bolmoufang.LETTERS
+        from cigroupoids.bolmoufang import bm, decode
+
         return decode(bm(t))
     return parse_identity(t)
 

@@ -230,16 +230,6 @@ class CongruenceLattice(_Record):
 
     __slots__ = _fields = ("n", "elements", "depths", "principals", "irreducibles")
 
-    def __init__(
-        self,
-        n: int,
-        elements: tuple[PartitionCongruence, ...],
-        depths: tuple[int, ...],
-        principals: tuple[PartitionCongruence, ...],
-        irreducibles: tuple[PartitionCongruence, ...],
-    ):
-        self._init(n, elements, depths, principals, irreducibles)
-
     def height(self) -> int:
         """Length (edge count) of the longest chain."""
         return max(self.depths)

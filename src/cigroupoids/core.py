@@ -47,15 +47,40 @@ class BoundExceeded(Exception):
 class _Record:
     """Base of the package's immutable records, plain `__slots__` classes.
 
-    A record lists its fields in `_fields`, in constructor order, and sets
-    them in its own `__init__` through `object.__setattr__` (or `_init`).
-    Records are equal when they are of one type with equal fields; they
-    hash, pickle and copy by their fields and print in the dataclass form
-    `Name(field=value, ...)`. No attribute can be set or deleted.
+    A record lists its fields in `_fields`, in constructor order, and keeps
+    a memo in a slot outside them. The base constructor binds positional or
+    keyword arguments to the fields and raises `TypeError` on a missing,
+    extra or repeated one; a record that validates or normalizes its
+    arguments has its own `__init__`, which stores them through `_init`.
+    Records are equal when they are of one type with equal fields, hash by
+    their fields and print in the dataclass form `Name(field=value, ...)`.
+    Pickling and copying rebuild a record through its constructor from its
+    fields, so no memo is carried. No attribute can be set or deleted.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self._init(*args)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords or a wrong count."""
+        fields, name, k = cls._fields, cls.__name__, len(args)
+        if k > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {k} were given")
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if fields.index(key) < k:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        missing = [f for f in fields[k:] if f not in kwargs]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {missing}")
+        return args + tuple(kwargs[f] for f in fields[k:])
 
     def _init(self, *values) -> None:
         for name, value in zip(self._fields, values):
@@ -93,9 +118,6 @@ class _Record:
 class Var(_Record):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
     def __str__(self) -> str:
         return self.name
 
@@ -103,10 +125,6 @@ class Var(_Record):
 class Prod(_Record):
     __slots__ = ("left", "right", "_sig")
     _fields = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
     # Equality and hashing go through the postfix signature rather than
     # field by field, which recurses, so terms of any depth can be compared
@@ -276,10 +294,6 @@ def _tokenize(text: str) -> list[str]:
 class Identity(_Record):
     __slots__ = ("lhs", "rhs", "_compiled")
     _fields = ("lhs", "rhs")
-
-    def __init__(self, lhs: Term, rhs: Term):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs} ≈ {self.rhs}"

@@ -56,7 +56,6 @@ import operator
 import os
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
@@ -65,6 +64,7 @@ from cigroupoids.core import (
     BoundExceeded,
     CayleyTable,
     Term,
+    _Record,
     check_property,
     format_alg,
     load_alg,
@@ -83,21 +83,21 @@ class NotInvariant(Exception):
     """A constraint relation is not preserved by the template operation."""
 
 
-@dataclass(frozen=True)
-class Relation:
-    signature: tuple[int, ...]
-    tuples: frozenset[tuple[int, ...]]
-    # support tables (keyed on the arguments of `support`), projection
-    # masks (keyed on None), the sort sizes the tuples fit (keyed on
-    # ("carriers", sizes)) and the invariance verdict under a table g
+class Relation(_Record):
+    # _tables: support tables (keyed on the arguments of `support`),
+    # projection masks (keyed on None), the sort sizes the tuples fit (keyed
+    # on ("carriers", sizes)) and the invariance verdict under a table g
     # (keyed on ("invariant", g)); they depend on the tuples only, so they
     # live as long as the relation and take no part in ==, hash or repr
-    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("signature", "tuples", "_tables")
+    _fields = ("signature", "tuples")
 
-    def __post_init__(self) -> None:
-        for t in self.tuples:
-            if len(t) != len(self.signature):
+    def __init__(self, signature: tuple[int, ...], tuples: frozenset[tuple[int, ...]]):
+        for t in tuples:
+            if len(t) != len(signature):
                 raise ValueError(f"tuple {t} has the wrong arity")
+        self._init(signature, tuples)
+        object.__setattr__(self, "_tables", {})
 
     @staticmethod
     def single_sorted(tuples: Iterable[tuple[int, ...]], arity: int) -> "Relation":
@@ -132,31 +132,30 @@ class Relation:
         return masks
 
 
-@dataclass(frozen=True)
-class CSPInstance:
-    variables: tuple[str, ...]
-    sorts: tuple[CayleyTable, ...]
-    domain: tuple[int, ...]  # sort id per variable, aligned with variables
-    constraints: tuple[tuple[tuple[str, ...], Relation], ...]
-    # each constraint's scope as variable indices, built with the checks
-    # below; it depends on the fields above only, so it takes no part in
-    # ==, hash or repr, and `dataclasses.replace` builds it anew
-    _scopes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    # the search plan `_backtrack` builds on the first solve
-    # (`_search_plan`); it too depends on the fields above only, and
-    # `dataclasses.replace` starts without one
-    _plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
+class CSPInstance(_Record):
+    # _scopes: each constraint's scope as variable indices, built with the
+    # checks below; _plan: the search plan `_backtrack` builds on the first
+    # solve (`_search_plan`). Both depend on the fields only, so they take
+    # no part in ==, hash or repr; a copy or pickle starts without a plan
+    __slots__ = ("variables", "sorts", "domain", "constraints", "_scopes", "_plan")
+    _fields = ("variables", "sorts", "domain", "constraints")
 
-    def __post_init__(self) -> None:
-        index = {v: i for i, v in enumerate(self.variables)}
-        if len(index) != len(self.variables):
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        sorts: tuple[CayleyTable, ...],
+        domain: tuple[int, ...],  # sort id per variable, aligned with variables
+        constraints: tuple[tuple[tuple[str, ...], Relation], ...],
+    ):
+        index = {v: i for i, v in enumerate(variables)}
+        if len(index) != len(variables):
             raise ValueError("duplicate variable names")
-        if len(self.domain) != len(self.variables):
+        if len(domain) != len(variables):
             raise ValueError("domain function must cover all variables")
-        for s in self.domain:
-            if not (0 <= s < len(self.sorts)):
+        for s in domain:
+            if not (0 <= s < len(sorts)):
                 raise ValueError(f"sort id {s} out of range")
-        for i, (scope, rel) in enumerate(self.constraints):
+        for i, (scope, rel) in enumerate(constraints):
             if not scope:
                 raise ValueError(f"constraints[{i}] has an empty scope")
             if len(scope) != len(rel.signature):
@@ -164,20 +163,22 @@ class CSPInstance:
             for pos, v in enumerate(scope):
                 if v not in index:
                     raise ValueError(f"unknown variable {v!r} in scope")
-                if rel.signature[pos] != self.domain[index[v]]:
+                if rel.signature[pos] != domain[index[v]]:
                     raise ValueError(
                         f"constraint signature {rel.signature} disagrees with "
-                        f"variable {v!r} of sort {self.domain[index[v]]}"
+                        f"variable {v!r} of sort {domain[index[v]]}"
                     )
-            sizes = tuple(self.sorts[s].n for s in rel.signature)
+            sizes = tuple(sorts[s].n for s in rel.signature)
             if ("carriers", sizes) not in rel._tables:
                 for t in rel.tuples:
                     for pos, e in enumerate(t):
                         if not (0 <= e < sizes[pos]):
                             raise ValueError(f"tuple {t} escapes its sort carrier")
                 rel._tables["carriers", sizes] = True
-        scopes = tuple(tuple(index[v] for v in scope) for scope, _ in self.constraints)
+        self._init(variables, sorts, domain, constraints)
+        scopes = tuple(tuple(index[v] for v in scope) for scope, _ in constraints)
         object.__setattr__(self, "_scopes", scopes)
+        object.__setattr__(self, "_plan", None)
 
     def search_space(self) -> int:
         size = 1
@@ -429,20 +430,28 @@ def solve_consistency(inst: CSPInstance) -> Solution | None:
 # The fiber-collapse reduction
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(_Record):
     """Reduced instance plus everything needed to audit the construction."""
 
+    _fields = ("reduced", "trivially_unsat", "a", "b_sets", "b_prime", "fiber_globals")
+    __slots__ = (*_fields, "transform")
     reduced: CSPInstance
     trivially_unsat: bool
     a: dict[str, int]  # the fold values a_v, as parent elements
     b_sets: dict[str, tuple[int, ...]]  # normalized B_v, parent elements
     b_prime: dict[str, tuple[int, ...]]  # σ-class of a_v, parent elements
     fiber_globals: tuple[tuple[int, ...], ...]  # reduced sort -> parent elements
-    # maps an original solution through v -> f(v)∨a_v into local coordinates
-    transform: Callable[[Mapping[str, int]], Solution] = field(
-        compare=False, repr=False
-    )
+    # maps an original solution through v -> f(v)∨a_v into local
+    # coordinates; it takes no part in == or repr
+    transform: Callable[[Mapping[str, int]], Solution]
+
+    def __init__(self, reduced, trivially_unsat, a, b_sets, b_prime, fiber_globals, transform):
+        self._init(reduced, trivially_unsat, a, b_sets, b_prime, fiber_globals)
+        object.__setattr__(self, "transform", transform)
+
+    def __reduce__(self):
+        # a copy keeps transform, which is not a field
+        return type(self), (*self._values(), self.transform)
 
 
 def fold_join(jm: Sequence[Sequence[int]], values: Sequence[int]) -> int:

@@ -205,10 +205,7 @@ class P5Status(_Record):
     """P1..P5 on one table: each law that fails maps to its first failing
     tuple, so a law holds exactly when it has no witness."""
 
-    __slots__ = _fields = ("witnesses",)
-
-    def __init__(self, witnesses: dict[str, tuple]):
-        object.__setattr__(self, "witnesses", witnesses)
+    __slots__ = _fields = ("witnesses",)  # dict[str, tuple]
 
     def holds(self, name: str) -> bool:
         return name not in self.witnesses
@@ -245,17 +242,10 @@ class FiberSplit(_Record):
     """A table split into σ-fibers, all of it immutable; it unpacks as
     (jm, block_of, blocks, local, fibers)."""
 
+    # jm: a∨b; block_of: the σ-class of each element; blocks: the
+    # σ-classes, as parent elements; local: the index of each element in
+    # its σ-class; fibers: each σ-class's sub-table, in local indices
     __slots__ = _fields = ("jm", "block_of", "blocks", "local", "fibers")
-
-    def __init__(
-        self,
-        jm: tuple[tuple[int, ...], ...],  # a∨b
-        block_of: tuple[int, ...],  # the σ-class of each element
-        blocks: tuple[tuple[int, ...], ...],  # the σ-classes, parent elements
-        local: tuple[int, ...],  # the index of each element in its σ-class
-        fibers: tuple[CayleyTable, ...],  # each σ-class's sub-table, local indices
-    ):
-        self._init(jm, block_of, blocks, local, fibers)
 
     def __iter__(self):
         return iter(self._values())

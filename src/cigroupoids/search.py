@@ -58,7 +58,6 @@ from cigroupoids.core import (
     check_identity,
     instance_function,
 )
-from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode
 
 MAX_N_CONSTRAINED = 6
 MAX_N_UNCONSTRAINED = 5
@@ -369,8 +368,6 @@ def find_separating_model(
 
 def variety_identities(variety: str) -> tuple[Identity, ...]:
     """Defining identities of a named variety, on top of the CI base."""
-    if variety in TABLE1_CLASSES:
-        return tuple(decode(bm(name)) for name in TABLE1_CLASSES[variety])
     if variety == "squag":
         return (SQUAG_LAW,)
     if variety == "CI":
@@ -381,4 +378,8 @@ def variety_identities(variety: str) -> tuple[Identity, ...]:
         return (ENTROPIC_LAW,)
     if variety == "associative":
         return (ASSOCIATIVE_LAW,)
+    from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode  # loaded for Table 1 only
+
+    if variety in TABLE1_CLASSES:
+        return tuple(decode(bm(name)) for name in TABLE1_CLASSES[variety])
     raise ValueError(f"unknown variety {variety!r}")

@@ -58,17 +58,11 @@ class UnknownSuite(ValueError):
 
 
 class CheckResult(_Record):
-    __slots__ = _fields = ("check", "passed", "witness")
-
-    def __init__(self, check: str, passed: bool, witness: str):
-        self._init(check, passed, witness)
+    __slots__ = _fields = ("check", "passed", "witness")  # str, bool, str
 
 
 class SuiteReport(_Record):
-    __slots__ = _fields = ("name", "checks")
-
-    def __init__(self, name: str, checks: tuple[CheckResult, ...]):
-        self._init(name, checks)
+    __slots__ = _fields = ("name", "checks")  # str, tuple[CheckResult, ...]
 
     @property
     def overall(self) -> bool:

@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -681,11 +682,11 @@ def test_files_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
 
 def _modules_after(command: str | None) -> set[str]:
     """The package modules a fresh process holds after importing cli and,
-    unless command is None, running main on its words with output discarded."""
+    unless command is None, running main on its shell words with output discarded."""
     code = "import contextlib, io, sys\nimport cigroupoids.cli as cli\n"
     if command is not None:
         code += "with contextlib.redirect_stdout(io.StringIO()):\n"
-        code += f"    cli.main({command.split()!r})\n"
+        code += f"    cli.main({shlex.split(command)!r})\n"
     code += "print(*(m for m in sys.modules if m.split('.')[0] == 'cigroupoids'))"
     return set(_fresh_python(code).split())
 
@@ -693,8 +694,10 @@ def _modules_after(command: str | None) -> set[str]:
 FOOTPRINTS = [
     (None, ()),
     ("alg check squag fig4a", ()),
+    ('alg check "(x y) = (y x)" fig4a', ()),
+    ("alg check F25 fig4a", ("bolmoufang",)),
     ("alg classify fig4a", ("bolmoufang",)),
-    ("alg enumerate -n 3", ("bolmoufang", "search")),
+    ("alg enumerate -n 3", ("search",)),
     ("alg congruences fig3b", ("congruences",)),
     ("plonka check fig3b", ("plonka",)),
     ("cie 7", ("plonka",)),
@@ -723,9 +726,14 @@ def _cold_modules(code: str) -> set[str]:
     return set(out.splitlines()[-1].split())
 
 
+RECORD_MACHINERY = {"dataclasses", "typing", "inspect"}
+
+
 def test_cold_import_loads_no_record_machinery():
     # FOOTPRINTS' first row shows that the import loads no layer
-    assert not _cold_modules("import cigroupoids.cli") & {"dataclasses", "typing", "inspect"}
+    assert not _cold_modules("import cigroupoids.cli") & RECORD_MACHINERY
+    # csp's records are `core._Record`s too
+    assert not _cold_modules("import cigroupoids.csp") & RECORD_MACHINERY
     # σ is the one part of the Płonka layer that builds a congruence
     assert "cigroupoids.congruences" not in _cold_modules("import cigroupoids.plonka")
 
@@ -741,6 +749,7 @@ def test_csp_gen_and_solve_do_not_load_plonka(tmp_path):
     loaded = _cold_modules(code)
     assert "cigroupoids.csp" in loaded
     assert "cigroupoids.plonka" not in loaded
+    assert not loaded & RECORD_MACHINERY
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pickle
 import random
 import re
 import time
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +45,11 @@ FIG2A = load_fixture("fig2a")
 FIG4B = load_fixture("fig4b")
 MEET2 = CayleyTable([[0, 0], [0, 1]])
 MEET4 = CayleyTable([[min(a, b) for b in range(4)] for a in range(4)])
+
+
+def replace(record, **changes):
+    """A record like `record` with the given fields changed, built through its constructor."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
 
 
 def single_sorted_instance(template: CayleyTable, variables, constraints) -> CSPInstance:
@@ -820,9 +824,9 @@ def test_instance_index_is_invisible():
     fewer = replace(inst, constraints=((("y", "x", "y"), rel),))
     assert fewer._scopes == ((1, 0, 1),)
     assert solve_brute(fewer) == least_solution(fewer)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         inst._scopes = ((0, 0, 0),) * 3
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del inst._scopes
     assert inst._scopes == ((0, 1, 2), (2, 0, 0), (1, 1, 1))
 
@@ -851,19 +855,19 @@ def test_instance_index_is_invisible():
     assert twin == inst
     assert hash(twin) == hash(inst)
     assert repr(twin) == repr(inst)
-    # replace starts without a plan, a pickle may carry it; both solve
-    fresh = replace(inst)
-    assert fresh._plan is None
-    for other in (fresh, pickle.loads(pickle.dumps(inst)), twin):
+    # replace and a pickle rebuild through the constructor, without a plan; both solve
+    fresh, unpickled = replace(inst), pickle.loads(pickle.dumps(inst))
+    assert fresh._plan is None and unpickled._plan is None
+    for other in (fresh, unpickled, twin):
         assert other == inst
         assert solve_brute(other) == solve_consistency(other) == expected
         assert _backtrack(other, [0b110, 0b111, 0b111]) == restricted
     fewer = replace(inst, constraints=inst.constraints[:1])
     assert fewer._plan is None
     assert solve_brute(fewer) == least_solution(fewer)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         inst._plan = None
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del inst._plan
     assert inst._plan is plan
 

@@ -1,8 +1,12 @@
-"""The contract of the package's immutable records.
+"""The contract of the package's immutable records, every one a `core._Record`.
 
 Each record keeps what a frozen dataclass gave it: equality within its own
 type only, a hash shared by equal instances, the dataclass-form repr,
-pickling and copying, and no attribute that can be set or deleted.
+pickling and copying, and no attribute that can be set or deleted. A record
+that only stores its fields is built by the base constructor, which binds
+positional and keyword arguments to the fields and refuses missing, extra
+and repeated ones. A memo (`Relation._tables`, `CSPInstance._scopes` and
+`_plan`) and `ReductionResult.transform` take no part in equality or repr.
 `BMIdentity` keeps its (letter, i, j) order, and `SearchSpec` and
 `PartitionCongruence` keep their validation.
 """
@@ -25,6 +29,7 @@ from cigroupoids.core import (
     load_fixture,
     parse_identity,
 )
+from cigroupoids.csp import CSPInstance, Relation, reduce_instance
 from cigroupoids.plonka import (
     STANDARD_JOIN,
     FiberSplit,
@@ -40,7 +45,8 @@ from cigroupoids.search import SearchSpec
 from cigroupoids.suites import CheckResult, SuiteReport
 
 FIG3B = load_fixture("fig3b")
-AINF = adjoin_infinity(load_fixture("fig4a"))
+SQUAG = load_fixture("fig4a")
+AINF = adjoin_infinity(SQUAG)
 
 # each record type with its fields, in constructor order
 FIELDS = {
@@ -56,7 +62,15 @@ FIELDS = {
     P5Status: ("witnesses",),
     PlonkaSystem: ("replica", "fibers", "globals", "fiber_maps"),
     FiberSplit: ("jm", "block_of", "blocks", "local", "fibers"),
+    Relation: ("signature", "tuples"),
+    CSPInstance: ("variables", "sorts", "domain", "constraints"),
 }
+
+
+def instance(scope=("x", "y")) -> CSPInstance:
+    """A small instance over the squag fig4a with one relation used twice."""
+    rel = Relation.single_sorted({(0, 1), (1, 2), (2, 0)}, 2)
+    return CSPInstance(("x", "y"), (SQUAG,), (0, 0), ((scope, rel), (("y", "y"), rel)))
 
 
 def samples():
@@ -81,6 +95,11 @@ def samples():
         PlonkaSystem(CayleyTable([[0]]), (CayleyTable([[0]]),), ((0,),)),
     )
     yield lambda: (fiber_split(FIG3B, STANDARD_JOIN)[1], fiber_split(AINF, STANDARD_JOIN)[1])
+    yield lambda: (
+        Relation.single_sorted({(0, 1), (1, 2), (2, 0)}, 2),
+        Relation((0, 0), frozenset({(0, 1)})),
+    )
+    yield lambda: (instance(), instance(("y", "x")))
 
 
 SAMPLES = list(samples())
@@ -200,3 +219,49 @@ def test_plonka_system_fiber_maps_stay_read_only():
     with pytest.raises(TypeError):
         sys.fiber_maps[(0, 0)] = ()
     assert pickle.loads(pickle.dumps(sys)).fiber_maps == sys.fiber_maps
+
+
+def test_base_constructor_binds_its_fields():
+    assert CheckResult(witness="w", check="c", passed=True) == CheckResult("c", True, "w")
+    assert CheckResult("c", passed=True, witness="w") == CheckResult("c", True, "w")
+    assert Var(name="x") == Var("x")
+    assert P5Status(witnesses={}) == P5Status({})
+    with pytest.raises(TypeError, match="missing"):
+        Var()
+    with pytest.raises(TypeError, match="missing"):
+        CheckResult("c", True)
+    with pytest.raises(TypeError, match="missing"):
+        CheckResult("c", witness="w")
+    with pytest.raises(TypeError, match="positional argument"):
+        Var("x", "y")
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        Var("x", label="y")
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        SuiteReport(name="s", checks=(), extra=1)
+    with pytest.raises(TypeError, match="multiple values for argument"):
+        Var("x", name="y")
+    with pytest.raises(TypeError, match="multiple values for argument"):
+        CheckResult("c", True, "w", check="d")
+
+
+def test_reduction_result_keeps_transform_out_of_equality():
+    inst = CSPInstance(
+        ("x", "y"), (AINF,), (0, 0),
+        ((("x", "y"), Relation.single_sorted({(0, 1), (1, 2), (2, 0), (3, 3)}, 2)),),
+    )
+    res, twin = reduce_instance(inst), reduce_instance(inst)
+    assert res.transform is not twin.transform
+    assert res == twin and hash(res.reduced) == hash(twin.reduced)
+    assert "transform" not in repr(res)
+    assert repr(res) == repr(twin)
+    assert repr(res).startswith("ReductionResult(reduced=CSPInstance(")
+    for back in (copy.copy(res), copy.deepcopy(res)):
+        assert back == res
+        assert back.transform({"x": 0, "y": 1}) == res.transform({"x": 0, "y": 1})
+    for f in ("reduced", "trivially_unsat", "a", "b_sets", "b_prime", "fiber_globals", "transform"):
+        with pytest.raises(AttributeError):
+            setattr(res, f, getattr(res, f))
+        with pytest.raises(AttributeError):
+            delattr(res, f)
+    with pytest.raises(AttributeError):
+        res.extra = 1
