@@ -6,7 +6,9 @@ The six possible words are labeled A..F and the five bracketings 1..5;
 the pair (i, j) with i < j names which two bracketings are equated.
 Commutative idempotent groupoids satisfying any one of these identities
 fall into eight varieties; TABLE1_CLASSES lists the identities of each class
-and inclusion_order gives the containment order among the eight classes.
+and INCLUSION_COVERS the covers of the containment order among the eight
+classes. An identity is its name, a plain string, and `decode` turns it into
+the two-sided identity.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from cigroupoids.core import CayleyTable, Identity, Prod, Term, Var, _Record, check_identity
+from cigroupoids.core import CayleyTable, Identity, Prod, Term, Var, check_identity
 
 ORDERINGS = {
     "A": "xxyz",
@@ -37,74 +39,45 @@ BRACKETINGS = {
 LETTERS = "ABCDEF"
 
 
-@functools.total_ordering
-class BMIdentity(_Record):
-    """One of the sixty names Xij with X in A..F and 1 <= i < j <= 5,
-    ordered by (letter, i, j)."""
-
-    __slots__ = _fields = ("letter", "i", "j")
-
-    def __init__(self, letter: str, i: int, j: int):
-        if letter not in LETTERS:
-            raise ValueError(f"ordering letter must be A..F, got {letter!r}")
-        if not (1 <= i < j <= 5):
-            raise ValueError(f"need 1 <= i < j <= 5, got ({i}, {j})")
-        self._init(letter, i, j)
-
-    # spelled out: `decode`'s cache hashes one name per identity checked
-    def _values(self) -> tuple[str, int, int]:
-        return self.letter, self.i, self.j
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() < other._values()
-
-    @property
-    def name(self) -> str:
-        return f"{self.letter}{self.i}{self.j}"
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def bm(name: str) -> BMIdentity:
-    """Parse a name like 'E15'."""
-    if len(name) != 3:
-        raise ValueError(f"bad Bol-Moufang name {name!r}")
-    return BMIdentity(name[0], int(name[1]), int(name[2]))
-
-
 def bracketed(word: str, shape: int) -> Term:
     leaves = [Var(c) for c in word]
     return BRACKETINGS[shape](*leaves)
 
 
 @functools.cache
-def decode(b: BMIdentity) -> Identity:
-    """The actual two-sided identity named by b.
+def decode(name: str) -> Identity:
+    """The identity named by a string like 'E15': letter X in A..F, then
+    the bracketings 1 <= i < j <= 5 it equates.
 
     Memoized, so every caller shares one Identity per name, and with it the
     identity's compiled form.
     """
-    word = ORDERINGS[b.letter]
-    return Identity(bracketed(word, b.i), bracketed(word, b.j))
+    if len(name) != 3:
+        raise ValueError(f"bad Bol-Moufang name {name!r}")
+    letter, i, j = name[0], int(name[1]), int(name[2])
+    if letter not in LETTERS:
+        raise ValueError(f"ordering letter must be A..F, got {letter!r}")
+    if not (1 <= i < j <= 5):
+        raise ValueError(f"need 1 <= i < j <= 5, got ({i}, {j})")
+    word = ORDERINGS[letter]
+    return Identity(bracketed(word, i), bracketed(word, j))
 
 
-ALL_BM: tuple[BMIdentity, ...] = tuple(
-    BMIdentity(letter, i, j)
+# The sixty names in canonical order, which is also their string order.
+ALL_BM: tuple[str, ...] = tuple(
+    f"{letter}{i}{j}"
     for letter in LETTERS
     for i, j in itertools.combinations(range(1, 6), 2)
 )
 
 
 # Name -> position of that identity's bit in a classify_bm profile.
-BM_INDEX: dict[str, int] = {b.name: k for k, b in enumerate(ALL_BM)}
+BM_INDEX: dict[str, int] = {name: k for k, name in enumerate(ALL_BM)}
 
 
 def classify_bm(g: CayleyTable) -> tuple[bool, ...]:
     """Satisfaction bit for each of the 60 identities, in canonical order."""
-    return tuple(check_identity(g, decode(b)) for b in ALL_BM)
+    return tuple(check_identity(g, decode(name)) for name in ALL_BM)
 
 
 def profile_string(profile: tuple[bool, ...]) -> str:
@@ -144,20 +117,8 @@ INCLUSION_COVERS: tuple[tuple[str, str], ...] = (
 )
 
 
-@functools.lru_cache(maxsize=1)
-def inclusion_order() -> frozenset[tuple[str, str]]:
-    """All pairs (K1, K2) with K1 a subvariety of K2 (reflexive, transitive)."""
-    pairs = {(k, k) for k in CLASS_NAMES} | set(INCLUSION_COVERS)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(pairs), repeat=2):
-            if b == c and (a, d) not in pairs:
-                pairs.add((a, d))
-                changed = True
-    return frozenset(pairs)
-
-
 def is_subvariety(k1: str, k2: str) -> bool:
-    return (k1, k2) in inclusion_order()
-
+    """Whether class k1 is contained in class k2, following the covers up."""
+    if k1 == k2:
+        return k1 in TABLE1_CLASSES
+    return any(is_subvariety(upper, k2) for lower, upper in INCLUSION_COVERS if lower == k1)

@@ -75,10 +75,11 @@ def _load_table(path: str) -> CayleyTable:
 def _parse_identity_arg(text: str) -> Identity:
     """A Bol-Moufang name like D23 (this loads `bolmoufang`), or an identity literal."""
     t = text.strip()
-    if len(t) == 3 and t[0] in "ABCDEF" and t[1:].isdigit():  # bolmoufang.LETTERS
-        from cigroupoids.bolmoufang import bm, decode
+    # a name's shape (bolmoufang.LETTERS, two digits); decode checks the rest
+    if len(t) == 3 and t[0] in "ABCDEF" and t[1:].isdigit():
+        from cigroupoids.bolmoufang import decode
 
-        return decode(bm(t))
+        return decode(t)
     return parse_identity(t)
 
 
@@ -140,7 +141,7 @@ def _cmd_alg_classify(args, fmt: str) -> int:
         if ci and all(bits[BM_INDEX[name]] for name in TABLE1_CLASSES[cls])
     ]
     if fmt == "tsv":
-        rows = [(b.name, str(int(bit))) for b, bit in zip(ALL_BM, bits)]
+        rows = [(name, str(int(bit))) for name, bit in zip(ALL_BM, bits)]
         rows.append(("classes", ",".join(classes)))
         _emit(rows, fmt)
     else:

@@ -43,7 +43,8 @@ reduced instance is many-sorted over the σ-fibers and is satisfiable
 exactly when the original is. The template's split into σ-fibers,
 `plonka.fiber_split`'s immutable `FiberSplit`, depends on the template
 and the term only, so a bounded cache keyed on both keeps it for every
-instance over that template.
+instance over that template. A `ReductionResult` keeps the split as a
+field, and its `transform` is a method, so it pickles like any record.
 
 `is_invariant` and `close_under` share one kernel, `_products`, that
 multiplies a tuple with many tuples at once, reading the table row by row
@@ -433,25 +434,26 @@ def solve_consistency(inst: CSPInstance) -> Solution | None:
 class ReductionResult(_Record):
     """Reduced instance plus everything needed to audit the construction."""
 
-    _fields = ("reduced", "trivially_unsat", "a", "b_sets", "b_prime", "fiber_globals")
-    __slots__ = (*_fields, "transform")
+    __slots__ = _fields = ("reduced", "trivially_unsat", "a", "b_sets", "b_prime", "split")
     reduced: CSPInstance
     trivially_unsat: bool
     a: dict[str, int]  # the fold values a_v, as parent elements
     b_sets: dict[str, tuple[int, ...]]  # normalized B_v, parent elements
     b_prime: dict[str, tuple[int, ...]]  # σ-class of a_v, parent elements
-    fiber_globals: tuple[tuple[int, ...], ...]  # reduced sort -> parent elements
-    # maps an original solution through v -> f(v)∨a_v into local
-    # coordinates; it takes no part in == or repr
-    transform: Callable[[Mapping[str, int]], Solution]
+    split: FiberSplit  # the template's, from `plonka.fiber_split`
 
-    def __init__(self, reduced, trivially_unsat, a, b_sets, b_prime, fiber_globals, transform):
-        self._init(reduced, trivially_unsat, a, b_sets, b_prime, fiber_globals)
-        object.__setattr__(self, "transform", transform)
+    @property
+    def fiber_globals(self) -> tuple[tuple[int, ...], ...]:
+        """Reduced sort -> parent elements."""
+        return self.split.blocks
 
-    def __reduce__(self):
-        # a copy keeps transform, which is not a field
-        return type(self), (*self._values(), self.transform)
+    def transform(self, solution: Mapping[str, int]) -> Solution:
+        """An original solution mapped through v -> f(v)∨a_v into local
+        coordinates."""
+        if self.trivially_unsat:
+            raise ValueError("instance is trivially unsatisfiable")
+        jm, local = self.split.jm, self.split.local
+        return {v: local[jm[solution[v]][a]] for v, a in self.a.items()}
 
 
 def fold_join(jm: Sequence[Sequence[int]], values: Sequence[int]) -> int:
@@ -502,7 +504,8 @@ def reduce_instance(
     if len(inst.sorts) != 1:
         raise ValueError("reduction expects a single-sorted instance")
     g = inst.sorts[0]
-    jm, block_of, blocks, local, fibers = _template_split(g, join)
+    split = _template_split(g, join)
+    jm, block_of, blocks, local, fibers = split
     for scope, rel in inst.constraints:
         if not is_invariant(rel, g):
             raise NotInvariant(f"constraint on {scope} is not invariant")
@@ -543,23 +546,13 @@ def reduce_instance(
 
     reduced = CSPInstance(inst.variables, fibers, tuple(domain), tuple(new_cons))
 
-    def transform(solution: Mapping[str, int]) -> Solution:
-        if empty:
-            raise ValueError("instance is trivially unsatisfiable")
-        out = {}
-        for v in inst.variables:
-            img = jm[solution[v]][a_v[v]]
-            out[v] = local[img]
-        return out
-
     return ReductionResult(
         reduced=reduced,
         trivially_unsat=empty,
         a=a_v,
         b_sets=b_sets,
         b_prime=b_prime,
-        fiber_globals=blocks,
-        transform=transform,
+        split=split,
     )
 
 

@@ -378,8 +378,8 @@ def variety_identities(variety: str) -> tuple[Identity, ...]:
         return (ENTROPIC_LAW,)
     if variety == "associative":
         return (ASSOCIATIVE_LAW,)
-    from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, decode  # loaded for Table 1 only
+    from cigroupoids.bolmoufang import TABLE1_CLASSES, decode  # loaded for Table 1 only
 
     if variety in TABLE1_CLASSES:
-        return tuple(decode(bm(name)) for name in TABLE1_CLASSES[variety])
+        return tuple(map(decode, TABLE1_CLASSES[variety]))
     raise ValueError(f"unknown variety {variety!r}")

@@ -138,14 +138,14 @@ def _models_of_class(cls: str, max_n: int) -> list[CayleyTable]:
 
 
 def _suite_figures() -> list[CheckResult]:
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
     from cigroupoids.search import variety_identities
 
     two_sl = TWO_SEMILATTICE_LAW
     x, y = Var("x"), Var("y")
     two_sl_expanded = Identity(Prod(x, Prod(x, y)), Prod(Prod(x, x), y))
-    a14, a24 = decode(bm("A14")), decode(bm("A24"))
-    b12, b13, c15 = decode(bm("B12")), decode(bm("B13")), decode(bm("C15"))
+    a14, a24 = decode("A14"), decode("A24")
+    b12, b13, c15 = decode("B12"), decode("B13"), decode("C15")
     ci = (COMMUTATIVE_LAW, IDEMPOTENT_LAW)
     xy, xyz = {"x": 0, "y": 1}, {"x": 0, "y": 1, "z": 2}
 
@@ -153,7 +153,7 @@ def _suite_figures() -> list[CheckResult]:
     # (check, fixture, identity, an assignment where it fails).
     # fig1 is not commutative, so its row alone leaves out the CI laws.
     rows = (
-        ("fig1-satisfies-A15-A23", "fig1", (decode(bm("A15")), decode(bm("A23")))),
+        ("fig1-satisfies-A15-A23", "fig1", (decode("A15"), decode("A23"))),
         ("fig1-fails-two-semilattice", "fig1", two_sl, xy),
         ("fig2a-commutative-idempotent", "fig2a", ci),
         ("fig2a-fails-two-semilattice", "fig2a", two_sl, xy),
@@ -221,7 +221,6 @@ def _suite_table1() -> list[CheckResult]:
     from cigroupoids.bolmoufang import (
         CLASS_NAMES,
         TABLE1_CLASSES,
-        bm,
         classify_bm,
         decode,
         is_subvariety,
@@ -269,7 +268,7 @@ def _suite_table1() -> list[CheckResult]:
                 not check_identity(model, i) for i in unsat
             )
             name0 = TABLE1_CLASSES[q][0]
-            w = check_identity_witness(model, decode(bm(name0)))
+            w = check_identity_witness(model, decode(name0))
             checks.append(
                 CheckResult(
                     check,
@@ -431,14 +430,13 @@ D23_ROTATION_1 = parse_identity("(((x y) x) x) ≈ (x ((y x) x))")
 D23_ROTATION_2 = parse_identity("(x ((y x) x)) ≈ (x (y x))")
 
 
-def _join_of(a: Term, b: Term) -> Term:
-    # x∨y = y(xy), applied to subterms
-    return Prod(b, Prod(a, b))
-
-
 def _pseudopartition_term_identities() -> tuple[tuple[str, Identity], ...]:
     x, y, z = Var("x"), Var("y"), Var("z")
-    j = _join_of
+
+    def j(a: Term, b: Term) -> Term:
+        # a∨b by the package's one join, core.STANDARD_JOIN
+        return substitute(STANDARD_JOIN, {"x": a, "y": b})
+
     return (
         ("P1", Identity(j(x, x), x)),
         ("P2", Identity(j(j(x, y), z), j(x, j(y, z)))),
@@ -448,7 +446,7 @@ def _pseudopartition_term_identities() -> tuple[tuple[str, Identity], ...]:
 
 
 def _suite_appendix() -> list[CheckResult]:
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
     from cigroupoids.search import SearchSpec, enumerate_models
 
     checks = []
@@ -461,7 +459,7 @@ def _suite_appendix() -> list[CheckResult]:
             _identity_on_models(f"t2-join-term-{tag}", t2, ident)
         )
 
-    d23 = decode(bm("D23"))
+    d23 = decode("D23")
     d23_models: list[CayleyTable] = []
     for n in range(1, 5):
         d23_models.extend(enumerate_models(SearchSpec(n, (d23,), commutative=False)))

@@ -6,13 +6,12 @@ import pytest
 
 from cigroupoids.bolmoufang import (
     ALL_BM,
+    BM_INDEX,
     CLASS_NAMES,
+    INCLUSION_COVERS,
     TABLE1_CLASSES,
-    BMIdentity,
-    bm,
     classify_bm,
     decode,
-    inclusion_order,
     is_subvariety,
     profile_string,
 )
@@ -22,24 +21,25 @@ _DUAL_LETTER = {"A": "F", "B": "E", "C": "C", "D": "D", "E": "B", "F": "A"}
 _DUAL_BRACKET = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
 
 
-def dual(b: BMIdentity) -> BMIdentity:
+def dual(name: str) -> str:
     """Mirror-image identity: reverse the word and flip all bracketings.
 
     Swapping i and j keeps the names in i < j normal form, so the map is an
     involution on the sixty names.
     """
-    return BMIdentity(_DUAL_LETTER[b.letter], _DUAL_BRACKET[b.j], _DUAL_BRACKET[b.i])
+    letter, i, j = name[0], int(name[1]), int(name[2])
+    return f"{_DUAL_LETTER[letter]}{_DUAL_BRACKET[j]}{_DUAL_BRACKET[i]}"
 
 
 def test_sixty_distinct():
-    items = [decode(b) for b in ALL_BM]
+    items = [decode(name) for name in ALL_BM]
     assert len(items) == 60
     term_pairs = {(str(i.lhs), str(i.rhs)) for i in items}
     assert len(term_pairs) == 60
 
 
 def test_canonical_order():
-    names = [b.name for b in ALL_BM]
+    names = list(ALL_BM)
     assert names[0] == "A12"
     assert names[1] == "A13"
     assert names[-1] == "F45"
@@ -57,13 +57,34 @@ def test_frozen_decodes():
         "D23": "(x ((y z) x)) ≈ ((x y) (z x))",
     }
     for name, text in expect.items():
-        assert str(decode(bm(name))) == text
+        assert str(decode(name)) == text
 
 
 def test_decode_is_shared():
     # one Identity per name, so its compiled form is built once
-    for b in ALL_BM:
-        assert decode(bm(b.name)) is decode(b)
+    for names in TABLE1_CLASSES.values():
+        for name in names:
+            assert decode(name) is decode(ALL_BM[BM_INDEX[name]])
+
+
+def test_decode_validates_names():
+    # wrong length, bad letter, non-digit, and i >= j or out of 1..5
+    cases = [
+        ("A1", "bad Bol-Moufang name 'A1'"),
+        ("A123", "bad Bol-Moufang name 'A123'"),
+        ("", "bad Bol-Moufang name ''"),
+        ("G12", "ordering letter must be A..F, got 'G'"),
+        ("a12", "ordering letter must be A..F, got 'a'"),
+        ("A1x", "invalid literal for int"),
+        ("Ax2", "invalid literal for int"),
+        ("A22", r"need 1 <= i < j <= 5, got \(2, 2\)"),
+        ("A21", r"need 1 <= i < j <= 5, got \(2, 1\)"),
+        ("A06", r"need 1 <= i < j <= 5, got \(0, 6\)"),
+        ("F16", r"need 1 <= i < j <= 5, got \(1, 6\)"),
+    ]
+    for name, message in cases:
+        with pytest.raises(ValueError, match=message):
+            decode(name)
 
 
 def test_variables_in_first_occurrence_order():
@@ -76,20 +97,20 @@ def test_variables_in_first_occurrence_order():
 
 
 def test_dual_involution():
-    for b in ALL_BM:
-        assert dual(dual(b)) == b
+    for name in ALL_BM:
+        assert dual(dual(name)) == name
 
 
 def test_dual_frozen_cases():
-    assert dual(bm("E15")) == bm("B15")
-    assert dual(bm("C15")) == bm("C15")
-    assert dual(bm("A14")) == bm("F25")
-    assert dual(bm("B45")) == bm("E12")
-    assert dual(bm("D24")) == bm("D24")
+    assert dual("E15") == "B15"
+    assert dual("C15") == "C15"
+    assert dual("A14") == "F25"
+    assert dual("B45") == "E12"
+    assert dual("D24") == "D24"
 
 
 def test_classes_partition():
-    all_names = sorted(b.name for b in ALL_BM)
+    all_names = sorted(ALL_BM)
     listed = sorted(n for names in TABLE1_CLASSES.values() for n in names)
     assert listed == all_names
     sizes = {k: len(v) for k, v in TABLE1_CLASSES.items()}
@@ -98,7 +119,7 @@ def test_classes_partition():
 
 def test_classes_closed_under_dual():
     for names in TABLE1_CLASSES.values():
-        assert {dual(bm(name)).name for name in names} == set(names)
+        assert {dual(name) for name in names} == set(names)
 
 
 def test_variety_class_frozen():
@@ -123,16 +144,16 @@ def test_classify_semilattice_all_true():
 
 def test_classify_fig3b():
     profile = dict(zip(ALL_BM, classify_bm(load_fixture("fig3b"))))
-    assert profile[bm("C15")] is True
-    assert profile[bm("A14")] is False
+    assert profile["C15"] is True
+    assert profile["A14"] is False
 
 
 def test_classify_fig2b():
     g = load_fixture("fig2b")
     profile = dict(zip(ALL_BM, classify_bm(g)))
     for name in TABLE1_CLASSES["2SL"]:
-        assert profile[bm(name)] is True, name
-    assert profile[bm("A24")] is False
+        assert profile[name] is True, name
+    assert profile["A24"] is False
 
 
 def test_dual_bits_agree_on_commutative_tables():
@@ -146,8 +167,18 @@ def test_dual_bits_agree_on_commutative_tables():
         checked += 1
         profile = dict(zip(ALL_BM, classify_bm(g)))
         for b in ALL_BM:
-            assert profile[b] == profile[dual(b)], (name, b.name)
+            assert profile[b] == profile[dual(b)], (name, b)
     assert checked >= 7
+
+
+def inclusion_closure() -> set[tuple[str, str]]:
+    """The reflexive-transitive closure of INCLUSION_COVERS, by squaring."""
+    pairs = {(k, k) for k in CLASS_NAMES} | set(INCLUSION_COVERS)
+    while True:
+        more = pairs | {(a, d) for a, b in pairs for c, d in pairs if b == c}
+        if more == pairs:
+            return pairs
+        pairs = more
 
 
 def incomparable():
@@ -166,22 +197,23 @@ def test_inclusion_order_frozen():
     assert not is_subvariety("T1", "S1")
     assert not is_subvariety("S1", "T1")
     assert not is_subvariety("C", "SL")
-    assert len({(a, b) for a, b in inclusion_order() if a != b}) == 16
+    assert not is_subvariety("Q", "Q")
+    assert {(a, b) for a in CLASS_NAMES for b in CLASS_NAMES if is_subvariety(a, b)} == (
+        inclusion_closure()
+    )
+    assert len({(a, b) for a, b in inclusion_closure() if a != b}) == 16
     assert len(incomparable()) == 12
 
 
 def test_inclusion_order_is_an_order():
-    order = inclusion_order()
     for k in CLASS_NAMES:
-        assert (k, k) in order
-    for a, b in order:
-        for c, d in order:
-            if b == c:
-                assert (a, d) in order
+        assert is_subvariety(k, k)
+    for a, b, c in itertools.product(CLASS_NAMES, repeat=3):
+        if is_subvariety(a, b) and is_subvariety(b, c):
+            assert is_subvariety(a, c)
     # antisymmetry
-    for a, b in order:
-        if a != b:
-            assert (b, a) not in order
+    for a, b in itertools.permutations(CLASS_NAMES, 2):
+        assert not (is_subvariety(a, b) and is_subvariety(b, a))
 
 
 def test_incomparable_pairs_frozen():

@@ -112,6 +112,21 @@ def test_check_bad_identity_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, pair",
+    [
+        (("alg", "check", "A22", "fig4a"), (2, 2)),
+        (("alg", "check", "A51", "fig4a"), (5, 1)),
+        (("alg", "check", "F66", "fig4a"), (6, 6)),
+        (("alg", "enumerate", "-n", "3", "--require", "A21"), (2, 1)),
+    ],
+)
+def test_bm_name_out_of_order_is_usage_error(capsys, argv, pair):
+    # a letter and two digits is read as a Bol-Moufang name, so i >= j
+    # is refused rather than parsed as an identity literal
+    assert run(capsys, *argv) == (2, "", f"error: need 1 <= i < j <= 5, got {pair}\n")
+
+
 def test_classify_text(capsys):
     rc, out, _ = run(capsys, "alg", "classify", "fig4a")
     assert rc == 0

@@ -999,6 +999,29 @@ def test_template_split_cache_is_invisible():
     assert _template_split.cache_info().maxsize is not None
 
 
+def test_reduction_result_survives_pickle():
+    """A pickled reduction equals the original, and its `transform` maps
+    every solution, or refuses a trivially unsatisfiable one, the same way."""
+    rng = random.Random(78)
+    transformed = refused = 0
+    for template in reduction_templates().values():
+        for seed in [3] + [rng.randrange(10**6) for _ in range(5)]:
+            inst = gen_instance(seed, template, num_vars=4, num_constraints=3)
+            red = reduce_instance(inst)
+            back = pickle.loads(pickle.dumps(red))
+            assert back == red and repr(back) == repr(red)
+            assert back.fiber_globals == red.fiber_globals
+            solutions = list(all_solutions(inst))
+            if red.trivially_unsat:
+                with pytest.raises(ValueError, match="trivially unsatisfiable"):
+                    back.transform(dict.fromkeys(inst.variables, 0))
+                refused += 1
+            for solution in solutions:
+                assert back.transform(solution) == red.transform(solution)
+                transformed += 1
+    assert transformed and refused
+
+
 def test_template_split_cache_keeps_no_failure():
     inst = single_sorted_instance(FIG2A, ["v"], [(["v"], {(0,)})])
     xor = single_sorted_instance(CayleyTable([[0, 1], [1, 0]]), ["v"], [])

@@ -267,11 +267,11 @@ def test_p1_to_p4_make_sigma_a_congruence_with_closed_classes():
 
 
 def test_t2_models_pseudopartition():
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
     from cigroupoids.search import SearchSpec, enumerate_models
 
     for n in range(2, 5):
-        for g in enumerate_models(SearchSpec(n=n, require=(decode(bm("C15")),))):
+        for g in enumerate_models(SearchSpec(n=n, require=(decode("C15"),))):
             st = check_pseudopartition(g)
             assert st.pseudopartition, (n, g)
 
@@ -287,11 +287,11 @@ def test_fig3b_fails_p5_only():
 
 
 def test_t1_models_satisfy_all_five():
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
     from cigroupoids.search import SearchSpec, enumerate_models
 
     for n in range(2, 5):
-        for g in enumerate_models(SearchSpec(n=n, require=(decode(bm("A14")),))):
+        for g in enumerate_models(SearchSpec(n=n, require=(decode("A14"),))):
             assert check_pseudopartition(g).all_five, (n, g)
 
 
@@ -370,11 +370,11 @@ def test_sum_roundtrip_ainf():
 
 
 def test_sum_roundtrip_t1_models():
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
     from cigroupoids.search import SearchSpec, enumerate_models
 
     for n in range(2, 5):
-        for g in enumerate_models(SearchSpec(n=n, require=(decode(bm("A14")),))):
+        for g in enumerate_models(SearchSpec(n=n, require=(decode("A14"),))):
             assert plonka_sum(decompose(g)) == g
 
 
@@ -413,9 +413,9 @@ def test_hand_built_two_squag_sum():
     # products across fibers land in the top copy through the identity map
     assert g.rows[0][3] == SQUAG.rows[0][0] + 3
     assert g.rows[1][5] == SQUAG.rows[1][2] + 3
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
 
-    assert check_identity(g, decode(bm("A14")))
+    assert check_identity(g, decode("A14"))
     assert check_pseudopartition(g).all_five
 
 
@@ -509,9 +509,9 @@ def test_adjoin_infinity_singleton():
 
 
 def test_adjoin_infinity_in_t1():
-    from cigroupoids.bolmoufang import bm, decode
+    from cigroupoids.bolmoufang import decode
 
-    assert check_identity(AINF, decode(bm("A14")))
+    assert check_identity(AINF, decode("A14"))
 
 
 # --- cyclic CIE groupoids ------------------------------------------------

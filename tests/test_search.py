@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cigroupoids.bolmoufang import bm, decode
+from cigroupoids.bolmoufang import decode
 from cigroupoids.core import (
     ASSOCIATIVE_LAW,
     COMMUTATIVE_LAW,
@@ -205,7 +205,7 @@ def test_unique_3_element_squag():
 def test_unique_3_element_nonassociative_b13():
     models = list(
         enumerate_models(
-            SearchSpec(n=3, require=(decode(bm("B13")),), forbid=(ASSOCIATIVE_LAW,))
+            SearchSpec(n=3, require=(decode("B13"),), forbid=(ASSOCIATIVE_LAW,))
         )
     )
     assert len(models) == 1
@@ -249,7 +249,7 @@ def test_matches_naive_oracle_unconstrained(n):
 
 
 def test_matches_naive_oracle_constrained():
-    c15 = decode(bm("C15"))
+    c15 = decode("C15")
     fast = list(enumerate_models(SearchSpec(n=3, require=(c15,))))
     slow = naive_enumerate(3, require=(c15,))
     assert fast == slow
@@ -263,14 +263,14 @@ def test_matches_naive_oracle_constrained():
 @pytest.mark.parametrize(
     "n, require, commutative, idempotent",
     [
-        (4, (decode(bm("C15")),), True, True),
-        (4, (decode(bm("A14")),), True, True),
+        (4, (decode("C15"),), True, True),
+        (4, (decode("A14"),), True, True),
         (4, (TWO_SEMILATTICE_LAW, DISTRIBUTIVE_LAW), True, True),
-        (3, (decode(bm("C15")),), False, True),
+        (3, (decode("C15"),), False, True),
         (3, (DISTRIBUTIVE_LAW,), False, True),
         (3, (ASSOCIATIVE_LAW,), True, False),
-        (1, (decode(bm("C15")),), True, True),
-        (1, (decode(bm("C15")),), False, True),
+        (1, (decode("C15"),), True, True),
+        (1, (decode("C15"),), False, True),
         (1, (ASSOCIATIVE_LAW,), True, False),
     ],
     ids=["C15-n4", "A14-n4", "2SL+CID-n4", "C15-n3-noncomm", "CID-n3-noncomm",
@@ -336,13 +336,13 @@ def test_identity_failing_before_any_cell_is_filled():
 
 
 def test_stream_sorted_and_canonical():
-    out = list(enumerate_models(SearchSpec(n=4, require=(decode(bm("C15")),))))
+    out = list(enumerate_models(SearchSpec(n=4, require=(decode("C15"),))))
     assert out == sorted(out, key=lambda t: t.rows)
     for g in out:
         assert canonical_form(g) == g
         assert check_property(g, "commutative")
         assert check_property(g, "idempotent")
-        assert check_identity(g, decode(bm("C15")))
+        assert check_identity(g, decode("C15"))
 
 
 # Golden streams: (variety, n, commutative, idempotent, count, sha256 of the
@@ -406,7 +406,7 @@ def test_golden_stream(variety, n, commutative, idempotent, count, digest):
 # or not idempotent, recorded before ground instances were merged modulo
 # the base laws: there, instances that agree only up to commutativity or
 # idempotence are different constraints and must all be kept.
-C15 = decode(bm("C15"))
+C15 = decode("C15")
 GOLDEN_BASE_STREAMS = [
     ("CID", (DISTRIBUTIVE_LAW,), 1, False, True, 1, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
     ("CID", (DISTRIBUTIVE_LAW,), 2, False, True, 3, "3ed4a642113cf42947a03faf5b936d1901a2ebd6782abb62ef33249e8983adf0"),
@@ -492,7 +492,7 @@ def test_require_forbid_overlap_rejected():
 
 
 def test_separate_t2_from_t1():
-    g = find_separating_model([decode(bm("C15"))], [decode(bm("A14"))], max_n=6)
+    g = find_separating_model([decode("C15")], [decode("A14")], max_n=6)
     assert g is not None
     assert g.n == 6
     assert g == canonical_form(load_fixture("fig3b"))
@@ -500,21 +500,21 @@ def test_separate_t2_from_t1():
 
 def test_separate_x_from_t2_s2():
     got = find_separating_model(
-        [decode(bm("A24"))],
-        [decode(bm("C15")), decode(bm("B12")), ASSOCIATIVE_LAW],
+        [decode("A24")],
+        [decode("C15"), decode("B12"), ASSOCIATIVE_LAW],
         max_n=4,
     )
     assert got is not None
     assert got.n == 4
     fig3a = load_fixture("fig3a")
-    assert check_identity(fig3a, decode(bm("A24")))
-    assert not check_identity(fig3a, decode(bm("C15")))
-    assert not check_identity(fig3a, decode(bm("B12")))
+    assert check_identity(fig3a, decode("A24"))
+    assert not check_identity(fig3a, decode("C15"))
+    assert not check_identity(fig3a, decode("B12"))
     assert not check_property(fig3a, "associative")
 
 
 def test_associative_implies_all_bm():
-    assert find_separating_model([ASSOCIATIVE_LAW], [decode(bm("C15"))], max_n=4) is None
+    assert find_separating_model([ASSOCIATIVE_LAW], [decode("C15")], max_n=4) is None
 
 
 # --- counting ------------------------------------------------------------

@@ -3,7 +3,7 @@
 import itertools
 from collections import Counter
 
-from cigroupoids.bolmoufang import TABLE1_CLASSES, bm, classify_bm, decode
+from cigroupoids.bolmoufang import TABLE1_CLASSES, classify_bm, decode
 from cigroupoids.core import (
     COMMUTATIVE_LAW,
     CayleyTable,
@@ -23,7 +23,7 @@ PROFILES = [(n, classify_bm(g)) for n in range(1, 5) for g in all_models(n, ())]
 
 
 def _oracle_n(a, b):
-    model = find_separating_model((decode(bm(a)),), (decode(bm(b)),), 4)
+    model = find_separating_model((decode(a),), (decode(b),), 4)
     return None if model is None else model.n
 
 
