@@ -7,16 +7,19 @@ that only stores its fields is built by the base constructor, which binds
 positional and keyword arguments to the fields and refuses missing, extra
 and repeated ones. A memo (`Relation._tables`, `CSPInstance._scopes` and
 `_plan`) takes no part in equality or repr, and `ReductionResult.transform`
-is a method, so a reduction pickles with its fields alone. `SearchSpec` and
-`PartitionCongruence` keep their validation.
+is a method, so a reduction pickles with its fields alone. A Bol-Moufang
+identity, now its plain name string, keeps the old (letter, i, j) order, and
+`SearchSpec` and `PartitionCongruence` keep their validation.
 """
 
 import collections
 import copy
+import itertools
 import pickle
 
 import pytest
 
+from cigroupoids.bolmoufang import ALL_BM
 from cigroupoids.congruences import CongruenceLattice, PartitionCongruence, all_congruences
 from cigroupoids.core import (
     COMMUTATIVE_LAW,
@@ -208,6 +211,18 @@ def test_plonka_system_fiber_maps_stay_read_only():
     with pytest.raises(TypeError):
         sys.fiber_maps[(0, 0)] = ()
     assert pickle.loads(pickle.dumps(sys)).fiber_maps == sys.fiber_maps
+
+
+def test_bm_identities_keep_their_order():
+    # the name order is the order the deleted BMIdentity record compared by
+    assert sorted(ALL_BM) == list(ALL_BM)
+    assert sorted(reversed(ALL_BM)) == list(ALL_BM)
+    for a, b in itertools.combinations(ALL_BM, 2):
+        assert a < b and a <= b and b > a and b >= a
+        assert not b < a and (a[0], int(a[1]), int(a[2])) < (b[0], int(b[1]), int(b[2]))
+    assert "A12" <= "A12" >= "A12"
+    with pytest.raises(TypeError):
+        ALL_BM[0] < ("A", 1, 2)
 
 
 def test_base_constructor_binds_its_fields():
