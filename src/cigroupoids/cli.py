@@ -75,8 +75,8 @@ def _load_table(path: str) -> CayleyTable:
 def _parse_identity_arg(text: str) -> Identity:
     """A Bol-Moufang name like D23 (this loads `bolmoufang`), or an identity literal."""
     t = text.strip()
-    # a name's shape (bolmoufang.LETTERS, two digits); decode checks the rest
-    if len(t) == 3 and t[0] in "ABCDEF" and t[1:].isdigit():
+    # a name's shape (bolmoufang.LETTERS, two ASCII digits); decode checks the rest
+    if len(t) == 3 and t[0] in "ABCDEF" and t[1:].isascii() and t[1:].isdigit():
         from cigroupoids.bolmoufang import decode
 
         return decode(t)

@@ -6,9 +6,16 @@ table is the product i*j. Terms are fully parenthesized binary trees; there is
 no implicit associativity anywhere, since the whole point of this package is
 the study of operations that need not associate.
 
-Every term is evaluated from the postfix ops of `compile_term`, which are
-turned once per distinct ops tuple into a straight-line Python function, one
-statement per product: `term_function` computes one value for one assignment,
+A term's tree is walked once, by `_signature`, into its postfix signature:
+variable names, None for each product. Equality and hashing compare
+signatures, and one fold, `_fold`, reads them back for str, repr, pickling
+and substitution. The compiled ops of `compile_term` are the signature with
+each name replaced by its position in a variable order, so the same fold
+turns them into straight-line code.
+
+Every term is evaluated from its compiled ops, which are turned once per
+distinct ops tuple into a straight-line Python function, one statement per
+product: `term_function` computes one value for one assignment,
 `instance_function` settles one ground instance of an identity on a partial
 table, and identity checking runs both sides of an identity inside one loop
 over the assignments, stopping at the first that tells them apart. Term
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 
 
@@ -118,6 +125,10 @@ class _Record:
 class Var(_Record):
     __slots__ = _fields = ("name",)
 
+    @property
+    def signature(self) -> tuple[str]:
+        return (self.name,)
+
     def __str__(self) -> str:
         return self.name
 
@@ -126,9 +137,10 @@ class Prod(_Record):
     __slots__ = ("left", "right", "_sig")
     _fields = ("left", "right")
 
-    # Equality and hashing go through the postfix signature rather than
-    # field by field, which recurses, so terms of any depth can be compared
-    # and used as cache keys; the signature is walked once per instance.
+    # The postfix signature is walked once per instance and kept. Equality,
+    # hashing, str, repr and pickling all read it rather than the fields,
+    # which would recurse, so terms of any depth can be compared, printed,
+    # pickled and used as cache keys.
     @property
     def signature(self) -> tuple[str | None, ...]:
         try:
@@ -147,76 +159,67 @@ class Prod(_Record):
         return hash(self.signature)
 
     def __str__(self) -> str:
-        return _fold(self, lambda v: v.name, "({} {})".format)
+        return _fold(self.signature, str, "({} {})".format)
 
-    # A field-by-field repr and pickling would recurse; these do not.
     def __repr__(self) -> str:
-        return _fold(self, repr, "Prod(left={}, right={})".format)
+        return _fold(self.signature, lambda name: repr(Var(name)), "Prod(left={}, right={})".format)
 
     def __reduce__(self):
-        return _from_signature, (self.signature,)
+        return _fold, (self.signature, Var, Prod)
 
 
 Term = Var | Prod
-
-
-def postorder(t: Term) -> Iterator[Term]:
-    """The nodes of t, children before parents and left before right.
-
-    An explicit stack rather than recursion, so terms of any depth work.
-    """
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        u, expanded = stack.pop()
-        if expanded or isinstance(u, Var):
-            yield u
-        else:
-            stack.append((u, True))
-            stack.append((u.right, False))
-            stack.append((u.left, False))
+# A compiled term (see compile_term): variable positions, None per product.
+Ops = tuple[int | None, ...]
 
 
 def _signature(t: Term) -> tuple[str | None, ...]:
     """Postfix listing of t: variable names, None for each product.
 
-    Postfix notation is unambiguous for binary trees, so two terms are equal
-    exactly when their signatures are.
+    The one walk of a term's tree. Postfix notation is unambiguous for
+    binary trees, so two terms are equal exactly when their signatures are.
+    An explicit stack rather than recursion, so terms of any depth work: it
+    lists t backwards, each product before its right and then its left
+    operand, and reverses the list at the end.
     """
-    return tuple(u.name if isinstance(u, Var) else None for u in postorder(t))
-
-
-def _from_signature(sig: tuple[str | None, ...]) -> Term:
-    """The term whose postfix signature is sig; inverse of `_signature`."""
-    stack: list[Term] = []
-    for name in sig:
-        if name is None:
-            right = stack.pop()
-            stack[-1] = Prod(stack[-1], right)
-        else:
-            stack.append(Var(name))
-    return stack[0]
-
-
-def _fold(t: Term, leaf, node):
-    """Fold t bottom up: leaf(v) for a variable, node(l, r) for a product."""
-    out: list = []
-    for u in postorder(t):
+    out: list[str | None] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
-            out.append(leaf(u))
+            out.append(u.name)
         else:
+            out.append(None)
+            stack.append(u.left)
+            stack.append(u.right)
+    out.reverse()
+    return tuple(out)
+
+
+def _fold(postfix: Iterable, leaf: Callable, node: Callable):
+    """Fold a postfix sequence bottom up: leaf(item) for each item that is
+    not None, node(left, right) for each None, which marks a product.
+
+    The one reader of a postfix sequence, signatures and compiled ops alike.
+    """
+    out: list = []
+    for item in postfix:
+        if item is None:
             right = out.pop()
             out[-1] = node(out[-1], right)
+        else:
+            out.append(leaf(item))
     return out[0]
 
 
 def substitute(t: Term, env: Mapping[str, Term]) -> Term:
-    """t with each variable v replaced by the term env[v.name]."""
-    return _fold(t, lambda v: env[v.name], Prod)
+    """t with each variable v replaced by the term env[v]."""
+    return _fold(t.signature, env.__getitem__, Prod)
 
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names of t in order of first occurrence."""
-    return tuple(dict.fromkeys(u.name for u in postorder(t) if isinstance(u, Var)))
+    return tuple(dict.fromkeys(name for name in t.signature if name is not None))
 
 
 def parse_term(text: str) -> Term:
@@ -299,7 +302,7 @@ class Identity(_Record):
         return f"{self.lhs} ≈ {self.rhs}"
 
     @property
-    def compiled(self) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    def compiled(self) -> tuple[tuple[str, ...], Ops, Ops]:
         """(names, lhs ops, rhs ops): both sides compiled over the sorted variables.
 
         Kept on the instance, since hashing an identity for a lookup would
@@ -445,44 +448,39 @@ def eval_term(t: Term, a: Assignment, g: CayleyTable) -> int:
     return f(g.rows, *(a[v] for v in names))
 
 
-def compile_term(t: Term, order: tuple[str, ...]) -> tuple[int, ...]:
-    """Flatten t to postfix ops: i >= 0 pushes variable order[i], -1 multiplies.
+def compile_term(t: Term, order: tuple[str, ...]) -> Ops:
+    """t's postfix signature with each name replaced by its position in order.
 
-    This is the only route to evaluation: every term the package evaluates
-    is compiled here, then turned into Python by term_function for one
-    assignment, by instance_function for one ground instance of an identity
-    or by the identity scan of check_identity_witness.
+    None still marks a product. This is the only route to evaluation: every
+    term the package evaluates is compiled here, then turned into Python by
+    term_function for one assignment, by instance_function for one ground
+    instance of an identity or by the identity scan of check_identity_witness.
     """
-    ops: list[int] = []
-    for u in postorder(t):
-        if isinstance(u, Prod):
-            ops.append(-1)
-        else:
-            try:
-                ops.append(order.index(u.name))
-            except ValueError:
-                raise UnboundVariable(u.name) from None
+    ops: list = []
+    for name in t.signature:
+        try:
+            ops.append(None if name is None else order.index(name))
+        except ValueError:
+            raise UnboundVariable(name) from None
     return tuple(ops)
 
 
-def _straight_line(ops: tuple[int, ...], body: list[str]) -> str:
+def _straight_line(ops: Ops, body: list[str]) -> str:
     """Append one statement `tK = r[a][b]` per product of ops to body.
 
-    Returns the name that holds the term's value. Each product gets its own
-    temporary, because a nested r[r[..]] expression stops compiling a few
-    hundred levels deep. The source holds only r, vI and tK with integer
-    I and K, so no text from outside the program reaches exec.
+    Returns the name that holds the term's value: vI for a variable, else
+    the last temporary. K is the statement's line in body, so each product
+    gets its own temporary, because a nested r[r[..]] expression stops
+    compiling a few hundred levels deep. The source holds only r, vI and tK
+    with integer I and K, so no text from outside the program reaches exec.
     """
-    stack: list[str] = []
-    for op in ops:
-        if op < 0:
-            right = stack.pop()
-            temp = f"t{len(body)}"
-            body.append(f"{temp} = r[{stack[-1]}][{right}]")
-            stack[-1] = temp
-        else:
-            stack.append(f"v{op}")
-    return stack[0]
+
+    def product(left: str, right: str) -> str:
+        temp = f"t{len(body)}"
+        body.append(f"{temp} = r[{left}][{right}]")
+        return temp
+
+    return _fold(ops, "v{}".format, product)
 
 
 def _define(lines: list[str]) -> Callable:
@@ -497,7 +495,7 @@ def _define(lines: list[str]) -> Callable:
 
 
 @lru_cache(maxsize=1024)
-def term_function(ops: tuple[int, ...], arity: int) -> Callable[..., int]:
+def term_function(ops: Ops, arity: int) -> Callable[..., int]:
     """f(rows, v0, .., v{arity-1}): the value of compiled ops on table rows."""
     body: list[str] = []
     value = _straight_line(ops, body)
@@ -506,7 +504,7 @@ def term_function(ops: tuple[int, ...], arity: int) -> Callable[..., int]:
 
 
 @lru_cache(maxsize=1024)
-def instance_function(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) -> Callable:
+def instance_function(lhs: Ops, rhs: Ops, arity: int) -> Callable:
     """f(rows, n, assignment): one ground instance of lhs ≈ rhs on a partial table.
 
     Entries n and above of rows stand for unknown cells. f returns -1 when
@@ -530,7 +528,7 @@ def instance_function(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) ->
 
 
 @lru_cache(maxsize=1024)
-def _identity_scan(lhs: tuple[int, ...], rhs: tuple[int, ...], arity: int) -> Callable:
+def _identity_scan(lhs: Ops, rhs: Ops, arity: int) -> Callable:
     """f(rows, assignments): the first assignment where lhs and rhs differ, or None."""
     body: list[str] = []
     left = _straight_line(lhs, body)

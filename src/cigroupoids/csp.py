@@ -210,18 +210,19 @@ def _products(rows: Sequence[Sequence[int]], t: tuple[int, ...], columns: Sequen
 
 def is_invariant(r: Relation, g: CayleyTable) -> bool:
     """Closure of the tuple set under the coordinatewise product of pairs.
-    Raises `SortMismatch` on every call with a relation that is not
-    single-sorted or whose tuples leave the carrier of g; otherwise the
-    verdict, True or False, is kept in the relation's memo, keyed on
-    ("invariant", g), and read by every later call with that table."""
-    if any(s != r.signature[0] for s in r.signature):
-        raise SortMismatch("relation is not single-sorted")
-    for t in r.tuples:
-        for e in t:
-            if not (0 <= e < g.n):
-                raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
+    The verdict, True or False, is kept in the relation's memo, keyed on
+    ("invariant", g), and read by every later call with that table. A
+    relation that is not single-sorted or whose tuples leave the carrier of
+    g raises `SortMismatch` before a verdict is proved; such a pair never
+    gets one, so it raises on every call."""
     verdict = r._tables.get(("invariant", g))
     if verdict is None:
+        if any(s != r.signature[0] for s in r.signature):
+            raise SortMismatch("relation is not single-sorted")
+        for t in r.tuples:
+            for e in t:
+                if not (0 <= e < g.n):
+                    raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
         tuples = r.tuples
         rows = g.rows
         listed = list(tuples)

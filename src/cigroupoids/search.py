@@ -54,6 +54,7 @@ from cigroupoids.core import (
     BoundExceeded,
     CayleyTable,
     Identity,
+    _fold,
     _Record,
     check_identity,
     instance_function,
@@ -207,21 +208,15 @@ def _ground_instances(spec: SearchSpec) -> list[tuple[Callable, tuple[int, ...]]
             found = ids[key] = n + len(ids)
         return found
 
+    def products(left: Sequence[int], right: Sequence[int]) -> list[int]:
+        return list(map(node, left, right))
+
     kept: dict[tuple[int, int], tuple[Callable, tuple[int, ...]]] = {}
     for ident in spec.require:
         names, lhs, rhs = ident.compiled
         asgs = list(itertools.product(range(n), repeat=len(names)))
         columns = list(zip(*asgs))
-        sides = []
-        for ops in (lhs, rhs):
-            stack: list = []
-            for op in ops:
-                if op >= 0:
-                    stack.append(columns[op])
-                else:
-                    right = stack.pop()
-                    stack[-1] = list(map(node, stack[-1], right))
-            sides.append(stack[0])
+        sides = [_fold(ops, columns.__getitem__, products) for ops in (lhs, rhs)]
         f = instance_function(lhs, rhs, len(names))
         for asg, a, b in zip(asgs, *sides):
             if a != b:

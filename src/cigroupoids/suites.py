@@ -38,6 +38,7 @@ from cigroupoids.core import (
     Prod,
     Term,
     Var,
+    _fold,
     _Record,
     check_identity,
     check_identity_witness,
@@ -72,16 +73,15 @@ class SuiteReport(_Record):
 def _ground(t: Term, env: dict[str, int]) -> str:
     """Product rendering with literal arguments: digits joined by a middle
     dot, compound factors parenthesized, as in 0(0(1·2))."""
-    if isinstance(t, Var):
-        return str(env[t.name])
-    left, right = _ground(t.left, env), _ground(t.right, env)
-    if isinstance(t.left, Var) and isinstance(t.right, Var):
-        return f"{left}·{right}"
-    if isinstance(t.left, Prod):
-        left = f"({left})"
-    if isinstance(t.right, Prod):
-        right = f"({right})"
-    return f"{left}{right}"
+
+    def node(left: tuple[str, bool], right: tuple[str, bool]) -> tuple[str, bool]:
+        # each operand is (its text, whether it is a product)
+        (a, a_prod), (b, b_prod) = left, right
+        if not (a_prod or b_prod):
+            return f"{a}·{b}", True
+        return (f"({a})" if a_prod else a) + (f"({b})" if b_prod else b), True
+
+    return _fold(t.signature, lambda name: (str(env[name]), False), node)[0]
 
 
 def _inequality_check(

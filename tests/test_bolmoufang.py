@@ -81,6 +81,9 @@ def test_decode_validates_names():
         ("A21", r"need 1 <= i < j <= 5, got \(2, 1\)"),
         ("A06", r"need 1 <= i < j <= 5, got \(0, 6\)"),
         ("F16", r"need 1 <= i < j <= 5, got \(1, 6\)"),
+        # non-ASCII digits, which int() would read
+        ("A\u0661\u0662", "bad Bol-Moufang name 'A\u0661\u0662'"),
+        ("A\u00b23", "bad Bol-Moufang name 'A\u00b23'"),
     ]
     for name, message in cases:
         with pytest.raises(ValueError, match=message):

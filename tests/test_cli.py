@@ -127,6 +127,15 @@ def test_bm_name_out_of_order_is_usage_error(capsys, argv, pair):
     assert run(capsys, *argv) == (2, "", f"error: need 1 <= i < j <= 5, got {pair}\n")
 
 
+@pytest.mark.parametrize("name", ["A\u0661\u0662", "A\u00b23"])
+def test_non_ascii_digits_are_no_bm_name(capsys, name):
+    # Arabic-Indic digits and a superscript two pass str.isdigit, yet the
+    # string is no Bol-Moufang name: it is parsed as an identity literal
+    assert run(capsys, "alg", "check", name, "fig4a") == (
+        2, "", f"error: identity needs a '=' separator: {name!r}\n"
+    )
+
+
 def test_classify_text(capsys):
     rc, out, _ = run(capsys, "alg", "classify", "fig4a")
     assert rc == 0

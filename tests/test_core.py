@@ -35,6 +35,7 @@ from cigroupoids.core import (
     positional_variables,
     power_term,
     product_algebra,
+    substitute,
     term_condition,
     term_function,
     variables,
@@ -137,6 +138,95 @@ def test_term_signature_walked_once(monkeypatch):
     assert hash(ident) == hash(ident)
     assert len(walks) == 2
     assert walks[0] is ident.lhs and walks[1] is ident.rhs
+
+
+def naive_signature(t):
+    """Postfix listing written out recursively: names, None per product."""
+    if isinstance(t, Var):
+        return (t.name,)
+    return naive_signature(t.left) + naive_signature(t.right) + (None,)
+
+
+def naive_str(t):
+    if isinstance(t, Var):
+        return t.name
+    return f"({naive_str(t.left)} {naive_str(t.right)})"
+
+
+def naive_substitute(t, env):
+    if isinstance(t, Var):
+        return env[t.name]
+    return Prod(naive_substitute(t.left, env), naive_substitute(t.right, env))
+
+
+def shallow_terms():
+    """The 147 terms of depth <= 2 over x, y, z."""
+    leaves = [Var(v) for v in ("x", "y", "z")]
+    upto1 = leaves + [Prod(a, b) for a in leaves for b in leaves]
+    return leaves + [Prod(a, b) for a in upto1 for b in upto1]
+
+
+def test_term_walks_match_recursive_oracles():
+    env = {"x": parse_term("(y z)"), "y": Var("x"), "z": parse_term("((x x) y)")}
+    for t in shallow_terms():
+        sig = naive_signature(t)
+        assert t.signature == sig
+        assert variables(t) == tuple(dict.fromkeys(v for v in sig if v is not None))
+        assert str(t) == naive_str(t)
+        assert repr(t) == naive_repr(t)
+        back = substitute(t, env)
+        assert back == naive_substitute(t, env)
+        assert back.signature == naive_signature(naive_substitute(t, env))
+
+
+def right_nested(depth):
+    """x(x(...(xy))) with `depth` products, nested to the right."""
+    t = Var("y")
+    for _ in range(depth):
+        t = Prod(Var("x"), t)
+    return t
+
+
+def test_deep_right_nested_term():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    t = right_nested(depth)
+    assert t.signature == ("x",) * depth + ("y",) + (None,) * depth
+    text = "(x " * depth + "y" + ")" * depth
+    assert str(t) == text
+    assert parse_term(text) == t
+    assert variables(t) == ("x", "y")
+    swapped = substitute(t, {"x": Var("y"), "y": parse_term("(x x)")})
+    assert swapped.signature == ("y",) * depth + ("x", "x", None) + (None,) * depth
+    ops = compile_term(t, ("x", "y"))
+    assert ops == (0,) * depth + (1,) + (None,) * depth
+    # x1 xor (... xor (x1 xor y0)): an even number of ones
+    assert term_function(ops, 2)(XOR2.rows, 1, 0) == 0
+    assert repr(t) == "Prod(left=Var(name='x'), right=" * depth + "Var(name='y')" + ")" * depth
+    for back in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert back == t and type(back) is Prod
+        assert back.signature == t.signature
+
+
+def test_straight_line_statements():
+    import cigroupoids.core as core
+
+    ops = compile_term(parse_term("(x (y z))"), ("x", "y", "z"))
+    assert ops == (0, 1, 2, None, None)
+    body = []
+    assert core._straight_line(ops, body) == "t1"
+    assert body == ["t0 = r[v1][v2]", "t1 = r[v0][t0]"]
+    # a second side continues the numbering; a variable adds no statement
+    assert core._straight_line(compile_term(parse_term("(y x)"), ("x", "y")), body) == "t2"
+    assert core._straight_line(compile_term(Var("y"), ("x", "y")), body) == "v1"
+    assert body == ["t0 = r[v1][v2]", "t1 = r[v0][t0]", "t2 = r[v1][v0]"]
+
+
+def test_compile_term_names_the_unbound_variable():
+    with pytest.raises(UnboundVariable) as info:
+        compile_term(parse_term("(x (z y))"), ("x", "y"))
+    assert info.value.args == ("z",)
+    assert compile_term(Var("y"), ("x", "y")) == (1,)
 
 
 # --- evaluation ----------------------------------------------------------

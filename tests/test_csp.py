@@ -908,6 +908,41 @@ def test_invariance_verdict_is_kept():
     assert rel._tables["invariant", AINF] is False
 
 
+class CountingTuples(frozenset):
+    """A tuple set that counts the scans of it."""
+
+    scans = 0
+
+    def __iter__(self):
+        CountingTuples.scans += 1
+        return super().__iter__()
+
+
+def test_invariance_memo_hit_reads_no_tuples():
+    """A kept verdict, proved by `is_invariant` or recorded by
+    `gen_instance`, is read without a scan of the tuples; a relation that
+    does not fit the table gets no verdict and is scanned, and refused, on
+    each call."""
+    proved = Relation.single_sorted({(0, 1), (1, 1), (3, 3)}, 2)
+    is_invariant(proved, AINF)
+    (_, recorded), = gen_instance(1, AINF, num_constraints=1).constraints
+    assert recorded._tables["invariant", AINF] is True
+    for rel in (proved, recorded):
+        expected = naive_invariant(rel.tuples, AINF)
+        object.__setattr__(rel, "tuples", CountingTuples(rel.tuples))
+        CountingTuples.scans = 0
+        for _ in range(2):
+            assert is_invariant(rel, AINF) == expected
+        assert CountingTuples.scans == 0
+    bad = Relation.single_sorted({(0,), (3,)}, 1)  # 3 is outside fig4a's carrier
+    object.__setattr__(bad, "tuples", CountingTuples(bad.tuples))
+    for scans in (1, 2):
+        with pytest.raises(SortMismatch):
+            is_invariant(bad, SQUAG)
+        assert CountingTuples.scans == scans
+    assert ("invariant", SQUAG) not in bad._tables
+
+
 # ---------------------------------------------------------------------------
 # Reduction
 

@@ -7,12 +7,15 @@ from cigroupoids.bolmoufang import TABLE1_CLASSES, classify_bm, decode
 from cigroupoids.core import (
     COMMUTATIVE_LAW,
     CayleyTable,
+    Prod,
+    Var,
     check_identity_witness,
     load_fixture,
 )
 from cigroupoids.search import all_models, canonical_form, find_separating_model
 from cigroupoids.suites import (
     CheckResult,
+    _ground,
     _holds_on_all,
     _identity_on_models,
     _models_of_class,
@@ -20,6 +23,37 @@ from cigroupoids.suites import (
 )
 
 PROFILES = [(n, classify_bm(g)) for n in range(1, 5) for g in all_models(n, ())]
+
+
+def naive_ground(t, env):
+    """The rendering of `_ground`, written out recursively."""
+    if isinstance(t, Var):
+        return str(env[t.name])
+    left, right = naive_ground(t.left, env), naive_ground(t.right, env)
+    if isinstance(t.left, Var) and isinstance(t.right, Var):
+        return f"{left}·{right}"
+    if isinstance(t.left, Prod):
+        left = f"({left})"
+    if isinstance(t.right, Prod):
+        right = f"({right})"
+    return f"{left}{right}"
+
+
+def test_ground_matches_recursive_oracle():
+    env = {"x": 0, "y": 1, "z": 2}
+    leaves = [Var(v) for v in env]
+    upto1 = leaves + [Prod(a, b) for a in leaves for b in leaves]
+    for t in leaves + [Prod(a, b) for a in upto1 for b in upto1]:  # depth <= 2
+        assert _ground(t, env) == naive_ground(t, env)
+    assert _ground(Prod(Var("x"), Prod(Var("x"), Var("y"))), env) == "0(0·1)"
+    assert _ground(Prod(Prod(Var("y"), Var("z")), Prod(Var("x"), Var("y"))), env) == "(1·2)(0·1)"
+
+
+def test_ground_of_a_deep_right_nested_term():
+    t = Var("y")
+    for _ in range(5000):
+        t = Prod(Var("x"), t)
+    assert _ground(t, {"x": 0, "y": 1}) == "0(" * 4999 + "0·1" + ")" * 4999
 
 
 def _oracle_n(a, b):
