@@ -7,9 +7,8 @@ order of least element. `_normalize` is the one function that normalizes.
 given (class labels, the rows of σ, pairs of block ids), so no instance
 breaks the convention. The lattice code works on normalized block arrays,
 plain tuples, and builds a `PartitionCongruence` only for each element of
-the lattice it returns. `_join` generates equivalences through the one
-union-find, `_find` with path halving, and serves the sweep, the
-irreducibility test, SD(∧) and the public `join`.
+the lattice it returns. `_join` serves the sweep, the irreducibility
+test, SD(∧) and the public `join`.
 
 A partition is a congruence exactly when every translation x -> a·x and
 x -> x·a maps blocks into blocks (Freese 2008, below). `is_compatible`
@@ -39,13 +38,17 @@ joins for L congruences, every one a step up. It goes level by level,
 from most blocks to fewest, since f∨j ≠ f has fewer blocks than f, and
 its levels are keyed on the block arrays.
 
-`_closure` closes a merged pair under the translations x -> c·x and
-x -> x·c, the rows and the columns of the table, each distinct map once:
-on a commutative table they coincide, which halves the work. A translate
-is tested far more often than two classes merge (at most n - 1 times), so
-the closure keeps a class label per element, where a test is two
-lookups, and a merge relabels one class. `principal_congruence`, for a
-single pair, tabulates the translations itself.
+Both loops that generate equivalences, `_closure` and `_join`, keep a
+class label per element, where a test is two lookups, and merge two
+classes by relabeling one of them, which gives transitivity for free. A
+test happens far more often than a merge (at most n - 1 of them, each
+rewriting at most n labels). `_closure` closes a merged pair under the
+translations x -> c·x and x -> x·c, the rows and the columns of the
+table, each distinct map once: on a commutative table they coincide,
+which halves the work. `_join` starts from p's labels and merges each
+element's class with that of the least element of its q-block.
+`principal_congruence`, for a single pair, tabulates the translations
+itself.
 
 Meet-semidistributivity, SD(∧), says x∧y = x∧z implies x∧(y∨z) = x∧y.
 `is_sd_meet` groups, for each x, the elements z by the meet x∧z and checks
@@ -81,14 +84,6 @@ def _normalize(labels) -> tuple[int, ...]:
     """Relabel hashable labels 0, 1, ... in order of first occurrence."""
     relabel: dict = {}
     return tuple([relabel.setdefault(b, len(relabel)) for b in labels])
-
-
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in the union-find forest `parent`, halving the path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 class PartitionCongruence(_Record):
@@ -187,16 +182,14 @@ def principal_congruence(g: CayleyTable, a: int, b: int) -> PartitionCongruence:
 
 def _join(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Join of two normalized block arrays of one size, normalized: p's
-    blocks merged along q's blocks."""
-    parent = list(range(len(p)))  # over p's block ids
-    first: dict[int, int] = {}  # q-block -> p-block of its least element
-    for a, b in zip(p, q):
-        r = first.setdefault(b, a)
-        if r != a:
-            ra, rb = _find(parent, r), _find(parent, a)
-            if ra != rb:
-                parent[ra] = rb
-    return _normalize([_find(parent, a) for a in p])
+    classes merged along q's blocks, relabeling a whole class per merge."""
+    label = list(p)  # label[x]: the label of x's class
+    first: dict[int, int] = {}  # q-block -> its least element
+    for x, b in enumerate(q):
+        i, j = label[first.setdefault(b, x)], label[x]
+        if i != j:
+            label = [i if k == j else k for k in label]
+    return _normalize(label)
 
 
 def join(p: PartitionCongruence, q: PartitionCongruence) -> PartitionCongruence:
@@ -221,14 +214,13 @@ def _lattice_order(key: tuple[int, ...]) -> tuple:
 
 class CongruenceLattice(_Record):
     """All congruences, finest first, each with the length of the longest
-    chain up to it from the bottom; the distinct nontrivial principal
-    congruences among them, in the same order; and the join-irreducible
-    ones among those, again in the same order. The join-irreducibles are
-    the principal congruences that are not the join of the principal
-    congruences strictly below them, and every congruence is the join of
-    the join-irreducibles below it."""
+    chain up to it from the bottom, and the join-irreducible ones among
+    them, in the same order. The join-irreducibles are the principal
+    congruences that are not the join of the principal congruences
+    strictly below them, and every congruence is the join of the
+    join-irreducibles below it."""
 
-    __slots__ = _fields = ("n", "elements", "depths", "principals", "irreducibles")
+    __slots__ = _fields = ("n", "elements", "depths", "irreducibles")
 
     def height(self) -> int:
         """Length (edge count) of the longest chain."""
@@ -309,17 +301,12 @@ def all_congruences(g: CayleyTable) -> CongruenceLattice:
     n = g.n
     if n > MAX_N_CONGRUENCES:
         raise BoundExceeded(f"n={n} exceeds the congruence bound {MAX_N_CONGRUENCES}")
-    principals = _principals(g)
-    irreducibles = _irreducibles(principals)
+    irreducibles = _irreducibles(_principals(g))
     keys, depths = _sweep(n, irreducibles)
     elements = tuple(map(PartitionCongruence, keys))
     element = dict(zip(keys, elements))
     return CongruenceLattice(
-        n,
-        elements,
-        tuple(depths),
-        tuple(element[p] for p, _, _ in principals),
-        tuple(element[j] for j, _, _ in irreducibles),
+        n, elements, tuple(depths), tuple(element[j] for j, _, _ in irreducibles)
     )
 
 

@@ -392,12 +392,20 @@ def parse_int(token: str, line: str, what: str) -> int:
         raise ValueError(f"{what} is not an integer: {line!r}") from None
 
 
+def parse_size(line: str) -> int:
+    """The size line heading a .alg table; a bad or negative one names its line."""
+    n = parse_int(line, line, "table size")
+    if n < 0:
+        raise ValueError(f"table size is negative: {line!r}")
+    return n
+
+
 def parse_alg(text: str) -> CayleyTable:
     """Parse the .alg format: '#' comment lines, then n, then n rows."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty algebra file")
-    n = parse_int(lines[0], lines[0], "table size")
+    n = parse_size(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = [[parse_int(tok, ln, "table entry") for tok in ln.split()] for ln in lines[1:]]

@@ -71,6 +71,7 @@ from cigroupoids.core import (
     load_alg,
     parse_alg,
     parse_int,
+    parse_size,
 )
 
 BRUTE_LIMIT = 10**7
@@ -506,7 +507,7 @@ def reduce_instance(
         raise ValueError("reduction expects a single-sorted instance")
     g = inst.sorts[0]
     split = _template_split(g, join)
-    jm, block_of, blocks, local, fibers = split
+    jm, block_of, blocks, local = split.jm, split.block_of, split.blocks, split.local
     for scope, rel in inst.constraints:
         if not is_invariant(rel, g):
             raise NotInvariant(f"constraint on {scope} is not invariant")
@@ -545,7 +546,7 @@ def reduce_instance(
             # an empty unary pins the unsatisfiability in-instance
             new_cons.append(((v,), Relation((0,), frozenset())))
 
-    reduced = CSPInstance(inst.variables, fibers, tuple(domain), tuple(new_cons))
+    reduced = CSPInstance(inst.variables, split.fibers, tuple(domain), tuple(new_cons))
 
     return ReductionResult(
         reduced=reduced,
@@ -654,7 +655,7 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
             sorts.append(load_alg(os.path.join(base_dir, path)))
             pos += 1
         else:
-            n = parse_int(lines[pos], lines[pos], "table size")
+            n = parse_size(lines[pos])
             block = lines[pos : pos + n + 1]
             sorts.append(parse_alg("\n".join(block)))
             pos += n + 1

@@ -239,16 +239,12 @@ def check_pseudopartition(g: CayleyTable, join: Term = STANDARD_JOIN) -> P5Statu
 
 
 class FiberSplit(_Record):
-    """A table split into σ-fibers, all of it immutable; it unpacks as
-    (jm, block_of, blocks, local, fibers)."""
+    """A table split into σ-fibers, all of it immutable."""
 
     # jm: a∨b; block_of: the σ-class of each element; blocks: the
     # σ-classes, as parent elements; local: the index of each element in
     # its σ-class; fibers: each σ-class's sub-table, in local indices
     __slots__ = _fields = ("jm", "block_of", "blocks", "local", "fibers")
-
-    def __iter__(self):
-        return iter(self._values())
 
 
 def fiber_split(g: CayleyTable, join: Term) -> tuple[P5Status, FiberSplit]:

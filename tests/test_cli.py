@@ -268,8 +268,11 @@ def test_table_from_stdin(capsys, monkeypatch):
     [
         ("2\n0 x\n1 1\n", "table entry is not an integer: '0 x'"),
         ("two\n0 0\n0 1\n", "table size is not an integer: 'two'"),
+        # once reported as "expected -1 rows, found 0"
+        ("-1\n", "table size is negative: '-1'"),
+        ("0\n", "carrier must have at least one element"),
     ],
-    ids=["entry", "size"],
+    ids=["entry", "size", "negative-size", "zero-size"],
 )
 def test_alg_rejects_malformed_table(capsys, monkeypatch, text, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -508,6 +511,8 @@ def test_csp_solve_parse_error(capsys, tmp_path):
          "undeclared variable 'y' in 'con x y'", "is not in list"),
         ("sorts x\n", "sort count is not an integer: 'sorts x'", "invalid literal"),
         ("sorts 1\ntwo\n", "table size is not an integer: 'two'", "invalid literal"),
+        ("sorts 1\n-2\n0 0\n0 1\nvar x 0\n", "table size is negative: '-2'",
+         "empty algebra file"),
         ("sorts 1\n2\n0 0\n0 1\nvar x y\n", "sort id is not an integer: 'var x y'",
          "invalid literal"),
         ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon x\nt 1.0\nend\n",
@@ -518,7 +523,7 @@ def test_csp_solve_parse_error(capsys, tmp_path):
          "constraints[0] has an empty scope", "empty sequence"),
     ],
     ids=["missing-sort", "sort-then-var", "var-line", "con-scope", "sort-count",
-         "table-size", "var-sort-id", "tuple-entry", "sort-entry", "empty-scope"],
+         "table-size", "negative-table-size", "var-sort-id", "tuple-entry", "sort-entry", "empty-scope"],
 )
 def test_csp_solve_rejects_malformed_line(capsys, monkeypatch, text, message, old):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -13,8 +13,11 @@ import random
 import pytest
 
 from cigroupoids.congruences import (
+    MAX_N_CONGRUENCES,
     CongruenceLattice,
     PartitionCongruence,
+    _join,
+    _principals,
     all_congruences,
     is_compatible,
     is_sd_meet,
@@ -351,10 +354,11 @@ def test_principal_matches_oracle():
 def test_principals_are_the_distinct_nontrivial_principal_congruences():
     for g in ORACLE_GS:
         lat = all_congruences(g)
+        principals = [PartitionCongruence(p) for p, _, _ in _principals(g)]
         expected = {naive_principal(g, a, b) for a, b in itertools.combinations(range(g.n), 2)}
-        assert set(lat.principals) == expected
-        assert len(lat.principals) == len(expected)
-        assert list(lat.principals) == [e for e in lat.elements if e in expected]
+        assert set(principals) == expected
+        assert len(principals) == len(expected)
+        assert principals == [e for e in lat.elements if e in expected]
 
 
 def test_sweep_joins_only_where_it_steps_up(monkeypatch):
@@ -417,18 +421,39 @@ def test_irreducibles_match_oracle():
     for g in ORACLE_GS + golden_small_tables():
         lat = all_congruences(g)
         assert list(lat.irreducibles) == naive_irreducibles(lat.elements)
-        irreducible = set(lat.irreducibles)
-        assert list(lat.irreducibles) == [p for p in lat.principals if p in irreducible]
+        irreducible = {j.block_of for j in lat.irreducibles}
+        assert [j.block_of for j in lat.irreducibles] == [
+            p for p, _, _ in _principals(g) if p in irreducible
+        ]
+
+
+def random_partition(rng, n):
+    """A partition of range(n) into at most a random number of blocks."""
+    k = rng.randint(1, n)
+    return PartitionCongruence([rng.randrange(k) for _ in range(n)])
 
 
 def test_join_and_meet_match_oracles():
+    # the private join must come out normalized, since the sweep keys its
+    # levels on the block arrays it returns
+    def check(p, q):
+        assert _join(p.block_of, q.block_of) == naive_join(p, q).block_of
+        assert join(p, q) == naive_join(p, q)
+        assert meet(p, q) == naive_meet(p, q)
+
+    for n in range(1, 5):
+        for p, q in itertools.product(set_partitions(n), repeat=2):
+            check(p, q)
     rng = random.Random(4)
     for n in range(1, 9):
         parts = list(itertools.islice(set_partitions(n), 300))
         for _ in range(200):
-            p, q = rng.choice(parts), rng.choice(parts)
-            assert join(p, q) == naive_join(p, q)
-            assert meet(p, q) == naive_meet(p, q)
+            check(rng.choice(parts), rng.choice(parts))
+    # up to the congruence bound, with few blocks on each side, so that a
+    # join merges many classes
+    for n in range(1, MAX_N_CONGRUENCES + 1):
+        for _ in range(300):
+            check(random_partition(rng, n), random_partition(rng, n))
 
 
 # --- lattices past the old code's reach ----------------------------------
@@ -480,7 +505,7 @@ def test_lattice_outputs_golden():
         out.append(
             (
                 [e.block_of for e in lat.elements],
-                [e.block_of for e in lat.principals],
+                [p for p, _, _ in _principals(g)],
                 lat.height(),
                 [e.block_of for e in lat.atoms()],
                 is_sd_meet(lat),

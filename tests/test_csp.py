@@ -31,6 +31,7 @@ from cigroupoids.csp import (
 )
 from cigroupoids.plonka import (
     STANDARD_JOIN,
+    FiberSplit,
     NotPseudopartition,
     adjoin_infinity,
     cie_cyclic,
@@ -1072,7 +1073,8 @@ def test_cached_split_cannot_be_mutated():
     inst = gen_instance(3, AINF, num_vars=4, num_constraints=3)
     expected = reduce_instance(inst)
     split = _template_split(AINF, STANDARD_JOIN)
-    for part in split:
+    for name in FiberSplit._fields:
+        part = getattr(split, name)
         assert isinstance(part, tuple)
         for entry in part:
             assert isinstance(entry, (int, tuple, CayleyTable))

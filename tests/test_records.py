@@ -58,7 +58,7 @@ FIELDS = {
     CheckResult: ("check", "passed", "witness"),
     SuiteReport: ("name", "checks"),
     PartitionCongruence: ("block_of",),
-    CongruenceLattice: ("n", "elements", "depths", "principals", "irreducibles"),
+    CongruenceLattice: ("n", "elements", "depths", "irreducibles"),
     P5Status: ("witnesses",),
     PlonkaSystem: ("replica", "fibers", "globals", "fiber_maps"),
     FiberSplit: ("jm", "block_of", "blocks", "local", "fibers"),
