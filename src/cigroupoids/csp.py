@@ -46,9 +46,11 @@ and the term only, so a bounded cache keyed on both keeps it for every
 instance over that template. A `ReductionResult` keeps the split as a
 field, and its `transform` is a method, so it pickles like any record.
 
-`is_invariant` and `close_under` share one kernel, `_products`, that
-multiplies a tuple with many tuples at once, reading the table row by row
-down the columns of their coordinates.
+`is_invariant` and `close_under` share one lazy closure, `_closing`, that
+yields each new tuple as it finds it: `close_under` takes them all, and
+`is_invariant` stops at the first. Its kernel, `_products`, multiplies a
+tuple with many tuples at once, reading the table row by row down the
+columns of their coordinates.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from __future__ import annotations
 import operator
 import os
 from collections import deque
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence, Set
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, takewhile
 
 from cigroupoids.core import (
     STANDARD_JOIN,
@@ -196,12 +198,6 @@ Solution = dict[str, int]
 # Invariance
 
 
-def _commutes(g: CayleyTable) -> bool:
-    """Whether g equals its transpose. Then t2·t1 = t1·t2 coordinatewise,
-    so one product per unordered pair of tuples suffices."""
-    return g.rows == tuple(zip(*g.rows))
-
-
 def _products(rows: Sequence[Sequence[int]], t: tuple[int, ...], columns: Sequence[Sequence[int]]):
     """The coordinatewise products t·u, in order, for the tuples u whose
     coordinates `columns` lists position by position: columns[p][j] is
@@ -209,8 +205,36 @@ def _products(rows: Sequence[Sequence[int]], t: tuple[int, ...], columns: Sequen
     return zip(*[map(rows[a].__getitem__, column) for a, column in zip(t, columns)])
 
 
+def _closing(rows: Sequence[Sequence[int]], seeds: Set[tuple[int, ...]]):
+    """Each tuple of the closure of `seeds` under the coordinatewise product
+    that is not a seed, yielded as soon as it is found. Each tuple taken off
+    the frontier meets itself and every tuple taken before it, whose
+    coordinates `columns` keeps position by position, so each pair is met
+    once; both products of a pair are taken in turn unless the table equals
+    its transpose."""
+    flipped = tuple(zip(*rows))
+    commutes = flipped == rows
+    seen = set(seeds)
+    frontier = list(seeds)
+    columns: list[list[int]] = [[] for _ in frontier[0]] if frontier else []
+    while frontier:
+        t1 = frontier.pop()
+        for column, e in zip(columns, t1):
+            column.append(e)
+        products = _products(rows, t1, columns)
+        if not commutes:
+            # t2·t1 reads the transposed table at (t1, t2)
+            products = chain.from_iterable(zip(products, _products(flipped, t1, columns)))
+        for p in products:
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+                yield p
+
+
 def is_invariant(r: Relation, g: CayleyTable) -> bool:
-    """Closure of the tuple set under the coordinatewise product of pairs.
+    """Closure of the tuple set under the coordinatewise product of pairs:
+    whether `_closing` finds no new tuple, asked for the first one only.
     The verdict, True or False, is kept in the relation's memo, keyed on
     ("invariant", g), and read by every later call with that table. A
     relation that is not single-sorted or whose tuples leave the carrier of
@@ -224,19 +248,7 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
             for e in t:
                 if not (0 <= e < g.n):
                     raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
-        tuples = r.tuples
-        rows = g.rows
-        listed = list(tuples)
-        columns = list(zip(*listed))
-        if _commutes(g):
-            # t_i meets t_i, t_i+1, ...: each unordered pair once
-            verdict = all(
-                tuples.issuperset(_products(rows, t, [column[i:] for column in columns]))
-                for i, t in enumerate(listed)
-            )
-        else:
-            verdict = all(tuples.issuperset(_products(rows, t, columns)) for t in listed)
-        r._tables["invariant", g] = verdict
+        verdict = r._tables["invariant", g] = next(_closing(g.rows, r.tuples), None) is None
     return verdict
 
 
@@ -563,29 +575,9 @@ def reduce_instance(
 
 
 def close_under(template: CayleyTable, seeds: Iterable[tuple[int, ...]]) -> frozenset:
-    """Smallest tuple set containing seeds closed under the coordinatewise op."""
-    rows = template.rows
-    # Each tuple taken off the frontier meets itself and every tuple taken
-    # before it, whose coordinates `columns` keeps position by position, so
-    # each pair is met once; both products of a pair are taken in turn
-    # unless the table commutes.
-    flipped = None if _commutes(template) else tuple(zip(*rows))
-    out = set(tuple(t) for t in seeds)
-    frontier = list(out)
-    columns: list[list[int]] = [[] for _ in frontier[0]] if frontier else []
-    while frontier:
-        t1 = frontier.pop()
-        for column, e in zip(columns, t1):
-            column.append(e)
-        products = _products(rows, t1, columns)
-        if flipped is not None:
-            # t2·t1 reads the transposed table at (t1, t2)
-            products = chain.from_iterable(zip(products, _products(flipped, t1, columns)))
-        for p in products:
-            if p not in out:
-                out.add(p)
-                frontier.append(p)
-    return frozenset(out)
+    """The seeds and every tuple of their closure that `_closing` finds."""
+    seeds = set(map(tuple, seeds))
+    return frozenset(seeds.union(_closing(template.rows, seeds)))
 
 
 def gen_instance(
@@ -647,18 +639,21 @@ def parse_csp(text: str, base_dir: str = ".") -> CSPInstance:
         raise ValueError(f"sort count is negative: {lines[pos]!r}")
     pos += 1
     sorts = []
+    starts = ("var ", "con ")  # the lines that start a block after the sorts
     for _ in range(k):
-        if pos == len(lines) or lines[pos].startswith(("var ", "con ")):
+        if pos == len(lines) or lines[pos].startswith(starts):
             raise ValueError(f"{lines[0]!r} declares {k} sorts, found {len(sorts)}")
         if lines[pos].startswith("@file "):
             path = lines[pos][len("@file ") :].strip()
             sorts.append(load_alg(os.path.join(base_dir, path)))
             pos += 1
         else:
-            n = parse_size(lines[pos])
-            block = lines[pos : pos + n + 1]
+            # at most n rows, up to a line that starts a block or a sort
+            rows = lines[pos + 1 : pos + parse_size(lines[pos]) + 1]
+            rows = takewhile(lambda ln: not ln.startswith((*starts, "@file ")), rows)
+            block = [lines[pos], *rows]
             sorts.append(parse_alg("\n".join(block)))
-            pos += n + 1
+            pos += len(block)
     variables: list[str] = []
     domain: list[int] = []
     index: dict[str, int] = {}  # a repeated name keeps its first position

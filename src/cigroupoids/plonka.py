@@ -513,6 +513,8 @@ def parse_system(text: str) -> PlonkaSystem:
             if (s, t) in maps:
                 raise ValueError(f"repeated map {s} -> {t}: {ln!r}")
             maps[(s, t)] = tuple(parse_int(v, ln, "map image") for v in images.split())
+        elif maps and stripped and not stripped.startswith("#"):
+            raise ValueError(f"unexpected line after the map lines: {ln!r}")
         elif current is not None:
             current.append(ln)
         else:

@@ -392,8 +392,13 @@ SQUAG_REPLICA_SYSTEM = (
         (SQUAG_REPLICA_SYSTEM, "replica must be a semilattice"),
         (format_system(decompose(adjoin_infinity(load_fixture("fig4a")))) + "# map 1 0: 0\n",
          "stray map 1 -> 0: the replica has no 1 ≤ 0"),
+        ("1\n0\n# fiber 0 elements 0\n1\n0\n# map 0 0: 0\n1\n0\n",
+         "unexpected line after the map lines: '1'"),
+        # without a replica first, the rows after the map would be read as one
+        ("# fiber 0 elements 0\n1\n0\n# map 0 0: 0\n1\n0\n",
+         "unexpected line after the map lines: '1'"),
     ],
-    ids=["squag-replica", "stray-map"],
+    ids=["squag-replica", "stray-map", "rows-after-maps", "replica-after-maps"],
 )
 def test_plonka_sum_rejects_a_system_breaking_the_contract(capsys, monkeypatch, system, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(system))
@@ -521,9 +526,16 @@ def test_csp_solve_parse_error(capsys, tmp_path):
          "invalid literal"),
         ("sorts 1\n2\n0 0\n0 1\nvar x 0\ncon \nend\n",
          "constraints[0] has an empty scope", "empty sequence"),
+        # a short inline table stops at the next block or sort line
+        ("sorts 1\n3\n0 0\n0 1\nvar x 0\n", "expected 3 rows, found 2",
+         "table entry is not an integer"),
+        ("sorts 2\n3\n0 0\n0 1\n@file fig1.alg\nvar x 0\n", "expected 3 rows, found 2",
+         "table entry is not an integer"),
+        ("sorts 1\n2\n0 0\n0 1\n1 1\nvar x 0\n", "unrecognized line '1 1'", "expected"),
     ],
     ids=["missing-sort", "sort-then-var", "var-line", "con-scope", "sort-count",
-         "table-size", "negative-table-size", "var-sort-id", "tuple-entry", "sort-entry", "empty-scope"],
+         "table-size", "negative-table-size", "var-sort-id", "tuple-entry", "sort-entry", "empty-scope",
+         "short-table-then-var", "short-table-then-file", "long-table"],
 )
 def test_csp_solve_rejects_malformed_line(capsys, monkeypatch, text, message, old):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

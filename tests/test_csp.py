@@ -18,6 +18,7 @@ from cigroupoids.csp import (
     SortMismatch,
     _arc_consistency,
     _backtrack,
+    _closing,
     _template_split,
     close_under,
     fold_join,
@@ -209,9 +210,12 @@ KERNEL_TEMPLATES = {
 
 
 def test_product_kernel_matches_naive():
-    """`is_invariant` and `close_under` read their products through one
-    column kernel; both agree with pair-by-pair oracles on commutative and
-    non-commutative templates, at arities 1 to 4 and on the empty relation."""
+    """`is_invariant` and `close_under` both read the one closure
+    `_closing`, whose products come from one column kernel. It yields each
+    tuple of the closure that is not a seed exactly once, and nothing for a
+    closed set; `is_invariant` and `close_under` agree with pair-by-pair
+    oracles on commutative and non-commutative templates, at arities 1 to 4
+    and on the empty relation."""
     rng = random.Random(2021)
     verdicts = {name: set() for name in KERNEL_TEMPLATES}
     for name, g in KERNEL_TEMPLATES.items():
@@ -219,6 +223,7 @@ def test_product_kernel_matches_naive():
             empty = Relation.single_sorted((), arity)
             assert is_invariant(empty, g) and naive_invariant(empty.tuples, g)
             assert close_under(g, []) == frozenset()
+            assert list(_closing(g.rows, set())) == []
             for _ in range(30):
                 seeds = [
                     tuple(rng.randrange(g.n) for _ in range(arity))
@@ -226,6 +231,11 @@ def test_product_kernel_matches_naive():
                 ]
                 closed = close_under(g, seeds)
                 assert closed == naive_fixpoint_closure(g, seeds), (name, seeds)
+                new = list(_closing(g.rows, set(seeds)))
+                assert len(set(new)) == len(new), (name, seeds)
+                assert not set(new) & set(seeds), (name, seeds)
+                assert set(seeds).union(new) == closed, (name, seeds)
+                assert list(_closing(g.rows, closed)) == [], (name, seeds)
                 # the closure, and arbitrary sets around it: a closure plus
                 # one stray tuple, and a closure less one tuple
                 stray = tuple(rng.randrange(g.n) for _ in range(arity))
