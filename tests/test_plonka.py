@@ -435,6 +435,7 @@ def test_singleton_replica_sum_is_fiber():
 
 ONE = CayleyTable([[0]])
 CHAIN2 = CayleyTable([[0, 1], [1, 1]])
+CHAIN3 = CayleyTable([[max(a, b) for b in range(3)] for a in range(3)])
 
 
 @pytest.mark.parametrize(
@@ -447,6 +448,15 @@ CHAIN2 = CayleyTable([[0, 1], [1, 1]])
         (lambda: PlonkaSystem(ONE, (SQUAG,), ((0, 1, 3),)),
          "fiber globals must partition 0..n-1"),
         (lambda: make_system(SQUAG, (ONE, ONE, ONE), {}), "replica must be a semilattice"),
+        (lambda: make_system(CHAIN2, (SQUAG, SQUAG), {(0, 1): (0, 1, 0)}),
+         "map 0 -> 1 is not a homomorphism at (0, 1)"),
+        # rows 0 and 1 of the 3-chain map through (0, 1, 0) alike until (1, 2)
+        (lambda: make_system(CHAIN2, (CHAIN3, CHAIN3), {(0, 1): (0, 1, 0)}),
+         "map 0 -> 1 is not a homomorphism at (1, 2)"),
+        # x -> -x is an automorphism of the squag, so each map alone is fine
+        (lambda: make_system(CHAIN3, (SQUAG,) * 3,
+                             {(0, 1): (0, 1, 2), (1, 2): (0, 1, 2), (0, 2): (0, 2, 1)}),
+         "maps do not compose: 0 -> 1 -> 2"),
         (lambda: make_system(CHAIN2, (SQUAG, SQUAG), {(0, 1): (0, 1, 2), (1, 0): (0, 1, 2)}),
          "stray map 1 -> 0: the replica has no 1 ≤ 0"),
         # a later line for the same pair would silently replace the first
@@ -454,8 +464,8 @@ CHAIN2 = CayleyTable([[0, 1], [1, 1]])
             "# map 0 0: 0 1 2", "# map 0 0: 2 2 2\n# map 0 0: 0 1 2")),
          "repeated map 0 -> 0: '# map 0 0: 0 1 2'"),
     ],
-    ids=["fiber-count", "globals-length", "globals-partition", "replica", "stray-map",
-         "repeated-map"],
+    ids=["fiber-count", "globals-length", "globals-partition", "replica", "homomorphism",
+         "homomorphism-later-row", "composition", "stray-map", "repeated-map"],
 )
 def test_system_checks_its_contract_where_it_is_built(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -4,7 +4,8 @@
 that `plonka.LAWS` and `congruences.is_compatible` replaced: P1..P5 as
 generator expressions over every tuple of elements, and compatibility as
 four nested loops over pairs of related elements. The row scans must give
-the same verdict and the same first witness, in the same scan order.
+the same verdict and the same first witness, in the same scan order, and
+each law the same full list of failing tuples.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from cigroupoids.core import FIXTURE_NAMES, CayleyTable, load_fixture, parse_ter
 from cigroupoids.plonka import (
     LAWS,
     STANDARD_JOIN,
+    _columns,
     check_pseudopartition,
     join_matrix,
     make_system,
@@ -241,6 +243,65 @@ def test_laws_match_naive_on_big_sums():
             assert wit == naive_witnesses(h, STANDARD_JOIN)
             failed |= set(wit)
     assert failed >= {"P2", "P3", "P4", "P5"}
+
+
+def failure_lists(g, join):
+    """Each law's full list of failing tuples, by `LAWS` and by the naive
+    scans, so the whole scan order is compared and not only the witness."""
+    jm = join_matrix(g, join)
+    k = range(g.n)
+    columns = _columns(jm)
+    fast = {name: list(failures(g.rows, jm, k, *columns)) for name, failures in LAWS}
+    naive = {name: list(failures(g.rows, jm, k)) for name, failures in naive_laws}
+    return fast, naive
+
+
+def all_tables(n):
+    return [
+        CayleyTable([cells[a * n:(a + 1) * n] for a in range(n)])
+        for cells in itertools.product(range(n), repeat=n * n)
+    ]
+
+
+def test_law_failures_match_naive_in_full():
+    # the joins x (every column of j equal) and y (every row equal) are the
+    # extremes of the column cut; n = 1 and 2 are the widths where an
+    # itemgetter over the columns returns a bare value
+    joins = JOINS + (parse_term("x"), parse_term("y"))
+    tables = all_tables(1) + all_tables(2) + random_tables(7, 200)
+    tables += [g for v in ("T1", "T2") for n in range(1, 7) for g in all_models(n, variety_identities(v))]
+    failed = {name: 0 for name, _ in LAWS}
+    repeated = 0
+    for g in tables:
+        for join in joins:
+            fast, naive = failure_lists(g, join)
+            assert fast == naive, (g, join)
+            for name, tuples in fast.items():
+                failed[name] += bool(tuples)
+            repeated += len(_columns(join_matrix(g, join))[2]) < g.n
+    assert all(count >= 20 for count in failed.values()), failed
+    assert repeated >= 500
+
+
+def test_law_failures_match_naive_in_repeated_columns_of_big_sums():
+    # a cell in a column of j that repeats an earlier column, so the cut
+    # compares that column only at its first occurrence
+    rng = random.Random(17)
+    failed = set()
+    for seed in (1, 2, 3):
+        g = big_sum(seed)
+        _, first, firsts = _columns(join_matrix(g, STANDARD_JOIN))
+        assert len(firsts) < g.n
+        later = [b for b in range(g.n) if first[b] != b]
+        for _ in range(2):
+            a, b = rng.randrange(g.n), rng.choice(later)
+            rows = [list(r) for r in g.rows]
+            rows[a][b] = (rows[a][b] + 1 + rng.randrange(g.n - 1)) % g.n
+            h = CayleyTable(rows)
+            fast, naive = failure_lists(h, STANDARD_JOIN)
+            assert fast == naive
+            failed |= {name for name, tuples in fast.items() if tuples}
+    assert failed >= {"P2", "P3", "P4", "P5"}, failed
 
 
 def test_is_compatible_matches_naive_on_small_tables():
