@@ -10,14 +10,10 @@ plain tuples, and builds a `PartitionCongruence` only for each element of
 the lattice it returns. `_join` serves the sweep, the irreducibility
 test, SD(∧) and the public `join`.
 
-A partition is a congruence exactly when every translation x -> a·x and
-x -> x·a maps blocks into blocks (Freese 2008, below). `is_compatible`
-tests this on whole lines: it maps each row and column of the table
-through the block ids once, and the partition is compatible exactly when
-every element's two mapped lines equal those of its block's first
-element. On failure only the first failing pair (a, a2) of related
-elements is searched for its (b, b2), so the witness is the first one the
-scan over all related pairs (a, a2) and (b, b2) would report.
+A partition is a congruence exactly when related elements have related
+products. `is_compatible` tests a given partition by that definition; no
+workload calls it, and the lattice never tests a partition, since it
+builds every congruence by closure.
 
 The lattice is built from the principal congruences Cg(a, b), following
 Freese, "Computing congruences efficiently" (Algebra Universalis, 2008).
@@ -117,29 +113,19 @@ def is_compatible(g: CayleyTable, part: PartitionCongruence) -> tuple[bool, tupl
 
     The witness is the first (a, a2, b, b2) with a≡a2, b≡b2 and ab, a2b2 in
     different blocks, blocks taken in order and each pair in lexicographic
-    order. The pair (a, a2) has such a (b, b2) exactly when the mapped rows
-    of a and a2 differ or x -> a·x splits a block, so only the first such
-    pair is scanned for its (b, b2).
+    order. The scan checks each related pair (a, a2) against every related
+    pair (b, b2): at most (Σ|B|²)² checks over the blocks B.
     """
     n = g.n
     if part.n != n:
         raise ValueError(f"a partition of {part.n} elements does not fit a table of {n} elements")
-    block = part.block_of.__getitem__
-    left = [list(map(block, row)) for row in g.rows]  # left[a][x]: block of a·x
-    right = [list(map(block, col)) for col in zip(*g.rows)]  # right[a][x]: block of x·a
-    first: dict[int, int] = {}
-    lead = [first.setdefault(b, x) for x, b in enumerate(part.block_of)]
-    if left == [left[p] for p in lead] and right == [right[p] for p in lead]:
-        return True, None
-    # the elements a whose translation x -> a·x splits a block
-    splits = {
-        a for x, p in enumerate(lead) if right[x] != right[p]
-        for a in range(n) if right[x][a] != right[p][a]
-    }
+    block, rows = part.block_of, g.rows
     related = [pair for blk in part.blocks() for pair in itertools.product(blk, repeat=2)]
-    a, a2 = next((a, a2) for a, a2 in related if a in splits or left[a] != left[a2])
-    b, b2 = next((b, b2) for b, b2 in related if left[a][b] != left[a2][b2])
-    return False, (a, a2, b, b2)
+    for a, a2 in related:
+        for b, b2 in related:
+            if block[rows[a][b]] != block[rows[a2][b2]]:
+                return False, (a, a2, b, b2)
+    return True, None
 
 
 def _translations(g: CayleyTable) -> tuple[tuple[int, ...], ...]:

@@ -100,6 +100,7 @@ from cigroupoids.core import (
     format_alg,
     parse_alg,
     parse_int,
+    power_term,
     term_function,
     variables,
 )
@@ -339,8 +340,9 @@ class PlonkaSystem(_Record):
     globals[s] lists the parent elements of fiber s in ascending order;
     fibers[s] is that block's sub-table in local indices. fiber_maps, when
     present, sends (s, t) with s below t in the replica to the tuple of
-    local images in fiber t. It is kept as a read-only view of a copy, so
-    the maps checked here stay the maps `plonka_sum` reads.
+    local images in fiber t. It is kept as a read-only view of a copy, with
+    each map copied to a tuple, so the maps checked here stay the maps
+    `plonka_sum` reads.
 
     Every builder (`decompose`, `make_system`, `parse_system`) goes
     through `__init__`, so the contract is checked there and nowhere
@@ -373,7 +375,7 @@ class PlonkaSystem(_Record):
         if not check_property(replica, "semilattice"):
             raise ValueError("replica must be a semilattice")
         if fiber_maps is not None:
-            fiber_maps = MappingProxyType(dict(fiber_maps))
+            fiber_maps = MappingProxyType({st: tuple(phi) for st, phi in fiber_maps.items()})
             _validate_maps(replica, fibers, fiber_maps)
         self._init(replica, fibers, globals, fiber_maps)
 
@@ -507,6 +509,8 @@ def cie_cyclic(n: int) -> CayleyTable:
 def cid_exponent(g: CayleyTable) -> int:
     """Least e >= 1 making x·y^e a pseudopartition operation for g.
 
+    Each candidate is the term `power_term(e)`, checked by
+    `check_pseudopartition` on its `join_matrix` like every other join.
     Only defined on commutative idempotent distributive tables; for those
     an exponent at most n! always exists, so running off the end signals an
     internal inconsistency rather than a legitimate outcome.
@@ -514,13 +518,10 @@ def cid_exponent(g: CayleyTable) -> int:
     for p in ("commutative", "idempotent", "distributive"):
         if not check_property(g, p):
             raise NotCID(f"table is not {p}")
-    n = g.n
-    limit = math.factorial(n)
-    jm = [list(r) for r in g.rows]
+    limit = math.factorial(g.n)
     for e in range(1, limit + 1):
-        if _status_from_matrix(g, jm).pseudopartition:
+        if check_pseudopartition(g, power_term(e)).pseudopartition:
             return e
-        jm = [[g.rows[jm[x][y]][y] for y in range(n)] for x in range(n)]
     raise NoExponent(f"no exponent up to {limit}")
 
 

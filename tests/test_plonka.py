@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import itertools
+import math
 import pickle
 import random
 import re
@@ -30,6 +31,7 @@ from cigroupoids.plonka import (
     NotCID,
     NotPseudopartition,
     PlonkaSystem,
+    _status_from_matrix,
     adjoin_infinity,
     check_pseudopartition,
     cid_exponent,
@@ -472,6 +474,17 @@ def test_system_checks_its_contract_where_it_is_built(build, message):
         build()
 
 
+def test_maps_given_as_lists_are_stored_as_tuples():
+    # the identity and composition checks compare the stored maps with
+    # tuples, so a map given as a list must be stored as a tuple
+    squag = cie_cyclic(3)
+    expected = plonka_sum(make_system(CHAIN2, (squag, squag), {(0, 1): (0, 1, 2)}))
+    for maps in ({(0, 1): [0, 1, 2]}, {(0, 0): [0, 1, 2], (0, 1): (0, 1, 2)}):
+        sys = make_system(CHAIN2, (squag, squag), maps)
+        assert plonka_sum(sys) == expected
+        assert all(type(phi) is tuple for phi in sys.fiber_maps.values())
+
+
 # --- serialization -------------------------------------------------------
 
 
@@ -578,13 +591,30 @@ def test_exponent_rejects_non_cid():
         cid_exponent(load_fixture("leftzero"))
 
 
+def matrix_exponent(g):
+    """The least e with x·y^e a pseudopartition operation, by iterating the
+    table of x·y^e: each step multiplies entry (x, y) on the right by y."""
+    n = g.n
+    jm = [list(r) for r in g.rows]
+    for e in range(1, math.factorial(n) + 1):
+        if _status_from_matrix(g, jm).pseudopartition:
+            return e
+        jm = [[g.rows[jm[x][y]][y] for y in range(n)] for x in range(n)]
+
+
 def test_exponent_matches_term_route():
-    # dual route: the matrix iteration must agree with evaluating the term
-    for g in (SQUAG, MEET2, AINF, cie_cyclic(5)):
-        e = cid_exponent(g)
-        assert check_pseudopartition(g, power_term(e)).pseudopartition
-        for smaller in range(1, e):
-            assert not check_pseudopartition(g, power_term(smaller)).pseudopartition
+    # dual route: cid_exponent evaluates the term x·y^e, matrix_exponent
+    # iterates its table
+    from cigroupoids.search import all_models, variety_identities
+
+    cid = variety_identities("CID")
+    models = [g for n in range(1, 7) for g in all_models(n, cid)]
+    assert len(models) == 111
+    for g in models:
+        assert cid_exponent(g) == matrix_exponent(g), g
+    cyclic = [cie_cyclic(n) for n in range(1, 16, 2)]
+    assert [cid_exponent(g) for g in cyclic] == [1, 2, 4, 3, 6, 10, 12, 4]
+    assert [matrix_exponent(g) for g in cyclic] == [1, 2, 4, 3, 6, 10, 12, 4]
 
 
 # --- pinned outputs --------------------------------------------------------

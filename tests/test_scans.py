@@ -1,11 +1,12 @@
 """The row scans of the Płonka and congruence layers against the naive scans.
 
-`naive_laws` and `naive_is_compatible` are the element-by-element scans
-that `plonka.LAWS` and `congruences.is_compatible` replaced: P1..P5 as
-generator expressions over every tuple of elements, and compatibility as
-four nested loops over pairs of related elements. The row scans must give
-the same verdict and the same first witness, in the same scan order, and
-each law the same full list of failing tuples.
+`naive_laws` is the element-by-element scan that `plonka.LAWS` replaced:
+P1..P5 as generator expressions over every tuple of elements. The row
+scans must give the same verdict and the same first witness, in the same
+scan order, and each law the same full list of failing tuples.
+`naive_is_compatible` is compatibility as four nested loops over pairs of
+related elements; `congruences.is_compatible` is the same scan over one
+flat list of related pairs, and must give the same verdict and witness.
 """
 
 import hashlib
