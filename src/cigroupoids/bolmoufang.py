@@ -52,7 +52,7 @@ def decode(name: str) -> Identity:
     Memoized, so every caller shares one Identity per name, and with it the
     identity's compiled form.
     """
-    if len(name) != 3 or not name.isascii():
+    if len(name) != 3 or not name.isascii() or not name[1:].isdigit():
         raise ValueError(f"bad Bol-Moufang name {name!r}")
     letter, i, j = name[0], int(name[1]), int(name[2])
     if letter not in LETTERS:

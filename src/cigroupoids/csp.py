@@ -28,13 +28,14 @@ it, so solving the same instance object again, under any domain masks,
 sets nothing up; a caller that solves an instance once gains nothing.
 
 An instance over a CSP(Γ) template draws its relations from a fixed
-language, and many constraints share one `Relation`. So each relation
-memoizes the lookup tables the solvers read (`Relation.support`), the
-sort sizes its tuples were found to fit, and its invariance verdict under
-each template (`is_invariant`): each is computed once per relation, and
-every instance, solver call and reduction over it reuses them. `parse_csp`
-gives the `con` blocks with equal signature and tuples one `Relation`, so
-an instance read from a file shares them too.
+language, and many constraints share one `Relation`. A relation computes
+the mask of the values at each position (`Relation.projections`) when it
+is built, and the carrier checks and arc consistency read those masks. It
+memoizes the lookup tables the solvers read (`Relation.support`) and its
+invariance verdict under each template (`is_invariant`): each is computed
+once per relation, and every instance, solver call and reduction over it
+reuses them. `parse_csp` gives the `con` blocks with equal signature and
+tuples one `Relation`, so an instance read from a file shares them too.
 
 The reduction takes an instance over an idempotent groupoid together with
 a pseudopartition term, computes for each variable the join a_v of its
@@ -77,6 +78,7 @@ from cigroupoids.core import (
 )
 
 BRUTE_LIMIT = 10**7
+CARRIER_BOUND = 2**20  # no carrier reaches it: its table would have 2**40 cells
 
 
 class SortMismatch(Exception):
@@ -87,20 +89,30 @@ class NotInvariant(Exception):
     """A constraint relation is not preserved by the template operation."""
 
 
+def _projections(tuples: Collection[tuple[int, ...]], arity: int) -> tuple[int, ...]:
+    """The mask of the values at each position of tuples of this arity,
+    whose entries `Relation` has checked to lie in 0..CARRIER_BOUND - 1."""
+    return tuple([sum({1 << t[p] for t in tuples}) for p in range(arity)])
+
+
 class Relation(_Record):
-    # _tables: support tables (keyed on the arguments of `support`),
-    # projection masks (keyed on None), the sort sizes the tuples fit (keyed
-    # on ("carriers", sizes)) and the invariance verdict under a table g
-    # (keyed on ("invariant", g)); they depend on the tuples only, so they
-    # live as long as the relation and take no part in ==, hash or repr
-    __slots__ = ("signature", "tuples", "_tables")
+    # projections: the mask of the values at each position, built with the
+    # checks below; _tables: support tables (keyed on the arguments of
+    # `support`) and the invariance verdict under a table g (keyed on
+    # ("invariant", g)). They depend on the tuples only, so they take no
+    # part in ==, hash or repr, and a copy or pickle builds them anew
+    __slots__ = ("signature", "tuples", "projections", "_tables")
     _fields = ("signature", "tuples")
 
     def __init__(self, signature: tuple[int, ...], tuples: frozenset[tuple[int, ...]]):
         for t in tuples:
             if len(t) != len(signature):
                 raise ValueError(f"tuple {t} has the wrong arity")
+            if t and not 0 <= min(t) <= max(t) < CARRIER_BOUND:
+                # refused before a mask bit is made for the entry
+                raise ValueError(f"tuple {t} escapes its sort carrier")
         self._init(signature, tuples)
+        object.__setattr__(self, "projections", _projections(tuples, len(signature)))
         object.__setattr__(self, "_tables", {})
 
     @staticmethod
@@ -125,15 +137,6 @@ class Relation(_Record):
                     table[k] = table.get(k, 0) | 1 << t[target]
             self._tables[(key, target, same)] = table
         return table
-
-    def projections(self) -> tuple[int, ...]:
-        """The mask of the values at each position, built on the first call."""
-        masks = self._tables.get(None)
-        if masks is None:
-            masks = self._tables[None] = tuple(
-                sum({1 << t[p] for t in self.tuples}) for p in range(len(self.signature))
-            )
-        return masks
 
 
 class CSPInstance(_Record):
@@ -172,13 +175,10 @@ class CSPInstance(_Record):
                         f"constraint signature {rel.signature} disagrees with "
                         f"variable {v!r} of sort {domain[index[v]]}"
                     )
-            sizes = tuple(sorts[s].n for s in rel.signature)
-            if ("carriers", sizes) not in rel._tables:
-                for t in rel.tuples:
-                    for pos, e in enumerate(t):
-                        if not (0 <= e < sizes[pos]):
-                            raise ValueError(f"tuple {t} escapes its sort carrier")
-                rel._tables["carriers", sizes] = True
+            if any(m >> sorts[s].n for m, s in zip(rel.projections, rel.signature)):
+                sizes = [sorts[s].n for s in rel.signature]
+                t = next(t for t in rel.tuples if any(map(operator.ge, t, sizes)))
+                raise ValueError(f"tuple {t} escapes its sort carrier")
         self._init(variables, sorts, domain, constraints)
         scopes = tuple(tuple(index[v] for v in scope) for scope, _ in constraints)
         object.__setattr__(self, "_scopes", scopes)
@@ -237,17 +237,16 @@ def is_invariant(r: Relation, g: CayleyTable) -> bool:
     whether `_closing` finds no new tuple, asked for the first one only.
     The verdict, True or False, is kept in the relation's memo, keyed on
     ("invariant", g), and read by every later call with that table. A
-    relation that is not single-sorted or whose tuples leave the carrier of
-    g raises `SortMismatch` before a verdict is proved; such a pair never
-    gets one, so it raises on every call."""
+    relation that is not single-sorted or whose projections leave the
+    carrier of g raises `SortMismatch` before a verdict is proved; such a
+    pair never gets one, so it raises on every call."""
     verdict = r._tables.get(("invariant", g))
     if verdict is None:
         if any(s != r.signature[0] for s in r.signature):
             raise SortMismatch("relation is not single-sorted")
-        for t in r.tuples:
-            for e in t:
-                if not (0 <= e < g.n):
-                    raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
+        if any(m >> g.n for m in r.projections):
+            e = next(e for t in r.tuples for e in t if e >= g.n)
+            raise SortMismatch(f"tuple entry {e} outside carrier 0..{g.n - 1}")
         verdict = r._tables["invariant", g] = next(_closing(g.rows, r.tuples), None) is None
     return verdict
 
@@ -384,12 +383,12 @@ def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[Collection[tupl
     set; a filtered one a list in the relation's iteration order.
 
     Every domain is first cut by the projections (`Relation.projections`,
-    memoized per relation) of the constraints on it. If none narrowed, as
+    built with the relation) of the constraints on it. If none narrowed, as
     on every subdirect instance such as 3-LIN equations, the full domains
     are the fixpoint and every relation keeps its tuples. Otherwise, as in
     AC-3, the queue starts with the constraints on a narrowed domain, the
     only ones whose tuples the domains can cut; a filtered constraint cuts
-    each domain in its scope to what its live tuples support, and is
+    each domain in its scope to its live tuples' projections, and is
     filtered again when a domain in its scope shrinks. The fixpoint is
     unique, so the order changes neither the domains nor the live tuples.
     Runs on after a domain empties, so everything that depends on it
@@ -400,7 +399,7 @@ def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[Collection[tupl
     rels = [rel for _, rel in inst.constraints]
     scopes = inst._scopes
     for idxs, rel in zip(scopes, rels):
-        for u, projection in zip(idxs, rel.projections()):
+        for u, projection in zip(idxs, rel.projections):
             dom[u] &= projection
     live: list[Collection[tuple[int, ...]]] = [rel.tuples for rel in rels]
     if dom == full:
@@ -418,8 +417,7 @@ def _arc_consistency(inst: CSPInstance) -> tuple[list[int], list[Collection[tupl
         idxs = scopes[k]
         narrowed = [(p, dom[u]) for p, u in enumerate(idxs) if dom[u] != full[u]]
         live[k] = kept = [t for t in live[k] if all(m >> t[p] & 1 for p, m in narrowed)]
-        for p, u in enumerate(idxs):
-            support = sum({1 << t[p] for t in kept})
+        for u, support in zip(idxs, _projections(kept, len(idxs))):
             if dom[u] & ~support:
                 dom[u] &= support
                 for j in woken_by[u]:

@@ -75,8 +75,8 @@ def test_decode_validates_names():
         ("", "bad Bol-Moufang name ''"),
         ("G12", "ordering letter must be A..F, got 'G'"),
         ("a12", "ordering letter must be A..F, got 'a'"),
-        ("A1x", "invalid literal for int"),
-        ("Ax2", "invalid literal for int"),
+        ("A1x", "bad Bol-Moufang name 'A1x'"),
+        ("Ax2", "bad Bol-Moufang name 'Ax2'"),
         ("A22", r"need 1 <= i < j <= 5, got \(2, 2\)"),
         ("A21", r"need 1 <= i < j <= 5, got \(2, 1\)"),
         ("A06", r"need 1 <= i < j <= 5, got \(0, 6\)"),

@@ -1,5 +1,6 @@
 """Constraint instances, solvers, and the fiber-collapse reduction."""
 
+import copy
 import itertools
 import pickle
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cigroupoids.core import FIXTURE_NAMES, BoundExceeded, CayleyTable, load_fixture
 from cigroupoids.csp import (
+    CARRIER_BOUND,
     CSPInstance,
     NotInvariant,
     Relation,
@@ -67,12 +69,29 @@ def neq(n: int) -> frozenset:
     return frozenset((a, b) for a in range(n) for b in range(n) if a != b)
 
 
+def naive_projections(rel: Relation) -> tuple[int, ...]:
+    """The mask of the values at each position, one set per position."""
+    return tuple(
+        sum(1 << a for a in {t[p] for t in rel.tuples}) for p in range(len(rel.signature))
+    )
+
+
 def naive_invariant(tuples, g: CayleyTable) -> bool:
     for t1 in tuples:
         for t2 in tuples:
             if tuple(g.rows[a][b] for a, b in zip(t1, t2)) not in tuples:
                 return False
     return True
+
+
+class CountingTuples(frozenset):
+    """A tuple set that counts the scans of it."""
+
+    scans = 0
+
+    def __iter__(self):
+        CountingTuples.scans += 1
+        return super().__iter__()
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +101,13 @@ def naive_invariant(tuples, g: CayleyTable) -> bool:
 def test_relation_validates_shape():
     with pytest.raises(ValueError):
         Relation((0, 0), frozenset({(0, 1, 2)}))
+    # an entry that no carrier holds is refused as the relation is built,
+    # before a projection mask is made for it
+    for entry in (-1, CARRIER_BOUND, 10**30):
+        with pytest.raises(ValueError, match=rf"^tuple \({entry},\) escapes its sort carrier$"):
+            Relation.single_sorted({(entry,)}, 1)
+    top = Relation.single_sorted({(0, 1), (CARRIER_BOUND - 1, 1)}, 2)
+    assert top.projections == (1 | 1 << CARRIER_BOUND - 1, 2) == naive_projections(top)
 
 
 def test_instance_validation():
@@ -99,12 +125,15 @@ def test_instance_validation():
 
 
 def test_shared_relation_is_checked_against_its_carriers_once():
-    # a relation shared by thousands of constraints is scanned once per
-    # tuple of sort sizes: about 0.01 s on a 2-vCPU virtual machine
-    # (Python 3.11), where a scan per constraint took about 3 s
+    # a relation shared by thousands of constraints is checked against the
+    # carriers from its projections, with no scan of its tuples: about
+    # 0.01 s on a 2-vCPU virtual machine (Python 3.11), where a scan per
+    # constraint took about 3 s
     n, k = 50, 6000
     chain = CayleyTable([[max(a, b) for b in range(n)] for a in range(n)])
     rel = Relation.single_sorted(itertools.product(range(n), repeat=2), 2)
+    object.__setattr__(rel, "tuples", CountingTuples(rel.tuples))
+    CountingTuples.scans = 0
     names = tuple(f"v{i}" for i in range(100))
     cons = tuple(((names[i % 100], names[(7 * i + 1) % 100]), rel) for i in range(k))
     start = time.perf_counter()
@@ -112,13 +141,13 @@ def test_shared_relation_is_checked_against_its_carriers_once():
     elapsed = time.perf_counter() - start
     assert len(inst.constraints) == k
     assert elapsed < 0.5, f"checking {k} constraints took {elapsed:.2f} s"
-    # the verdict holds for these sort sizes only, and a failed scan
-    # records none
-    for _ in range(2):
+    assert CountingTuples.scans == 0
+    # smaller carriers fail the check each time, and only then are the
+    # tuples scanned, for one that escapes
+    for scans in (1, 2):
         with pytest.raises(ValueError, match=r"^tuple \(\d+, \d+\) escapes its sort carrier$"):
             CSPInstance(("x", "y"), (SQUAG,), (0, 0), ((("x", "y"), rel),))
-    assert ("carriers", (3, 3)) not in rel._tables
-    assert rel._tables[("carriers", (n, n))] is True
+        assert CountingTuples.scans == scans
 
 
 def test_instance_search_space():
@@ -609,8 +638,9 @@ def test_arc_consistency_matches_naive_fixpoint():
         assert dom == naive_dom, k
         assert [set(kept) for kept in live] == naive_live, k
         full = [(1 << inst.sorts[s].n) - 1 for s in inst.domain]
+        assert all(rel.projections == naive_projections(rel) for _, rel in inst.constraints), k
         cutting = any(
-            rel.projections() != tuple((1 << inst.sorts[s].n) - 1 for s in rel.signature)
+            rel.projections != tuple((1 << inst.sorts[s].n) - 1 for s in rel.signature)
             for _, rel in inst.constraints
         )
         if not cutting:
@@ -795,6 +825,14 @@ def test_relation_memo_is_invisible():
     _arc_consistency(inst)
     assert format_csp(inst) == text
     assert inst == replace(inst, constraints=tuple((scope, fresh) for scope, _ in inst.constraints))
+    masks = naive_projections(rel)
+    assert rel.projections == masks
+    # a copy or pickle builds its projections from the tuples, not from
+    # the slot of the relation it came from
+    object.__setattr__(rel, "projections", (0, 0, 0))
+    for other in (copy.copy(rel), copy.deepcopy(rel), pickle.loads(pickle.dumps(rel))):
+        assert other.projections == masks
+    object.__setattr__(rel, "projections", masks)
     for other in (rel, replace(rel), pickle.loads(pickle.dumps(rel))):
         assert other == fresh
         assert hash(other) == hash(fresh)
@@ -804,6 +842,7 @@ def test_relation_memo_is_invisible():
     # a copy with other tuples builds its own tables
     for kept in ({(2, 0, 0)}, {(1, 1, 1), (0, 1, 2)}, set()):
         smaller = replace(rel, tuples=frozenset(kept))
+        assert smaller.projections == naive_projections(smaller)
         assert_both_least(
             replace(inst, constraints=tuple((scope, smaller) for scope, _ in inst.constraints)),
             kept,
@@ -917,16 +956,6 @@ def test_invariance_verdict_is_kept():
             reduce_instance(inst)
     (_, rel), = inst.constraints
     assert rel._tables["invariant", AINF] is False
-
-
-class CountingTuples(frozenset):
-    """A tuple set that counts the scans of it."""
-
-    scans = 0
-
-    def __iter__(self):
-        CountingTuples.scans += 1
-        return super().__iter__()
 
 
 def test_invariance_memo_hit_reads_no_tuples():
@@ -1432,11 +1461,18 @@ def test_parse_is_linear_in_the_variables():
         ("var x 0\nvar x 0\ncon x q\nt 0 0\nend\n", "undeclared variable 'q' in 'con x q'"),
         ("var x 0\nvar x 1\ncon x\nt 2\nend\n", "duplicate variable names"),
         ("var x 0\nvar y 1\ncon y x\nt 1 2\nend\n", "tuple (1, 2) escapes its sort carrier"),
+        ("var x 0\ncon x\nt -1\nend\n", "tuple (-1,) escapes its sort carrier"),
+        # refused before a projection mask is built for it
+        (
+            "var x 0\ncon x\nt 10000000000000000\nend\n",
+            "tuple (10000000000000000,) escapes its sort carrier",
+        ),
     ],
 )
 def test_parse_error_messages(body, message):
-    # an undeclared name is reported as its `con` line is read, before the
-    # checks the instance runs once the whole file is parsed
+    # an undeclared name, and an entry that no carrier holds, are reported
+    # as their `con` block is read, before the checks the instance runs
+    # once the whole file is parsed
     text = "sorts 2\n2\n0 0\n0 1\n3\n0 2 1\n2 1 0\n1 0 2\n" + body
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_csp(text)

@@ -5,9 +5,10 @@ type only, a hash shared by equal instances, the dataclass-form repr,
 pickling and copying, and no attribute that can be set or deleted. A record
 that only stores its fields is built by the base constructor, which binds
 positional and keyword arguments to the fields and refuses missing, extra
-and repeated ones. A memo (`Relation._tables`, `CSPInstance._scopes` and
-`_plan`) takes no part in equality or repr, and `ReductionResult.transform`
-is a method, so a reduction pickles with its fields alone. A Bol-Moufang
+and repeated ones. A slot built from the fields (`Relation.projections`,
+`CSPInstance._scopes`) or a memo (`Relation._tables`, `CSPInstance._plan`)
+takes no part in equality or repr, and `ReductionResult.transform` is a
+method, so a reduction pickles with its fields alone. A Bol-Moufang
 identity, now its plain name string, keeps the old (letter, i, j) order, and
 `SearchSpec` and `PartitionCongruence` keep their validation.
 """
