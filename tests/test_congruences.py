@@ -7,8 +7,10 @@ atoms read off the refinement order.
 """
 
 import hashlib
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from cigroupoids.congruences import (
     CongruenceLattice,
     PartitionCongruence,
     _join,
+    _labels,
+    _meet,
+    _normalize,
     _principals,
     all_congruences,
     is_compatible,
@@ -183,6 +188,23 @@ def test_lattice_closed_under_meet_and_join():
 def test_partition_normalization_enforced():
     assert PartitionCongruence((1, 0, 0)) == from_pairs(3, [(1, 2)])
     assert PartitionCongruence((1, 0, 0)).block_of == (0, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3, 5])
+def test_related_rejects_an_element_outside_the_carrier(bad):
+    # -1 and -3 once wrapped round to the last and the first element, and 5
+    # raised a bare IndexError
+    part = PartitionCongruence([0, 0, 1])
+    for pair in ((bad, 0), (2, bad)):
+        with pytest.raises(ValueError, match=f"element {bad} is outside 0..2"):
+            part.related(*pair)
+    assert part.related(0, 1) and not part.related(1, 2)
+
+
+def test_empty_partition():
+    # num_blocks and blocks() once raised "max() arg is an empty sequence"
+    part = PartitionCongruence(())
+    assert (part.n, part.num_blocks, part.blocks()) == (0, 0, [])
 
 
 # --- oracles: the definitions the lattice code replaced ------------------
@@ -361,35 +383,102 @@ def test_principals_are_the_distinct_nontrivial_principal_congruences():
         assert principals == [e for e in lat.elements if e in expected]
 
 
-def test_sweep_joins_only_where_it_steps_up(monkeypatch):
-    # the sweep computes f∨j for a join-irreducible j exactly when f
-    # separates the pair generating j, and then it lies strictly above f
+def least_labels(part):
+    """Each element's least related element: the labels the lattice code
+    works on."""
+    return tuple(min(y for y in range(part.n) if part.related(x, y)) for x in range(part.n))
+
+
+def sweep_joins(g, monkeypatch):
+    """The lattice of g and the (f, j) of each join its sweep makes, as labels."""
     import cigroupoids.congruences as congruences
 
     sweep, plain_join = congruences._sweep, congruences._join
+    made = []
 
-    for g in ORACLE_GS:
-        made = []
+    def recording_sweep(*args):
+        # record only the sweep's joins, not those of the irreducibility test
+        monkeypatch.setattr(congruences, "_join", lambda f, j: made.append((f, j)) or plain_join(f, j))
+        try:
+            return sweep(*args)
+        finally:
+            monkeypatch.setattr(congruences, "_join", plain_join)
 
-        def recording_sweep(*args):
-            # record only the sweep's joins, not those of the irreducibility test
-            monkeypatch.setattr(congruences, "_join", lambda f, j: made.append((f, j)) or plain_join(f, j))
-            try:
-                return sweep(*args)
-            finally:
-                monkeypatch.setattr(congruences, "_join", plain_join)
-
-        monkeypatch.setattr(congruences, "_sweep", recording_sweep)
-        lat = all_congruences(g)
+    monkeypatch.setattr(congruences, "_sweep", recording_sweep)
+    try:
+        return all_congruences(g), made
+    finally:
         monkeypatch.undo()
-        assert all(plain_join(f, j) != f for f, j in made)
-        expected = [
-            (f.block_of, j.block_of)
-            for f in lat.elements
-            for j in lat.irreducibles
-            if not naive_leq(j, f)
-        ]
+
+
+def test_sweep_joins_only_where_it_steps_up(monkeypatch):
+    # the sweep computes f∨j exactly for the join-irreducibles j that are
+    # minimal among those whose generating pair f separates, in the order of
+    # the irreducibles, and each such join lies strictly above f
+    for g in ORACLE_GS:
+        lat, made = sweep_joins(g, monkeypatch)
+        assert all(_join(f, j) != f for f, j in made)
+        expected = []
+        for f in lat.elements:
+            separated = [j for j in lat.irreducibles if not naive_leq(j, f)]
+            expected += [
+                (least_labels(f), least_labels(j))
+                for j in separated
+                if not any(k != j and naive_leq(k, j) for k in separated)
+            ]
         assert made == expected
+
+
+def naive_covers(elements):
+    """The pairs (f, e) with e covering f in the refinement order."""
+    above = {f: [e for e in elements if e != f and naive_leq(f, e)] for f in elements}
+    return {
+        (f, e)
+        for f in elements
+        for e in above[f]
+        if not any(naive_leq(h, e) for h in above[f] if h != e)
+    }
+
+
+def test_sweep_joins_every_cover(monkeypatch):
+    # a cover e of f is f∨j for every irreducible j below e that f
+    # separates, minimal ones included, so restricting the sweep to the
+    # minimal ones loses none; the one golden table with more than 256
+    # congruences, the 7-element left-zero band (877), would take the
+    # quadratic oracle minutes
+    for g in ORACLE_GS + golden_small_tables():
+        lat, made = sweep_joins(g, monkeypatch)
+        if len(lat.elements) > 256:
+            continue
+        joined = {(PartitionCongruence(f), PartitionCongruence(_join(f, j))) for f, j in made}
+        assert naive_covers(lat.elements) <= joined
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_sweep_join_counts(monkeypatch):
+    # the sweep's joins are a work count that no machine moves; joining each
+    # element with every irreducible it separates would make 1,678, 5,479,
+    # 113, 104 and 2,265 of them
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module("wl_structure")
+
+    def joins(g):
+        return len(sweep_joins(g, monkeypatch)[1])
+
+    # the structure workload's 100 small Płonka sums for seed 1, drawn as
+    # its build does
+    rng = random.Random(1)
+    sums = [
+        workload.plonka_sum_table(rng, bits=2, max_dim=1, lo=4 + k % 5, hi=4 + k % 5)[0]
+        for k in range(100)
+    ]
+    assert sum(map(joins, sums)) == 1040
+    assert joins(workload.chain_product(4, 3)) == 2174
+    assert joins(product_algebra(reduction_templates()["t1-sum-6"], chain(2))) == 59
+    assert joins(product_algebra(SQUAG, chain(4))) == 68
+    assert joins(left_zero(6)) == 2265
 
 
 def naive_irreducibles(elements):
@@ -423,7 +512,7 @@ def test_irreducibles_match_oracle():
         assert list(lat.irreducibles) == naive_irreducibles(lat.elements)
         irreducible = {j.block_of for j in lat.irreducibles}
         assert [j.block_of for j in lat.irreducibles] == [
-            p for p, _, _ in _principals(g) if p in irreducible
+            _normalize(p) for p, _, _ in _principals(g) if _normalize(p) in irreducible
         ]
 
 
@@ -434,10 +523,13 @@ def random_partition(rng, n):
 
 
 def test_join_and_meet_match_oracles():
-    # the private join must come out normalized, since the sweep keys its
-    # levels on the block arrays it returns
+    # the private join and meet must come out as least-element labels,
+    # since the sweep and SD(∧) key on the label arrays they return
     def check(p, q):
-        assert _join(p.block_of, q.block_of) == naive_join(p, q).block_of
+        labels = _labels(p.block_of), _labels(q.block_of)
+        assert labels == (least_labels(p), least_labels(q))
+        assert _join(*labels) == least_labels(naive_join(p, q))
+        assert _meet(*labels) == least_labels(naive_meet(p, q))
         assert join(p, q) == naive_join(p, q)
         assert meet(p, q) == naive_meet(p, q)
 
@@ -485,7 +577,8 @@ def test_leftzero7_bell():
 def test_lattice_outputs_golden():
     # Pinned before the lattice came from one sweep with stored depths and
     # before partitions were normalized in one place: every element's block
-    # array in order, the principals, height, atoms and SD(∧).
+    # array in order, the principals, height, atoms and SD(∧). The
+    # principals are least-element labels since, read here normalized.
     from cigroupoids.search import all_models
 
     t1_sum6 = reduction_templates()["t1-sum-6"]
@@ -505,7 +598,7 @@ def test_lattice_outputs_golden():
         out.append(
             (
                 [e.block_of for e in lat.elements],
-                [p for p, _, _ in _principals(g)],
+                [_normalize(p) for p, _, _ in _principals(g)],
                 lat.height(),
                 [e.block_of for e in lat.atoms()],
                 is_sd_meet(lat),
