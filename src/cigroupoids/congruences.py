@@ -109,7 +109,8 @@ def _check_elements(n: int, *elements: int) -> None:
     """Raise a ValueError naming the first element outside 0..n-1."""
     for x in elements:
         if not 0 <= x < n:
-            raise ValueError(f"element {x} is outside 0..{n - 1}")
+            carrier = f"0..{n - 1}" if n else "the empty carrier"
+            raise ValueError(f"element {x} is outside {carrier}")
 
 
 class PartitionCongruence(_Record):
@@ -138,8 +139,7 @@ class PartitionCongruence(_Record):
         """Whether a and b share a block; a ValueError names an element
         outside the carrier."""
         block = self.block_of
-        if not (0 <= a < len(block) and 0 <= b < len(block)):
-            _check_elements(len(block), a, b)
+        _check_elements(len(block), a, b)
         return block[a] == block[b]
 
 

@@ -58,7 +58,6 @@ classes P2..P5 take about n²·c steps rather than n³.
 - P4 reads x1 through column x1 of j, as y∨x1, and through the columns of
   j that row x1 of the table names, as y∨(x1·x2). Two x1 that agree on
   both fail at the same (y, x2), so each y compares one x1 per class.
-  When every column is distinct, every class is one x1 and none is built.
 - P5 reads y through column y of j only, the map x -> x∨y that must be a
   homomorphism: (x1·x2)∨y and (x1∨y)·(x2∨y) read that column at x1·x2, x1
   and x2. Each x1 compares the distinct columns, each for all x2 at once.
@@ -196,15 +195,12 @@ def _p4(r, j, k, cols, first, firsts):
     # fails is scanned over every x1.
     rows = list(map(itemgetter(*k), j))
     through = list(starmap(itemgetter, r))
-    reps = k
-    if len(firsts) < len(k):
-        classes: dict = {}
-        for x1 in k:
-            classes.setdefault((first[x1], through[x1](first)), x1)
-        reps = classes.values()
+    classes: dict = {}
+    for x1 in k:
+        classes.setdefault((first[x1], through[x1](first)), x1)
     for y in k:
         jy = j[y]
-        for x1 in reps:
+        for x1 in classes.values():
             if through[x1](jy) != rows[jy[x1]]:
                 break
         else:

@@ -35,9 +35,10 @@ Leaves are emitted only when they equal their own canonical form, which
 makes the output stream duplicate-free and lexicographically sorted without
 any post-hoc merge. The canonical form is the exact lexicographically least
 relabeling, found by branch and bound over relabelings: labels are placed
-one at a time and a branch is cut as soon as the known prefix of its
-image's first row exceeds the best image found so far. When that row ties
-and is fully known, the bound goes on row by row (see `canonical_form`).
+one at a time, and the image's rows are compared with the best image found
+so far by one rule, row 0 included. A branch is cut as soon as the known
+prefix of a row exceeds the best image's; a row that ties goes on to the
+next only when it is known in full (see `canonical_form`).
 """
 
 from __future__ import annotations
@@ -70,14 +71,15 @@ def canonical_form(g: CayleyTable) -> CayleyTable:
     Branch and bound over relabelings: new labels 0, 1, ... are handed out
     to old elements one at a time. With k labels placed, entry j < k of a
     placed row of the image is known exactly when the old element it names
-    is placed, and is at least k otherwise. A branch whose known prefix of
-    row 0 is already larger than the best image found so far is cut.
+    is placed, and is at least k otherwise.
 
-    A placed row whose known prefix ties the best image is known in full
+    The placed rows are compared with the best image found so far in
+    order, each by one rule. A branch is cut when a row's known prefix is
+    larger than the best image's. A row whose prefix ties is known in full
     when every label is placed, or when its unplaced columns all give one
-    placed value, as the bottom of a semilattice does; the next row's
-    prefix is then compared. Known rows stay known and equal to the best
-    image below the node where they were found, so each branch passes their
+    placed value, as the bottom of a semilattice does; only then is the
+    next row compared. Known rows stay known and equal to the best image
+    below the node where they were found, so each branch passes their
     number down. At a leaf the whole image has been compared, and it
     replaces the best image from its first smaller row.
     """
@@ -86,15 +88,6 @@ def canonical_form(g: CayleyTable) -> CayleyTable:
     best = [list(row) for row in rows]
     label = [-1] * n  # old element -> new label, -1 while unplaced
     order: list[int] = []  # new label -> old element
-    # flat[e]: the one value of row e off its diagonal, or -1. The bound
-    # goes on past a tied row 0 only when that row is flat, so relabelings
-    # of a table with no flat row skip the column scan.
-    flat = [-1] * n
-    if n > 1:
-        for e, row in enumerate(rows):
-            z = row[e == 0]
-            if row.count(z) - (row[e] == z) == n - 1:
-                flat[e] = z
 
     def bound(k: int, eq: int) -> int:
         # -1 to cut; otherwise how many leading image rows are known and
@@ -111,16 +104,13 @@ def canonical_form(g: CayleyTable) -> CayleyTable:
                 if v != b:
                     return -1 if v > b else i
             if k < n:
-                z = flat[order[i]]
-                if z < 0:
-                    if i == 0:
-                        return 0
-                    for c in range(n):
-                        if label[c] < 0:
-                            if z < 0:
-                                z = row[c]
-                            elif row[c] != z:
-                                return i
+                z = -1
+                for c in range(n):
+                    if label[c] < 0:
+                        if z < 0:
+                            z = row[c]
+                        elif row[c] != z:
+                            return i
                 v = label[z]
                 if v < 0:
                     return i
@@ -243,9 +233,6 @@ def enumerate_models(spec: SearchSpec) -> Iterator[CayleyTable]:
     size = n + len(cells)
     rows = [list(range(size)) for _ in range(n)]
     rows += [[u] * size for u in range(n, size)]
-    if spec.idempotent:
-        for i in range(n):
-            rows[i][i] = i
     for k, (i, j) in enumerate(cells):
         rows[i][j] = n + k
         if spec.commutative:

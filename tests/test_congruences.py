@@ -207,6 +207,20 @@ def test_empty_partition():
     assert (part.n, part.num_blocks, part.blocks()) == (0, 0, [])
 
 
+def test_element_messages_name_the_carrier():
+    # the empty carrier once read "element 0 is outside 0..-1"; carriers of
+    # one element and more keep their range
+    cases = [
+        (PartitionCongruence(()), (0, 0), "element 0 is outside the empty carrier"),
+        (PartitionCongruence((0,)), (0, 1), "element 1 is outside 0..0"),
+        (PartitionCongruence((0, 0, 1)), (5, 0), "element 5 is outside 0..2"),
+    ]
+    for part, pair, want in cases:
+        with pytest.raises(ValueError) as exc:
+            part.related(*pair)
+        assert str(exc.value) == want
+
+
 # --- oracles: the definitions the lattice code replaced ------------------
 
 

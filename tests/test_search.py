@@ -145,10 +145,39 @@ def test_canonical_matches_naive_oracle_tie_heavy():
             assert canonical_form(g) == naive_canonical(g), g
 
 
+def all_tables(n, commutative, idempotent):
+    """Every table of one search shape: each free cell takes every value."""
+    cells = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if not (idempotent and i == j) and not (commutative and i > j)
+    ]
+    for values in itertools.product(range(n), repeat=len(cells)):
+        rows = [[i if idempotent else 0] * n for i in range(n)]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = v
+            if commutative:
+                rows[j][i] = v
+        yield CayleyTable(rows)
+
+
+def test_canonical_matches_naive_oracle_exhaustive():
+    # every table of the four search shapes up to n = 3 and every CI table
+    # of n = 4: 25,298 tables
+    shapes = [(n, c, i) for n in (1, 2, 3) for c in (True, False) for i in (True, False)]
+    total = 0
+    for n, commutative, idempotent in shapes + [(4, True, True)]:
+        for g in all_tables(n, commutative, idempotent):
+            assert canonical_form(g) == naive_canonical(g), g
+            total += 1
+    assert total == 25298
+
+
 # Tables whose rows are one value off the diagonal, so that the canonical
-# form's bound goes on past row 0: the models of T2 and SL, chains, flat
-# semilattices (all products of distinct elements are the bottom) and
-# left-zero bands, where every relabeling ties.
+# form's bound carries tied rows on past their known prefix: the models of
+# T2 and SL, chains, flat semilattices (all products of distinct elements
+# are the bottom) and left-zero bands, where every relabeling ties.
 def chain(n):
     return CayleyTable([[min(a, b) for b in range(n)] for a in range(n)])
 
